@@ -131,22 +131,10 @@ pub fn verify_program_with_ctx(
     config: &LintConfig,
     ctx: &AnalysisCtx,
 ) -> Report {
-    verify_impl(name, program, config, Some(ctx))
+    verify_impl(name, program, config, ctx)
 }
 
-/// The PR-2-era verifier without the abstract-interpretation pass —
-/// kept callable so `lint_bench` can measure the absint overhead
-/// against the dataflow-only baseline.
-pub fn verify_program_classic(name: &str, program: &[Inst], config: &LintConfig) -> Report {
-    verify_impl(name, program, config, None)
-}
-
-fn verify_impl(
-    name: &str,
-    program: &[Inst],
-    config: &LintConfig,
-    ctx: Option<&AnalysisCtx>,
-) -> Report {
+fn verify_impl(name: &str, program: &[Inst], config: &LintConfig, ctx: &AnalysisCtx) -> Report {
     let mut report = Report::new(name);
     if program.is_empty() {
         report.push(
@@ -210,9 +198,7 @@ fn verify_impl(
     check_uninitialized_reads(program, &cfg, &reachable, config, &mut report);
     check_dead_stores(program, &cfg, &reachable, config, &mut report);
     check_divergence(program, &cfg, &reachable, config, &mut report);
-    if let Some(ctx) = ctx {
-        crate::absint::check_kernel(program, &cfg, &reachable, ctx, config, &mut report);
-    }
+    crate::absint::check_kernel(program, &cfg, &reachable, ctx, config, &mut report);
     report.sort_canonical();
     report
 }

@@ -43,15 +43,12 @@ pub mod shipped;
 pub use absint::{
     analyze, AnalysisCtx, CoalescingClass, KernelAnalysis, MemAccessSummary, MemSpace,
 };
-pub use cache::{verify_cache_stats, verify_program_cached};
+pub use cache::verify_program_cached;
 pub use cfg::Cfg;
 pub use design::{lint_design, lint_resilience};
 pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};
 pub use flow::{
     check_banking, check_division, check_pipeline, check_supervision, DegradationStep, FlowSnapshot,
 };
-pub use kernel::{
-    verify_asm, verify_program, verify_program_classic, verify_program_with_ctx,
-    DIVERGENCE_DEPTH_LIMIT,
-};
+pub use kernel::{verify_asm, verify_program, verify_program_with_ctx, DIVERGENCE_DEPTH_LIMIT};
 pub use shipped::{verify_shipped, SHIPPED_KERNELS};

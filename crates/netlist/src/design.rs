@@ -7,36 +7,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Process-wide count of [`Design::clone`] / [`Design::deep_clone`]
-/// invocations. Test/bench instrumentation only — see
-/// [`design_clone_count`].
-static DESIGN_CLONES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of per-module deep copies: copy-on-write breaks
-/// in [`Design::module_mut`] plus the forced copies of
-/// [`Design::deep_clone`]. See [`module_copy_count`].
-static MODULE_COPIES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative number of design clones (`clone` and `deep_clone`) in
-/// this process. Monotone; meant for *relative* measurements in
-/// single-threaded harnesses (the DSE benches assert the journal path
-/// performs zero clones per candidate). Parallel test runners share
-/// the counter, so tests should only assert deltas `>=` an expected
-/// floor, never exact values.
-pub fn design_clone_count() -> u64 {
-    DESIGN_CLONES.load(Ordering::Relaxed)
-}
-
-/// Cumulative number of module deep copies in this process: every time
-/// copy-on-write actually copied a shared module ([`Design::module_mut`]
-/// on a module shared with another design) or [`Design::deep_clone`]
-/// forced copies. The same caveats as [`design_clone_count`] apply.
-pub fn module_copy_count() -> u64 {
-    MODULE_COPIES.load(Ordering::Relaxed)
-}
 
 /// A complete design: an arena of modules forming a DAG under
 /// instantiation, with one top module.
@@ -64,6 +35,7 @@ pub fn module_copy_count() -> u64 {
 /// design.set_top(top);
 /// assert!(design.validate().is_ok());
 /// ```
+#[derive(Clone)]
 pub struct Design {
     name: String,
     modules: Vec<Arc<Module>>,
@@ -80,21 +52,6 @@ pub struct Design {
     fp_cache: Vec<OnceLock<u64>>,
 }
 
-impl Clone for Design {
-    /// Copy-on-write clone: O(module count) `Arc` bumps, no module
-    /// content is copied. Bumps the process-wide
-    /// [`design_clone_count`].
-    fn clone(&self) -> Self {
-        DESIGN_CLONES.fetch_add(1, Ordering::Relaxed);
-        Self {
-            name: self.name.clone(),
-            modules: self.modules.clone(),
-            top: self.top,
-            fp_cache: self.fp_cache.clone(),
-        }
-    }
-}
-
 /// Equality is structural: name, modules and top. The fingerprint
 /// cache never participates — two designs with identical contents are
 /// equal regardless of which fingerprints happen to be computed.
@@ -106,9 +63,8 @@ impl PartialEq for Design {
 
 impl fmt::Debug for Design {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `Arc<Module>` renders exactly like `Module`, so this output
-        // (and the legacy Debug-string fingerprint derived from it) is
-        // byte-identical to the pre-CoW representation.
+        // `Arc<Module>` renders exactly like `Module`; the Table-I
+        // goldens pin a digest of this output.
         f.debug_struct("Design")
             .field("name", &self.name)
             .field("modules", &self.modules)
@@ -273,32 +229,8 @@ impl Design {
     /// serving a stale fingerprint would poison every downstream
     /// content-addressed cache).
     pub fn module_mut(&mut self, id: ModuleId) -> &mut Module {
-        let slot = &mut self.modules[id.index()];
-        if Arc::strong_count(slot) > 1 {
-            MODULE_COPIES.fetch_add(1, Ordering::Relaxed);
-        }
         self.fp_cache[id.index()] = OnceLock::new();
-        Arc::make_mut(slot)
-    }
-
-    /// A clone that forces a deep copy of every module, reproducing
-    /// the pre-copy-on-write clone cost (O(design size)). The content
-    /// is identical to [`Design::clone`]; only the sharing differs.
-    /// Retained as the tracked benchmark baseline for the transform
-    /// journal — production code should never need it.
-    pub fn deep_clone(&self) -> Self {
-        DESIGN_CLONES.fetch_add(1, Ordering::Relaxed);
-        MODULE_COPIES.fetch_add(self.modules.len() as u64, Ordering::Relaxed);
-        Self {
-            name: self.name.clone(),
-            modules: self
-                .modules
-                .iter()
-                .map(|m| Arc::new(Module::clone(m)))
-                .collect(),
-            top: self.top,
-            fp_cache: self.fp_cache.clone(),
-        }
+        Arc::make_mut(&mut self.modules[id.index()])
     }
 
     /// Number of module slots whose content is *shared* (same `Arc`)
@@ -904,27 +836,6 @@ mod tests {
         // The origin is untouched.
         assert!(d.module_by_name("leaf").is_some());
         assert!(d.module_by_name("leaf_x").is_none());
-        // Deep clone shares nothing but is content-equal.
-        let deep = d.deep_clone();
-        assert_eq!(deep.shared_modules_with(&d), 0);
-        assert_eq!(deep, d);
-    }
-
-    #[test]
-    fn clone_counters_are_monotone() {
-        let before_clones = design_clone_count();
-        let before_copies = module_copy_count();
-        let d = two_level();
-        let mut v = d.clone();
-        let _ = d.deep_clone();
-        let leaf = v.module_by_name("leaf").unwrap();
-        v.module_mut(leaf).name = "leaf2".into();
-        // Parallel tests share the process-wide counters, so only a
-        // floor can be asserted: >= 2 design clones (clone +
-        // deep_clone), >= module_count + 1 module copies (deep clone
-        // forces all, the CoW break adds one).
-        assert!(design_clone_count() >= before_clones + 2);
-        assert!(module_copy_count() > before_copies + d.module_count() as u64);
     }
 
     #[test]
@@ -933,9 +844,8 @@ mod tests {
         let leaf = d.module_by_name("leaf").unwrap();
         // Warm: touch once so any lazy state settles.
         d.module_mut(leaf).name = "leaf".into();
-        // A design that shares nothing pays no copy for mutation; we
-        // can't assert the global counter exactly (parallel tests),
-        // but we can assert sharing stays local.
+        // A design that shares nothing pays no copy for mutation:
+        // sharing with an observer breaks once, for that module only.
         let observer = d.clone();
         d.module_mut(leaf).name = "leaf_b".into();
         assert_eq!(d.shared_modules_with(&observer), d.module_count() - 1);

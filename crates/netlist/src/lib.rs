@@ -38,7 +38,7 @@ pub mod module;
 pub mod stats;
 pub mod timing;
 
-pub use design::{design_clone_count, module_copy_count, Design, MacroIter, ModuleSnapshot};
+pub use design::{Design, MacroIter, ModuleSnapshot};
 pub use ecc::EccPolicy;
 pub use export::to_structural_verilog;
 pub use geometry::{BankGroupId, MemGeometry};

@@ -5,22 +5,20 @@
 //! *transaction* on a [`crate::TransformJournal`], not a clone: the
 //! greedy loop keeps one copy-on-write working design and moves it
 //! between candidate plans by reverting/re-applying only the actions
-//! that differ. The pre-journal clone-and-replay path is retained
-//! verbatim ([`apply_plan_clone_dirty`], [`optimize_for_clone`]) as
-//! the reference the equivalence property suite and `sta_bench`
-//! compare against — the two paths are bit-identical in plans,
-//! designs, traces and fmax bit patterns.
+//! that differ. The checked-in goldens (`tests/golden/`) pin its
+//! plans, traces, fmax bit patterns and netlists for all 12 Table-I
+//! versions.
 
 use crate::cache::StaCache;
 use crate::journal::TransformJournal;
 use crate::map::{advise_delta, advise_with, Advice};
-use ggpu_lint::{check_banking, check_division, check_pipeline, FlowSnapshot, LintConfig, Report};
+use ggpu_lint::Report;
 use ggpu_netlist::{Design, ModuleId};
 use ggpu_sta::StaError;
-use ggpu_synth::{bank_macro, divide_macro, insert_pipeline, DivideAxis, TransformError};
+use ggpu_synth::{DivideAxis, TransformError};
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -211,12 +209,6 @@ pub(crate) fn original_macro_name(name: &str) -> &str {
     name
 }
 
-fn module_id(design: &Design, name: &str) -> Result<ModuleId, DseError> {
-    design
-        .module_by_name(name)
-        .ok_or_else(|| DseError::UnknownModule(name.to_string()))
-}
-
 /// Applies `plan` to a fresh copy of `base`.
 ///
 /// A division names one macro (the one on the representative timing
@@ -257,102 +249,6 @@ pub fn apply_plan_dirty(
     Ok((journal.into_design(), dirty))
 }
 
-/// The pre-journal [`apply_plan_dirty`], retained verbatim: deep-clone
-/// the base, then replay the plan step by step with the flow lints
-/// checked per step. The equivalence property suite and `sta_bench`
-/// replay plans through this path and through the journal and assert
-/// the results are bit-identical.
-///
-/// # Errors
-///
-/// Returns [`DseError`] if a transform fails or a module is missing.
-pub fn apply_plan_clone_dirty(
-    base: &Design,
-    plan: &OptimizationPlan,
-) -> Result<(Design, Vec<ModuleId>), DseError> {
-    let lint_config = LintConfig::new();
-    let mut invariants = Report::new(base.name());
-    let mut design = base.deep_clone();
-    let mut dirty = BTreeSet::new();
-    for ((module, macro_name), factor) in &plan.divisions {
-        let id = module_id(&design, module)?;
-        dirty.insert(id);
-        let target = design
-            .module(id)
-            .find_macro(macro_name)
-            .cloned()
-            .ok_or_else(|| {
-                DseError::Transform(TransformError::MacroNotFound {
-                    module: module.clone(),
-                    name: macro_name.clone(),
-                })
-            })?;
-        let siblings = design.module(id).sibling_macro_names(&target);
-        let before = FlowSnapshot::of(&design);
-        for name in siblings {
-            divide_macro(&mut design, id, &name, *factor, DivideAxis::Words)?;
-        }
-        let after = FlowSnapshot::of(&design);
-        check_division(
-            before,
-            after,
-            &format!("{module}/{macro_name} x{factor}"),
-            &lint_config,
-            &mut invariants,
-        );
-        if invariants.denial_count() > 0 {
-            return Err(DseError::FlowInvariant(invariants));
-        }
-    }
-    for ((module, macro_name), banks) in &plan.bankings {
-        let id = module_id(&design, module)?;
-        dirty.insert(id);
-        let group_ports = design
-            .module(id)
-            .find_macro(macro_name)
-            .map(|m| m.config.port_count())
-            .ok_or_else(|| {
-                DseError::Transform(TransformError::MacroNotFound {
-                    module: module.clone(),
-                    name: macro_name.clone(),
-                })
-            })?;
-        let before = FlowSnapshot::of(&design);
-        bank_macro(&mut design, id, macro_name, *banks)?;
-        let after = FlowSnapshot::of(&design);
-        check_banking(
-            before,
-            after,
-            *banks,
-            group_ports,
-            &format!("{module}/{macro_name} x{banks}"),
-            &lint_config,
-            &mut invariants,
-        );
-        if invariants.denial_count() > 0 {
-            return Err(DseError::FlowInvariant(invariants));
-        }
-    }
-    for (module, path) in &plan.pipelines {
-        let id = module_id(&design, module)?;
-        dirty.insert(id);
-        let before = FlowSnapshot::of(&design);
-        insert_pipeline(&mut design, id, path)?;
-        let after = FlowSnapshot::of(&design);
-        check_pipeline(
-            before,
-            after,
-            &format!("{module}/{path}"),
-            &lint_config,
-            &mut invariants,
-        );
-        if invariants.denial_count() > 0 {
-            return Err(DseError::FlowInvariant(invariants));
-        }
-    }
-    Ok((design, dirty.into_iter().collect()))
-}
-
 /// The result of a successful exploration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Optimized {
@@ -372,8 +268,7 @@ pub struct DseConfig {
     /// Number of candidate plans kept alive per iteration.
     ///
     /// `1` (the default) is the paper's greedy loop — follow the
-    /// frequency map's single advice — and is bit-identical to the
-    /// pre-refactor path. Widths above 1 run a beam search over the
+    /// frequency map's single advice. Widths above 1 run a beam search over the
     /// journal: each iteration expands every surviving plan with the
     /// remedies for its worst paths and keeps the best `beam_width`,
     /// always including the protected greedy chain, so the result is
@@ -437,8 +332,8 @@ pub fn optimize_for_with(
 
 /// [`optimize_for_with`] under an explicit [`DseConfig`].
 ///
-/// `beam_width == 1` runs the journal-backed greedy loop
-/// (bit-identical to [`optimize_for_clone`]); wider beams run
+/// `beam_width == 1` runs the journal-backed greedy loop; wider beams
+/// run
 /// [`crate::beam`]'s search, which is never worse than greedy (the
 /// greedy chain is kept alive in the beam).
 ///
@@ -535,163 +430,13 @@ fn optimize_greedy_journal(
     Err(DseError::Unreachable { target, best })
 }
 
-/// The greedy loop over copy-on-write replays: every iteration
-/// replays the whole accumulated plan from the base through
-/// [`apply_plan_dirty`] (a CoW clone plus a one-shot journal), but
-/// never keeps a journal alive across iterations.
-///
-/// This is the *middle* leg of `sta_bench`'s clone-vs-CoW-vs-journal
-/// comparison: it isolates how much of the speedup comes from CoW
-/// clones alone (cheap copies, full replays) versus the journal's
-/// rebase (no replays at all). Bit-identical to both neighbours.
-///
-/// # Errors
-///
-/// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
-pub fn optimize_for_cow(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-) -> Result<Optimized, DseError> {
-    let mut plan = OptimizationPlan::default();
-    let mut current = base.clone();
-    let mut trace = Vec::new();
-    let mut best = Mhz::new(0.0);
-    let mut dirty: Option<Vec<ModuleId>> = None;
-
-    for _ in 0..MAX_ITERS {
-        let advice = match &dirty {
-            None => advise_with(&current, tech, target, cache)?,
-            Some(d) => advise_delta(&current, tech, target, cache, d)?,
-        };
-        trace.push(advice.to_string());
-        match advice {
-            Advice::Met { fmax } => {
-                return Ok(Optimized {
-                    design: current,
-                    plan,
-                    fmax,
-                    trace,
-                });
-            }
-            Advice::DivideMemory {
-                module,
-                macro_name,
-                fmax,
-            } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                let key = (module, original_macro_name(&macro_name).to_string());
-                *plan.divisions.entry(key).or_insert(1) *= 2;
-                let (next, touched) = apply_plan_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::InsertPipeline { module, path, fmax } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                plan.pipelines.push((module, path));
-                let (next, touched) = apply_plan_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::Stuck { fmax, .. } => {
-                return Err(DseError::Unreachable {
-                    target,
-                    best: fmax.max(best),
-                });
-            }
-        }
-    }
-    Err(DseError::Unreachable { target, best })
-}
-
-/// The pre-journal greedy loop, retained verbatim as the reference:
-/// every iteration deep-clones the base and replays the whole
-/// accumulated plan through [`apply_plan_clone_dirty`].
-///
-/// Exists so the equivalence suite and `sta_bench` can assert the
-/// journal path is bit-identical (plans, designs, traces, fmax bit
-/// patterns) while measuring what the clone tax used to cost.
-///
-/// # Errors
-///
-/// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
-pub fn optimize_for_clone(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-) -> Result<Optimized, DseError> {
-    let mut plan = OptimizationPlan::default();
-    let mut current = base.deep_clone();
-    let mut trace = Vec::new();
-    let mut best = Mhz::new(0.0);
-    let mut dirty: Option<Vec<ModuleId>> = None;
-
-    for _ in 0..MAX_ITERS {
-        let advice = match &dirty {
-            None => advise_with(&current, tech, target, cache)?,
-            Some(d) => advise_delta(&current, tech, target, cache, d)?,
-        };
-        trace.push(advice.to_string());
-        match advice {
-            Advice::Met { fmax } => {
-                return Ok(Optimized {
-                    design: current,
-                    plan,
-                    fmax,
-                    trace,
-                });
-            }
-            Advice::DivideMemory {
-                module,
-                macro_name,
-                fmax,
-            } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                let key = (module, original_macro_name(&macro_name).to_string());
-                *plan.divisions.entry(key).or_insert(1) *= 2;
-                let (next, touched) = apply_plan_clone_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::InsertPipeline { module, path, fmax } => {
-                if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
-                    return Err(DseError::Unreachable { target, best });
-                }
-                best = fmax;
-                plan.pipelines.push((module, path));
-                let (next, touched) = apply_plan_clone_dirty(base, &plan)?;
-                current = next;
-                dirty = Some(touched);
-            }
-            Advice::Stuck { fmax, .. } => {
-                return Err(DseError::Unreachable {
-                    target,
-                    best: fmax.max(best),
-                });
-            }
-        }
-    }
-    Err(DseError::Unreachable { target, best })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ggpu_lint::FlowSnapshot;
     use ggpu_netlist::stats::design_stats;
     use ggpu_rtl::{generate, GgpuConfig};
+    use std::collections::BTreeSet;
 
     fn base() -> Design {
         generate(&GgpuConfig::with_cus(1).unwrap()).unwrap()
@@ -781,53 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_loop_matches_clone_reference() {
-        // The headline bit-identity claim, on the real design: the
-        // journal-backed greedy loop, the CoW-replay middle leg and the
-        // retained clone-and-replay loop agree on everything, down to
-        // fmax bit patterns.
-        let tech = Tech::l65();
-        let b = base();
-        for target in [500.0, 590.0, 667.0] {
-            let target = Mhz::new(target);
-            let journal = optimize_for_with(&b, &tech, target, &StaCache::new()).unwrap();
-            let cow = optimize_for_cow(&b, &tech, target, &StaCache::new()).unwrap();
-            let clone = optimize_for_clone(&b, &tech, target, &StaCache::new()).unwrap();
-            for (name, other) in [("cow", &cow), ("clone", &clone)] {
-                assert_eq!(journal.plan, other.plan, "{name} plan diverges at {target}");
-                assert_eq!(
-                    journal.design, other.design,
-                    "{name} design diverges at {target}"
-                );
-                assert_eq!(
-                    journal.trace, other.trace,
-                    "{name} trace diverges at {target}"
-                );
-                assert_eq!(
-                    journal.fmax.value().to_bits(),
-                    other.fmax.value().to_bits(),
-                    "{name} fmax bits diverge at {target}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn apply_plan_matches_clone_replay() {
-        let tech = Tech::l65();
-        let b = base();
-        let opt = optimize_for(&b, &tech, Mhz::new(667.0)).unwrap();
-        let (journal, dirty_j) = apply_plan_dirty(&b, &opt.plan).unwrap();
-        let (clone, dirty_c) = apply_plan_clone_dirty(&b, &opt.plan).unwrap();
-        assert_eq!(journal, clone);
-        assert_eq!(dirty_j, dirty_c);
-        assert_eq!(
-            ggpu_netlist::to_structural_verilog(&journal),
-            ggpu_netlist::to_structural_verilog(&clone)
-        );
-    }
-
-    #[test]
     fn apply_plan_preserves_total_macro_bits() {
         // Divisions re-bank memories but never change total storage;
         // the per-transaction FlowSnapshot checks in the journal
@@ -850,10 +548,31 @@ mod tests {
             apply_plan(&base(), &plan),
             Err(DseError::UnknownModule(_))
         ));
-        assert!(matches!(
-            apply_plan_clone_dirty(&base(), &plan),
-            Err(DseError::UnknownModule(_))
-        ));
+    }
+
+    #[test]
+    fn optimized_designs_share_every_module_the_plan_does_not_name() {
+        let tech = Tech::l65();
+        for cus in [1, 8] {
+            let b = generate(&GgpuConfig::with_cus(cus).unwrap()).unwrap();
+            let opt = optimize_for(&b, &tech, Mhz::new(667.0)).unwrap();
+            let named: BTreeSet<String> = opt
+                .plan
+                .actions()
+                .into_iter()
+                .map(|a| match a {
+                    Action::Divide { module, .. }
+                    | Action::Bank { module, .. }
+                    | Action::Pipeline { module, .. } => module,
+                })
+                .collect();
+            assert!(!named.is_empty(), "{cus} CU: 667 MHz needs a plan");
+            assert_eq!(
+                opt.design.shared_modules_with(&b),
+                b.module_count() - named.len(),
+                "{cus} CU: plan names {named:?}"
+            );
+        }
     }
 
     #[test]

@@ -48,9 +48,8 @@ pub use cycles::{
 };
 pub use datasheet::{datasheet, datasheet_with_supervision};
 pub use dse::{
-    apply_plan, apply_plan_clone_dirty, apply_plan_dirty, optimize_for, optimize_for_clone,
-    optimize_for_cow, optimize_for_with, optimize_with_config, Action, DseConfig, DseError,
-    OptimizationPlan, Optimized,
+    apply_plan, apply_plan_dirty, optimize_for, optimize_for_with, optimize_with_config, Action,
+    DseConfig, DseError, OptimizationPlan, Optimized,
 };
 pub use flow::{
     worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PnrSession,

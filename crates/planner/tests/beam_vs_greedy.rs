@@ -3,19 +3,15 @@
 
 use ggpu_rtl::{generate, GgpuConfig};
 use ggpu_tech::Tech;
-use gpuplanner::{
-    optimize_for_clone, optimize_for_with, optimize_with_config, paper_versions, DseConfig,
-    StaCache,
-};
+use gpuplanner::{optimize_for_with, optimize_with_config, paper_versions, DseConfig, StaCache};
 
-/// Width 1 must be *bit-identical* to greedy — and greedy itself
-/// bit-identical to the pre-refactor clone-replay loop — on every
-/// (CU count, frequency) point of Table I.
+/// Width 1 must be *bit-identical* to greedy on every (CU count,
+/// frequency) point of Table I; the goldens under `tests/golden/` pin
+/// what greedy itself produces.
 #[test]
 fn beam_width_1_is_greedy_on_all_12_versions() {
     let tech = Tech::l65();
     let cache = StaCache::new();
-    let clone_cache = StaCache::new();
     for spec in paper_versions() {
         let base = generate(&GgpuConfig::with_cus(spec.compute_units).unwrap()).unwrap();
         let greedy = optimize_for_with(&base, &tech, spec.frequency, &cache).unwrap();
@@ -33,17 +29,6 @@ fn beam_width_1_is_greedy_on_all_12_versions() {
         assert_eq!(
             width1.fmax.value().to_bits(),
             greedy.fmax.value().to_bits(),
-            "{}",
-            spec.version_name()
-        );
-
-        let reference = optimize_for_clone(&base, &tech, spec.frequency, &clone_cache).unwrap();
-        assert_eq!(width1.plan, reference.plan, "{}", spec.version_name());
-        assert_eq!(width1.design, reference.design, "{}", spec.version_name());
-        assert_eq!(width1.trace, reference.trace, "{}", spec.version_name());
-        assert_eq!(
-            width1.fmax.value().to_bits(),
-            reference.fmax.value().to_bits(),
             "{}",
             spec.version_name()
         );

@@ -4,10 +4,9 @@ use ggpu_netlist::module::{MacroInst, MemoryRole, Module};
 use ggpu_netlist::timing::{LogicStage, PathEndpoint, TimingPath};
 use ggpu_netlist::Design;
 use ggpu_prop::Rng;
-use ggpu_tech::sram::{SramConfig, MIN_WORDS};
+use ggpu_tech::sram::SramConfig;
 use ggpu_tech::stdcell::CellClass;
 use ggpu_tech::units::Ns;
-use gpuplanner::OptimizationPlan;
 
 /// A random multi-module design whose macros are all divisible and
 /// whose paths are all deep enough to pipeline, so any generated plan
@@ -64,28 +63,4 @@ pub fn random_design(rng: &mut Rng) -> Design {
     let top = d.add_module(top);
     d.set_top(top);
     d
-}
-
-/// A random plan valid against [`random_design`]'s shape.
-pub fn random_plan(rng: &mut Rng, design: &Design) -> OptimizationPlan {
-    let mut plan = OptimizationPlan::default();
-    for id in design.module_ids() {
-        let module = design.module(id);
-        for mac in &module.macros {
-            if rng.chance(0.5) {
-                let mut factor = 1u32 << rng.u32_in(1, 3); // 2, 4, 8
-                while mac.config.words / factor < MIN_WORDS {
-                    factor /= 2;
-                }
-                if factor >= 2 {
-                    plan.divisions
-                        .insert((module.name.clone(), mac.name.clone()), factor);
-                }
-            }
-        }
-        if rng.chance(0.4) && module.paths.iter().any(|p| p.name == "logic") {
-            plan.pipelines.push((module.name.clone(), "logic".into()));
-        }
-    }
-    plan
 }

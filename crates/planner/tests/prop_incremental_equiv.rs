@@ -10,17 +10,42 @@
 
 mod common;
 
-use common::{random_design, random_plan};
+use common::random_design;
 use ggpu_netlist::module::Module;
 use ggpu_netlist::timing::{LogicStage, PathEndpoint, TimingPath};
 use ggpu_netlist::Design;
-use ggpu_prop::cases;
+use ggpu_prop::{cases, Rng};
 use ggpu_rtl::{generate, GgpuConfig};
 use ggpu_sta::analyze;
+use ggpu_tech::sram::MIN_WORDS;
 use ggpu_tech::stdcell::CellClass;
 use ggpu_tech::units::{Mhz, Ns};
 use ggpu_tech::Tech;
-use gpuplanner::{apply_plan_dirty, optimize_for_with, StaCache};
+use gpuplanner::{apply_plan_dirty, optimize_for_with, OptimizationPlan, StaCache};
+
+/// A random plan valid against [`random_design`]'s shape.
+fn random_plan(rng: &mut Rng, design: &Design) -> OptimizationPlan {
+    let mut plan = OptimizationPlan::default();
+    for id in design.module_ids() {
+        let module = design.module(id);
+        for mac in &module.macros {
+            if rng.chance(0.5) {
+                let mut factor = 1u32 << rng.u32_in(1, 3); // 2, 4, 8
+                while mac.config.words / factor < MIN_WORDS {
+                    factor /= 2;
+                }
+                if factor >= 2 {
+                    plan.divisions
+                        .insert((module.name.clone(), mac.name.clone()), factor);
+                }
+            }
+        }
+        if rng.chance(0.4) && module.paths.iter().any(|p| p.name == "logic") {
+            plan.pipelines.push((module.name.clone(), "logic".into()));
+        }
+    }
+    plan
+}
 
 #[test]
 fn random_transform_sequences_are_bit_identical_incremental_vs_full() {

@@ -33,19 +33,8 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, PoisonError, RwLock};
-
-/// Process-wide count of raw [`MemoryCompiler::compile`] invocations —
-/// the number of times the characterization model actually ran, cache
-/// hits excluded. Monotone; benchmark harnesses read it before/after a
-/// phase and report the delta.
-static RAW_COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the process-wide raw-compile counter (see [`RAW_COMPILES`]).
-pub fn raw_compile_count() -> u64 {
-    RAW_COMPILES.load(Ordering::Relaxed)
-}
 
 /// Number of read/write ports of a macro.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -504,7 +493,6 @@ impl MemoryCompiler {
     /// Returns [`CompileSramError`] if the geometry is outside the
     /// compiler range (16–65536 words, 2–144 bits).
     pub fn compile(&self, config: SramConfig) -> Result<SramMacro, CompileSramError> {
-        RAW_COMPILES.fetch_add(1, Ordering::Relaxed);
         config.validate()?;
         let p = &self.params;
         let words = f64::from(config.words);
@@ -600,7 +588,6 @@ pub struct CompiledSramCache {
     table: RwLock<HashMap<(u64, SramConfig), Result<SramMacro, CompileSramError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl CompiledSramCache {
@@ -609,7 +596,6 @@ impl CompiledSramCache {
             table: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -631,9 +617,6 @@ impl CompiledSramCache {
         compiler: &MemoryCompiler,
         config: SramConfig,
     ) -> Result<SramMacro, CompileSramError> {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return compiler.compile(config);
-        }
         let key = (compiler.params_key, config);
         if let Some(r) = self
             .table
@@ -669,19 +652,6 @@ impl CompiledSramCache {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// Enables or disables memoization (process-wide). Intended for
-    /// benchmark harnesses that need to measure the unmemoized
-    /// baseline; leave enabled everywhere else. Disabling does not
-    /// drop existing entries — re-enabling resumes hitting them.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// `true` if memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -856,20 +826,16 @@ mod tests {
     #[test]
     fn cached_compile_is_bit_identical_to_raw() {
         let c = compiler();
-        // A geometry unique to this test, so the first cached call is
-        // a guaranteed miss even though the table is process-global.
+        // A table of this test's own, so the counts are exact.
+        let cache = CompiledSramCache::new();
         let cfg = SramConfig::dual(8192, 72);
         let raw = c.compile(cfg).unwrap();
-        let hits0 = CompiledSramCache::global().hits();
-        let raws0 = raw_compile_count();
-        let first = c.compile_cached(cfg).unwrap();
-        let second = c.compile_cached(cfg).unwrap();
+        let first = cache.get_or_compile(&c, cfg).unwrap();
+        let second = cache.get_or_compile(&c, cfg).unwrap();
         assert_eq!(first, raw);
         assert_eq!(second, raw);
-        // The second lookup (at latest) is answered from the table and
-        // at most one raw compile ran for the two probes.
-        assert!(CompiledSramCache::global().hits() > hits0);
-        assert!(raw_compile_count() - raws0 <= 1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -898,13 +864,6 @@ mod tests {
         assert!(mb.access_time > ma.access_time, "t_fixed raise must show");
         assert_eq!(ma, a.compile(cfg).unwrap());
         assert_eq!(mb, b.compile(cfg).unwrap());
-    }
-
-    #[test]
-    fn raw_compile_counter_is_monotone() {
-        let before = raw_compile_count();
-        let _ = compiler().compile(SramConfig::dual(64, 8));
-        assert!(raw_compile_count() > before);
     }
 
     #[test]

@@ -31,21 +31,11 @@ echo "== smoke (event-driven simulator, ~2 s) =="
 cargo run --release --example accelerator_vs_cpu 512
 
 echo "== property suite (transactional transform engine, release) =="
-# The journal/CoW bit-identity claims, re-run under the optimizer: the
-# randomized journal-vs-clone equivalence and revert-fidelity
-# properties, plus the beam-vs-greedy acceptance across all 12 Table-I
-# versions. (The debug-mode run is part of the workspace tests above.)
+# The journal claims, re-run under the optimizer: revert fidelity
+# against content snapshots and rebase chains against one-shot replays,
+# plus the beam-vs-greedy acceptance across all 12 Table-I versions.
+# (The debug-mode run is part of the workspace tests above.)
 cargo test --release -q -p gpuplanner --test prop_journal_equiv --test beam_vs_greedy
-
-echo "== smoke (STA perf baseline, 1-CU scenarios) =="
-# Asserts that the incremental engine and the legacy engine produce
-# bit-identical plans/fmax while it measures; deterministic and offline.
-# Wall-clock numbers are informational in CI — the tracked baseline is
-# the checked-in BENCH_sta.json regenerated via the full (non-smoke) run.
-# Since the transactional refactor this also runs the clone-vs-CoW-vs-
-# journal engine comparison, which *asserts* zero clones per DSE
-# candidate on the journal path.
-cargo run --release -p ggpu-bench --bin sta_bench -- --smoke --out target/BENCH_sta_smoke.json
 
 echo "== smoke (analytical placer quality + incremental PnR) =="
 # Legacy vs analytical HPWL on shared floorplans (asserts the
@@ -54,12 +44,6 @@ echo "== smoke (analytical placer quality + incremental PnR) =="
 # faster while producing bit-identical layouts). Tracked baseline is
 # the checked-in BENCH_pnr.json from the full (non-smoke) run.
 cargo run --release -p ggpu-bench --bin pnr_bench -- --smoke --out target/BENCH_pnr_smoke.json
-
-echo "== smoke (transform engine baseline) =="
-# Journal replay vs deep-clone replay, revert-walk fidelity and the
-# beam-width comparison; the tracked baseline is BENCH_journal.json
-# from the full run.
-cargo run --release -p ggpu-bench --bin journal_bench -- --smoke --out target/BENCH_journal_smoke.json
 
 echo "== smoke (seeded fault campaign, 64 injections/policy) =="
 # Offline SEU campaign on the 1-CU design (copy kernel, unprotected /
@@ -85,13 +69,6 @@ echo "== smoke (memory geometry: conflict profile + banking co-opt) =="
 # the unbanked plan on kernel runtime. Tracked baseline is the
 # checked-in BENCH_mem.json from the full (non-smoke) run.
 cargo run --release -p ggpu-bench --bin mem_bench -- --smoke --out target/BENCH_mem_smoke.json
-
-echo "== smoke (static analyzer cost vs syntactic baseline) =="
-# Times the abstract interpreter (verify_program, K010-K012) against
-# the PR-2 syntactic pass (verify_program_classic) on the 8 shipped
-# kernels, asserting both leave every kernel deny-free. Tracked
-# baseline is the checked-in BENCH_lint.json from the full run.
-cargo run --release -p ggpu-bench --bin lint_bench -- --smoke --out target/BENCH_lint_smoke.json
 
 echo "== smoke (flow supervision overhead + chaos zero-loss) =="
 # Runs the supervised pipeline (verify -> plan -> implement) against
