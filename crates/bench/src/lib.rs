@@ -10,8 +10,6 @@
 //! | `fig6`    | Fig. 6 — speed-up derated by area |
 //! | `layouts` | Figs. 3–4 — floorplan SVGs |
 
-pub mod timer;
-
 use ggpu_kernels::{all, scaled_speedup, Bench};
 use ggpu_netlist::stats::design_stats;
 use ggpu_rtl::{generate_riscv, RiscvConfig};

@@ -116,12 +116,14 @@ pub struct CampaignConfig {
     /// fast path — fault semantics are bit-identical across backends
     /// (the simt equivalence suite pins this, injection plans and
     /// watchdog included), so campaigns get the fast engine without
-    /// any behavioural difference; set `GGPU_ACCEL=scalar` to force
-    /// the reference engine when bisecting.
+    /// any behavioural difference; set the backend to
+    /// `AccelBackend::Scalar` to force the reference engine when
+    /// bisecting.
     pub sim: SimtConfig,
     /// Livelock watchdog for every trial (and hang classification).
     pub watchdog: ggpu_simt::WatchdogConfig,
-    /// Worker threads; `0` picks the host parallelism.
+    /// Worker threads; `0` picks [`ggpu_kernels::suite_threads`]
+    /// (`GGPU_THREADS` if set, otherwise the host parallelism).
     pub threads: usize,
     /// Optional checkpoint file for resumable campaigns.
     pub checkpoint: Option<PathBuf>,
@@ -138,15 +140,6 @@ impl CampaignConfig {
             threads: 0,
             checkpoint: None,
         }
-    }
-
-    fn worker_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 }
 
@@ -249,7 +242,10 @@ pub fn run_campaign(
     let pending: Vec<u32> = (0..cfg.trials).filter(|t| !done.contains_key(t)).collect();
     let sink: Mutex<TrialSink> = Mutex::new((Vec::with_capacity(pending.len()), journal));
     let next = AtomicUsize::new(0);
-    let workers = cfg.worker_threads().min(pending.len().max(1));
+    let workers = match cfg.threads {
+        0 => ggpu_kernels::suite_threads(pending.len()),
+        n => n.min(pending.len().max(1)),
+    };
 
     std::thread::scope(|scope| {
         for _ in 0..workers {

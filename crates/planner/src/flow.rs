@@ -6,10 +6,8 @@ use crate::cache::StaCache;
 use crate::dse::{apply_plan, optimize_with_config, DseConfig, DseError, OptimizationPlan};
 use crate::spec::Specification;
 use ggpu_fault::ResilienceReport;
-use ggpu_netlist::{Design, EccPolicy, ModuleId};
-use ggpu_pnr::{
-    place_and_route, IncrementalPnr, Layout, PlacementDelta, Placer, PnrError, PnrOptions, PnrStats,
-};
+use ggpu_netlist::{Design, EccPolicy};
+use ggpu_pnr::{place_and_route, Layout, Placer, PnrError, PnrOptions};
 use ggpu_rtl::{generate, ConfigError, GgpuConfig};
 use ggpu_sta::max_frequency;
 use ggpu_synth::{synthesize, SynthesisError, SynthesisReport};
@@ -232,20 +230,6 @@ impl GpuPlanner {
     pub fn with_placer(mut self, placer: Placer) -> Self {
         self.pnr_options.placer = placer;
         self
-    }
-
-    /// Opens a persistent physical-synthesis session for a DSE inner
-    /// loop: partition solves and module timing stay cached across the
-    /// candidate designs fed to it, and
-    /// [`PnrSession::place_and_route_delta`] accepts the transform
-    /// journal's dirty sets so successive candidates only re-place and
-    /// re-time what changed. Layouts are bit-identical to
-    /// [`GpuPlanner::implement`]'s under the same options.
-    pub fn pnr_session(&self) -> PnrSession<'_> {
-        PnrSession {
-            tech: &self.tech,
-            inc: IncrementalPnr::new(self.pnr_options),
-        }
     }
 
     /// Replaces the planner's STA memo table — e.g. with
@@ -542,62 +526,6 @@ impl GpuPlanner {
     }
 }
 
-/// A persistent physical-synthesis session borrowed from a
-/// [`GpuPlanner`] (see [`GpuPlanner::pnr_session`]). Wraps
-/// [`ggpu_pnr::IncrementalPnr`] with the planner's technology and
-/// error type, and takes dirty sets in the transform journal's terms
-/// (`Vec<ModuleId>`, as returned by
-/// [`crate::dse::apply_plan_dirty`] and `TransformJournal::apply`).
-#[derive(Debug)]
-pub struct PnrSession<'a> {
-    tech: &'a Tech,
-    inc: IncrementalPnr,
-}
-
-impl PnrSession<'_> {
-    /// Places and routes `design` from scratch, warming the session
-    /// caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::Pnr`] if the physical flow fails
-    /// structurally.
-    pub fn place_and_route(&mut self, design: &Design, target: Mhz) -> Result<Layout, PlanError> {
-        Ok(self.inc.place_and_route(design, self.tech, target)?)
-    }
-
-    /// Re-places and re-times `design` after a transform that dirtied
-    /// the given journal modules. Bit-identical to
-    /// [`Self::place_and_route`] on the same design, but only the
-    /// dirtied partitions are re-solved and re-timed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::Pnr`] if the physical flow fails
-    /// structurally.
-    pub fn place_and_route_delta(
-        &mut self,
-        design: &Design,
-        target: Mhz,
-        dirty: Vec<ModuleId>,
-    ) -> Result<Layout, PlanError> {
-        Ok(self
-            .inc
-            .place_and_route_delta(design, self.tech, target, &PlacementDelta::of(dirty))?)
-    }
-
-    /// Placement-side counters of the session (solves, cache hits,
-    /// undeclared-dirty audit).
-    pub fn stats(&self) -> PnrStats {
-        self.inc.stats()
-    }
-
-    /// Timing-side counters of the embedded incremental STA engine.
-    pub fn sta_stats(&self) -> ggpu_sta::EngineStats {
-        self.inc.sta_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,50 +721,6 @@ mod tests {
             analytic.layout.cu_route_delays
         );
         assert_eq!(shelf.within_spec, analytic.within_spec);
-    }
-
-    #[test]
-    fn pnr_session_consumes_journal_dirty_sets() {
-        use crate::dse::apply_plan_dirty;
-        let spec = Specification::new(1, Mhz::new(667.0));
-        let options = PnrOptions {
-            placer: Placer::Analytical,
-            ..PnrOptions::default()
-        };
-        let p = planner().with_pnr_options(options);
-        let planned = p.plan(&spec).unwrap();
-        assert!(!planned.plan.is_empty(), "667 MHz needs divisions");
-
-        // Replay the recipe through the journal to get the dirty set,
-        // then feed it to the session's delta path.
-        let base = generate(&planned.config).unwrap();
-        let (optimized, dirty) = apply_plan_dirty(&base, &planned.plan).unwrap();
-        assert!(!dirty.is_empty());
-        let mut session = p.pnr_session();
-        session.place_and_route(&base, spec.frequency).unwrap();
-        let delta = session
-            .place_and_route_delta(&optimized, spec.frequency, dirty)
-            .unwrap();
-
-        // Exact: bit-identical to the from-scratch flow, with a clean
-        // audit.
-        let scratch = place_and_route(&optimized, p.tech(), spec.frequency, options).unwrap();
-        assert_eq!(delta, scratch);
-        assert_eq!(session.stats().undeclared_dirty, 0);
-        assert!(session.sta_stats().module_hits > 0);
-
-        // A repeat delta on the now-unchanged design is answered
-        // entirely from the warm caches.
-        let hits = session.stats().place.cache_hits;
-        let solves = session.stats().place.solves;
-        let again = session
-            .place_and_route_delta(&optimized, spec.frequency, Vec::new())
-            .unwrap();
-        assert_eq!(again, scratch);
-        let stats = session.stats();
-        assert_eq!(stats.place.solves, solves, "no new solves");
-        assert!(stats.place.cache_hits > hits, "partitions reused");
-        assert_eq!(stats.undeclared_dirty, 0);
     }
 
     #[test]

@@ -52,8 +52,7 @@ pub use dse::{
     DseConfig, DseError, OptimizationPlan, Optimized,
 };
 pub use flow::{
-    worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PnrSession,
-    PpaEstimate,
+    worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate,
 };
 pub use journal::{Checkpoint, TransformJournal};
 pub use map::{advise, advise_candidates, advise_delta, advise_with, Advice};
@@ -63,9 +62,8 @@ pub use memopt::{
 pub use spec::Specification;
 pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
 pub use supervise::{
-    spec_fingerprint, stage_timeout_from_env, verify_kernels, DegradationReport, FailurePlan,
-    FlowError, FlowErrorKind, FlowStage, Injection, SupervisedVersion, Supervisor,
-    SupervisorConfig,
+    spec_fingerprint, verify_kernels, DegradationReport, FailurePlan, FlowError, FlowErrorKind,
+    FlowStage, Injection, SupervisedVersion, Supervisor, SupervisorConfig,
 };
 pub use sweep::{SweepConfig, SweepError, SweepReport, SweepSkip};
 pub use versions::{paper_versions, physical_versions};

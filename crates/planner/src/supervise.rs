@@ -13,7 +13,7 @@
 //!   poisoned spec cannot abort its siblings;
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
-//!   (beam → greedy search, incremental STA → legacy full re-analysis,
+//!   (beam → greedy search, incremental STA → uncached STA,
 //!   analytical placer → legacy shelf packer, SoA backend → scalar
 //!   reference engine). Every step is recorded in a structured
 //!   [`DegradationReport`] — degraded results are never silent; the
@@ -27,9 +27,8 @@
 //! I/O errors at stage boundaries to property-test exactly this
 //! machinery; see `tests/chaos.rs`.
 //!
-//! The stage deadline defaults to the `GGPU_STAGE_TIMEOUT_MS`
-//! environment variable (unset = no deadline; stages then run inline
-//! with zero thread overhead).
+//! There is no stage deadline by default: stages run inline with zero
+//! thread overhead unless [`SupervisorConfig::stage_timeout`] is set.
 
 use crate::dse::DseConfig;
 use crate::flow::{parallel_map, worker_threads, GpuPlanner, ImplementedVersion, PlanError};
@@ -296,9 +295,8 @@ impl FailurePlan {
 /// Supervisor policy.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Per-stage deadline. `None` (the default when
-    /// `GGPU_STAGE_TIMEOUT_MS` is unset) runs stages inline with no
-    /// watchdog thread.
+    /// Per-stage deadline. `None` (the default) runs stages inline with
+    /// no watchdog thread.
     pub stage_timeout: Option<Duration>,
     /// Same-rung retries after the first attempt (transient failures
     /// only).
@@ -328,7 +326,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            stage_timeout: stage_timeout_from_env(),
+            stage_timeout: None,
             max_retries: 2,
             backoff_base_ms: 0,
             backoff_cap_ms: 1_000,
@@ -356,16 +354,6 @@ impl SupervisorConfig {
         // Jitter in [exp/2, exp].
         (exp / 2) + rng.next_u64() % (exp / 2 + 1)
     }
-}
-
-/// Reads the `GGPU_STAGE_TIMEOUT_MS` environment knob: a positive
-/// integer enables the per-stage deadline, anything else disables it.
-pub fn stage_timeout_from_env() -> Option<Duration> {
-    std::env::var("GGPU_STAGE_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
 }
 
 /// A spec that survived the supervised pipeline.
@@ -420,7 +408,7 @@ impl Rung {
                 let sta = if cached_sta {
                     "incremental STA"
                 } else {
-                    "legacy full STA"
+                    "uncached STA"
                 };
                 format!("{search} search + {sta}")
             }
@@ -440,8 +428,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor over `planner` with the default policy
-    /// ([`SupervisorConfig::default`], deadline from
-    /// `GGPU_STAGE_TIMEOUT_MS`).
+    /// ([`SupervisorConfig::default`]: no stage deadline).
     pub fn new(planner: GpuPlanner) -> Self {
         Self {
             planner,
@@ -499,7 +486,7 @@ impl Supervisor {
             },
         )?;
 
-        // Stage 2: plan (beam → greedy, incremental STA → legacy full).
+        // Stage 2: plan (beam → greedy, incremental STA → uncached STA).
         let mut plan_rungs = Vec::new();
         let beam = self.config.dse.beam_width;
         if beam > 1 {
@@ -530,9 +517,8 @@ impl Supervisor {
                 let planner = if cached_sta {
                     planner.clone()
                 } else {
-                    // Legacy full re-analysis: a fresh passthrough
-                    // table, bit-identical results by the cache
-                    // contract.
+                    // Uncached STA: a fresh passthrough table,
+                    // bit-identical results by the cache contract.
                     planner
                         .clone()
                         .with_sta_cache(std::sync::Arc::new(crate::cache::StaCache::passthrough()))
@@ -723,8 +709,9 @@ impl Supervisor {
 /// verifier, then smoke-run the copy kernel on `backend` and check the
 /// output against the architectural golden.
 ///
-/// Public so an unsupervised baseline (e.g. `flow_bench`) can run the
-/// exact same stage work without the supervision machinery around it.
+/// Public so an unsupervised baseline (e.g. perfbench's `gen_flow`)
+/// can run the exact same stage work without the supervision
+/// machinery around it.
 pub fn verify_kernels(backend: AccelBackend) -> Result<(), FlowErrorKind> {
     for report in ggpu_lint::verify_shipped(&ggpu_lint::LintConfig::new()) {
         if report.denial_count() > 0 {
@@ -894,14 +881,5 @@ mod tests {
         assert!(lint.has(ggpu_lint::Code::N010));
         assert!(!report.is_clean());
         assert!(DegradationReport::default().is_clean());
-    }
-
-    #[test]
-    fn env_knob_parses_positive_integers_only() {
-        // Not touching the process environment (tests run threaded);
-        // exercise the parser shape through the public default
-        // instead.
-        let d = SupervisorConfig::default();
-        assert_eq!(d.stage_timeout, stage_timeout_from_env());
     }
 }

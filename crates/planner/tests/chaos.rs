@@ -15,7 +15,7 @@ const CAMPAIGNS: u64 = 200;
 
 fn chaos_config(seed: u64) -> SupervisorConfig {
     SupervisorConfig {
-        // Pin the policy regardless of the host environment.
+        // Pin the policy regardless of the defaults.
         stage_timeout: None,
         max_retries: 2,
         backoff_base_ms: 0,
@@ -25,7 +25,7 @@ fn chaos_config(seed: u64) -> SupervisorConfig {
     }
 }
 
-/// Every rung of the default ladder (greedy search, legacy STA path,
+/// Every rung of the default ladder (greedy search, uncached STA,
 /// legacy placer, scalar backend) is bit-identical to the first
 /// choice, so *any* surviving outcome must equal the unsupervised
 /// flow's — chaos can slow the flow down or kill it, never change its

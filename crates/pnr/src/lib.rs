@@ -34,16 +34,13 @@
 //! datasheets pin), or the electrostatic analytical placer
 //! ([`Placer::Analytical`], [`eplace`]) whose gradient evaluation runs
 //! data-parallel on the `GGPU_THREADS`-sized global worker pool
-//! ([`pool::Pool::global`]). [`incremental::IncrementalPnr`] keeps the
-//! analytical solves and the STA module cache warm across DSE
-//! candidates.
+//! ([`pool::Pool::global`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod eplace;
 pub mod floorplan;
 pub mod geometry;
-pub mod incremental;
 mod nesterov;
 pub mod place;
 pub mod pool;
@@ -61,7 +58,6 @@ use std::fmt;
 pub use eplace::NetWeights;
 pub use floorplan::{build_floorplan, DensityTargets, Floorplan, Partition, PartitionKind};
 pub use geometry::Rect;
-pub use incremental::{IncrementalPnr, PlacementDelta, PnrStats};
 pub use place::{
     macro_hpwl, place_macros, place_macros_pooled, place_macros_with, PlaceStats, PlacedMacro,
     PlacedPartition, Placer, MAX_CELL_UTILIZATION,

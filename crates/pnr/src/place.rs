@@ -11,10 +11,9 @@
 //! * [`Placer::Analytical`] — the electrostatic global placer
 //!   ([`crate::eplace`]): Nesterov-optimized wirelength + density,
 //!   then displacement-minimizing legalization back onto the
-//!   partition. Identical CU clones share one solve (content-addressed
-//!   by module fingerprint, partition shape, I/O side, net weights and
-//!   seed), and the same key feeds the incremental cache in
-//!   [`crate::incremental`].
+//!   partition. Identical CU clones share one solve within a call
+//!   (content-addressed by module fingerprint, partition shape, I/O
+//!   side, net weights and seed).
 //!
 //! Either way the packer verifies that the std-cell region can hold
 //! the partition's cells at a legal utilization.
@@ -30,7 +29,6 @@ use ggpu_tech::units::Um;
 use ggpu_tech::Tech;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Maximum legal std-cell utilization of the non-macro area.
 pub const MAX_CELL_UTILIZATION: f64 = 0.88;
@@ -47,13 +45,13 @@ pub enum Placer {
     Analytical,
 }
 
-/// Counters of one placement run (or an incremental session).
+/// Counters of one placement run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlaceStats {
     /// Fresh analytical partition solves executed.
     pub solves: u64,
-    /// Partitions served from an existing solve (CU clones within a
-    /// run, or warm entries of an incremental cache).
+    /// Partitions served from an earlier solve of the same run (CU
+    /// clones).
     pub cache_hits: u64,
     /// Partitions where legalization failed (or the solve diverged)
     /// and the shelf packer produced the placement instead.
@@ -470,24 +468,24 @@ pub fn place_macros_pooled(
     options: &PnrOptions,
     pool: &Pool,
 ) -> Result<Vec<PlacedPartition>, PnrError> {
-    let mut cache = HashMap::new();
-    let mut stats = PlaceStats::default();
     place_macros_impl(
-        design, floorplan, tech, options, pool, &mut cache, &mut stats,
+        design,
+        floorplan,
+        tech,
+        options,
+        pool,
+        &mut PlaceStats::default(),
     )
 }
 
 /// The shared placement engine: legacy shelf path, or analytical path
-/// with a caller-owned content-addressed solve cache (scratch callers
-/// pass an empty map; [`crate::incremental::IncrementalPnr`] passes
-/// its persistent one and reaps cross-call hits).
-pub(crate) fn place_macros_impl(
+/// with a content-addressed solve cache that lives for this one call.
+fn place_macros_impl(
     design: &Design,
     floorplan: &Floorplan,
     tech: &Tech,
     options: &PnrOptions,
     pool: &Pool,
-    cache: &mut HashMap<u64, Arc<Vec<PlacedMacro>>>,
     stats: &mut PlaceStats,
 ) -> Result<Vec<PlacedPartition>, PnrError> {
     let mut result = Vec::with_capacity(floorplan.partitions.len());
@@ -524,8 +522,8 @@ pub(crate) fn place_macros_impl(
         }
         Placer::Analytical => {
             // Assign every partition its solve key, then run only the
-            // unique missing solves — CU clones collapse onto one key
-            // per column orientation.
+            // unique solves — CU clones collapse onto one key per
+            // column orientation.
             let mut keys = Vec::with_capacity(floorplan.partitions.len());
             let mut jobs: Vec<SolveJob> = Vec::new();
             for part in &floorplan.partitions {
@@ -534,23 +532,22 @@ pub(crate) fn place_macros_impl(
                 } else {
                     collect_macros(design, part.module, tech)?
                 };
-                let side = io_side(floorplan, part);
-                let key = solve_key(design, part, side, options);
                 if macros.is_empty() {
                     // Macro-less partitions (the top strip) are free:
                     // neither a solve nor a cache hit.
-                    keys.push((key, false));
-                    cache.entry(key).or_insert_with(|| Arc::new(Vec::new()));
+                    keys.push(None);
                     continue;
                 }
-                let fresh = !cache.contains_key(&key) && !jobs.iter().any(|(k, ..)| *k == key);
-                if fresh {
+                let side = io_side(floorplan, part);
+                let key = solve_key(design, part, side, options);
+                if jobs.iter().any(|(k, ..)| *k == key) {
+                    stats.cache_hits += 1;
+                } else {
                     jobs.push((key, macros, part.rect.w.value(), part.rect.h.value(), side));
                 }
-                keys.push((key, !fresh));
+                keys.push(Some(key));
             }
             stats.solves += jobs.len() as u64;
-            stats.cache_hits += keys.iter().filter(|(_, hit)| *hit).count() as u64;
 
             // Solving nests pool.map (gradient chunks inside partition
             // solves); the work-sharing pool handles that without
@@ -576,20 +573,23 @@ pub(crate) fn place_macros_impl(
                         .collect()
                 }
             };
+            let mut cache = HashMap::with_capacity(solved.len());
             for (key, outcome) in solved {
                 let (placed, fell_back, iterations) = outcome?;
                 if fell_back {
                     stats.shelf_fallbacks += 1;
                 }
                 stats.nesterov_iterations += iterations;
-                cache.insert(key, Arc::new(placed));
+                cache.insert(key, placed);
             }
 
-            for (part, (key, _)) in floorplan.partitions.iter().zip(&keys) {
-                let local = cache
-                    .get(key)
-                    .cloned()
-                    .ok_or(PnrError::MissingPartition("solve cache entry"))?;
+            for (part, key) in floorplan.partitions.iter().zip(&keys) {
+                let local: &[PlacedMacro] = match key {
+                    Some(key) => cache
+                        .get(key)
+                        .ok_or(PnrError::MissingPartition("solve cache entry"))?,
+                    None => &[],
+                };
                 let placed: Vec<PlacedMacro> = local
                     .iter()
                     .map(|m| PlacedMacro {
@@ -806,11 +806,8 @@ mod tests {
             placer: Placer::Analytical,
             ..PnrOptions::default()
         };
-        let pool = Pool::new(1);
-        let mut cache = HashMap::new();
         let mut stats = PlaceStats::default();
-        let parts =
-            place_macros_impl(&d, &fp, &tech, &options, &pool, &mut cache, &mut stats).unwrap();
+        let parts = place_macros_impl(&d, &fp, &tech, &options, &Pool::new(1), &mut stats).unwrap();
         assert_eq!(parts.len(), 10); // 8 CUs + gmc + top
                                      // 8 CUs collapse to left-column + right-column solves, plus
                                      // the GMC; the macro-less top strip costs nothing.

@@ -62,8 +62,8 @@ fn relock<'a, T>(
 
 /// Renders a caught panic payload as the human-readable message most
 /// panics carry (`&str` or `String`), falling back to a generic label
-/// for exotic payloads. Shared by [`Pool::try_map`] and the planner's
-/// flow supervisor, so every isolated panic surfaces the same way.
+/// for exotic payloads. The planner's flow supervisor renders every
+/// panic it isolates with it.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_string();
@@ -205,25 +205,6 @@ impl Pool {
             .map(|v| v.unwrap_or_else(|| unreachable!("every job reported")))
             .collect()
     }
-
-    /// [`Pool::map`] with per-job panic *isolation* instead of
-    /// propagation: a job that panics yields `Err(message)` in its
-    /// slot while every other job still completes and returns.
-    ///
-    /// This is the supervision boundary the flow orchestrator builds
-    /// on — one poisoned candidate in a fanned-out sweep must not tear
-    /// down its siblings' finished work.
-    pub fn try_map<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<Result<T, String>>
-    where
-        I: Send + 'static,
-        T: Send + 'static,
-        F: Fn(I) -> T + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        self.map(inputs, move |input| {
-            catch_unwind(AssertUnwindSafe(|| f(input))).map_err(|p| panic_message(p.as_ref()))
-        })
-    }
 }
 
 impl Drop for Pool {
@@ -313,25 +294,6 @@ mod tests {
         assert!(result.is_err());
         // The pool survives a panicked map.
         assert_eq!(pool.map(vec![1usize, 2], |i| i * 2), vec![2, 4]);
-    }
-
-    #[test]
-    fn try_map_isolates_panicking_jobs() {
-        let pool = Pool::new(3);
-        let out = pool.try_map((0..16usize).collect(), |i| {
-            assert!(i % 5 != 3, "job {i} poisoned");
-            i * 2
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i % 5 == 3 {
-                let msg = r.as_ref().unwrap_err();
-                assert!(msg.contains("poisoned"), "{msg}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            }
-        }
-        // The pool stays usable afterwards.
-        assert_eq!(pool.map(vec![1usize, 2], |i| i + 1), vec![2, 3]);
     }
 
     #[test]

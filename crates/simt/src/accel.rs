@@ -12,9 +12,8 @@
 //!   arena; see [`crate::soa`]).
 //!
 //! Plain [`crate::Gpu::launch`] resolves a backend from
-//! [`SimtConfig::backend`] (and the `GGPU_ACCEL` environment
-//! override); [`crate::Gpu::launch_with`] runs an explicit backend,
-//! which is how the equivalence suite and `simt_bench` drive both
+//! [`SimtConfig::backend`]; [`crate::Gpu::launch_with`] runs an
+//! explicit backend, which is how the equivalence suite drives both
 //! engines over identical launches.
 
 use crate::config::{AccelBackend, SimtConfig};
@@ -138,31 +137,16 @@ impl Accelerator for SoaAccelerator {
 
 /// Resolves a configured backend choice to a concrete engine.
 ///
-/// [`AccelBackend::Auto`] honours the `GGPU_ACCEL` environment
-/// variable (`"scalar"` / `"soa"`, unknown values ignored) and
-/// otherwise picks the SoA fast path, falling back to the scalar
-/// engine for geometries the mask word cannot cover. An *explicit*
+/// [`AccelBackend::Auto`] picks the SoA fast path, falling back to the
+/// scalar engine for geometries the mask word cannot cover. An *explicit*
 /// [`AccelBackend::Soa`] on such a geometry is not silently demoted —
 /// [`SoaAccelerator::run`] rejects it with [`SimError::BadConfig`].
 pub(crate) fn resolve(backend: AccelBackend, wavefront_size: u32) -> &'static dyn Accelerator {
     const SCALAR: ScalarAccelerator = ScalarAccelerator;
     const SOA: SoaAccelerator = SoaAccelerator;
-    let choice = match backend {
-        AccelBackend::Scalar => AccelBackend::Scalar,
-        AccelBackend::Soa => AccelBackend::Soa,
-        AccelBackend::Auto => {
-            if wavefront_size > MAX_WF {
-                AccelBackend::Scalar
-            } else {
-                match std::env::var("GGPU_ACCEL").as_deref() {
-                    Ok("scalar") => AccelBackend::Scalar,
-                    _ => AccelBackend::Soa,
-                }
-            }
-        }
-    };
-    match choice {
+    match backend {
         AccelBackend::Scalar => &SCALAR,
-        _ => &SOA,
+        AccelBackend::Auto if wavefront_size > MAX_WF => &SCALAR,
+        AccelBackend::Auto | AccelBackend::Soa => &SOA,
     }
 }

@@ -8,10 +8,9 @@
 /// simplicity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccelBackend {
-    /// Pick automatically: the `GGPU_ACCEL` environment variable
-    /// (`"scalar"` / `"soa"`) if set, otherwise the SoA fast path
-    /// where the geometry allows it (`wavefront_size <= 64`), with a
-    /// silent scalar fallback where it does not.
+    /// Pick automatically: the SoA fast path where the geometry
+    /// allows it (`wavefront_size <= 64`), with a silent scalar
+    /// fallback where it does not.
     #[default]
     Auto,
     /// The retained per-lane scalar reference engine (the oracle).

@@ -436,9 +436,8 @@ impl Gpu {
     /// of the one [`crate::AccelBackend`] resolution would pick.
     ///
     /// Every backend is architecturally bit-identical, so this exists
-    /// for validation and benchmarking (the equivalence suite and
-    /// `simt_bench` drive the scalar and SoA engines over identical
-    /// launches), not for functional selection.
+    /// for validation (the equivalence suite drives the scalar and SoA
+    /// engines over identical launches), not for functional selection.
     ///
     /// # Errors
     ///
