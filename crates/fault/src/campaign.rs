@@ -13,14 +13,17 @@
 //!
 //! With [`CampaignConfig::checkpoint`] set, every finished trial
 //! appends one text line to the checkpoint journal (a
-//! [`ggpu_wal::Journal`], the shared write-ahead primitive). A rerun
-//! parses the file (validating seed/kernel/trial-count in the
-//! header), skips the recorded trials and completes the rest; the
-//! final report is identical to an uninterrupted run. A process
-//! killed mid-append leaves a torn final line, which the journal
-//! truncates away on open — that trial simply re-runs — so resume
-//! after `kill -9` at *any* byte is byte-identical to an
-//! uninterrupted campaign (`tests/resume_prop.rs`).
+//! [`ggpu_wal::Journal`], the shared write-ahead primitive). The
+//! journal header names everything a trial's outcome depends on —
+//! seed, kernel, grid, trial count, plus fixed digests of the macro
+//! map and of the simulated machine and watchdog — so a rerun refuses
+//! a journal written by any other campaign. A matching rerun skips
+//! the recorded trials and completes the rest; the final report is
+//! identical to an uninterrupted run. A process killed mid-append
+//! leaves a torn final line, which the journal truncates away on open
+//! — that trial simply re-runs — so resume after `kill -9` at *any*
+//! byte is byte-identical to an uninterrupted campaign
+//! (`tests/resume_prop.rs`).
 
 use crate::map::{Geometry, MacroMap};
 use crate::report::{CampaignReport, MacroAvf, OutcomeCounts};
@@ -29,7 +32,7 @@ use crate::workload::{Workload, WorkloadError};
 use ggpu_simt::{FaultPlan, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
 use ggpu_wal::{Journal, WalError, WalOp};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -223,9 +226,10 @@ pub fn run_campaign(
     let mut done: BTreeMap<u32, TrialRecord> = BTreeMap::new();
     let journal = match &cfg.checkpoint {
         Some(path) => {
-            let (journal, lines, _) = Journal::open(path, &checkpoint_header(cfg, workload))?;
+            let header = checkpoint_header(cfg, workload, map);
+            let (journal, lines, _) = Journal::open(path, &header)?;
             for (no, line) in lines.iter().enumerate() {
-                let rec = parse_record(line, no, cfg)?;
+                let rec = parse_record(line, no, cfg, map)?;
                 done.insert(rec.trial, rec);
             }
             // Campaign trials are re-runnable at no cost beyond the
@@ -315,17 +319,43 @@ fn run_trial(
     })
 }
 
-fn checkpoint_header(cfg: &CampaignConfig, workload: &Workload) -> String {
+/// FNV-1a-64: a fixed digest, so a journal written by one build is
+/// recognised by the next (`DefaultHasher` makes no such promise).
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The journal's identity line. `map=` digests every site's path,
+/// scheme and stored bits (which fix its exposure); `machine=` digests
+/// the simulated machine and the watchdog.
+fn checkpoint_header(cfg: &CampaignConfig, workload: &Workload, map: &MacroMap) -> String {
+    let mut sites = String::new();
+    for s in map.sites() {
+        let _ = writeln!(sites, "{} {} {}", s.path, s.scheme, s.capacity_bits());
+    }
+    let machine = format!("{:?} {:?}", cfg.sim, cfg.watchdog);
     format!(
-        "ggpu-fault-checkpoint v1 seed={} kernel={} n={} trials={}",
-        cfg.seed, workload.name, workload.n, cfg.trials
+        "ggpu-fault-checkpoint v2 seed={} kernel={} n={} trials={} map={:016x} machine={:016x}",
+        cfg.seed,
+        workload.name,
+        workload.n,
+        cfg.trials,
+        fnv1a64(&sites),
+        fnv1a64(&machine)
     )
 }
 
 /// Parses one complete journal record line. Torn tails never reach
 /// this point (the journal repairs them on open), so a line that does
 /// not parse is genuine corruption and errors.
-fn parse_record(line: &str, no: usize, cfg: &CampaignConfig) -> Result<TrialRecord, CampaignError> {
+fn parse_record(
+    line: &str,
+    no: usize,
+    cfg: &CampaignConfig,
+    map: &MacroMap,
+) -> Result<TrialRecord, CampaignError> {
     let mut f = line.split_ascii_whitespace();
     let rec = (|| {
         if f.next()? != "t" {
@@ -343,11 +373,19 @@ fn parse_record(line: &str, no: usize, cfg: &CampaignConfig) -> Result<TrialReco
         })
     })();
     match rec {
-        Some(r) if r.trial < cfg.trials => Ok(r),
-        Some(r) => Err(CampaignError::Checkpoint(format!(
+        Some(r) if r.trial >= cfg.trials => Err(CampaignError::Checkpoint(format!(
             "trial {} out of range (campaign has {})",
             r.trial, cfg.trials
         ))),
+        Some(r) if r.macro_idx as usize >= map.sites().len() => {
+            Err(CampaignError::Checkpoint(format!(
+                "trial {} hits macro {} (map has {})",
+                r.trial,
+                r.macro_idx,
+                map.sites().len()
+            )))
+        }
+        Some(r) => Ok(r),
         None => Err(CampaignError::Checkpoint(format!(
             "unparseable line {}: {line:?}",
             no + 2

@@ -1,8 +1,9 @@
 //! Campaign-level guarantees: zero-injection bit-identity on every
 //! shipped kernel, seed determinism of the serialized report across
-//! thread counts, and checkpoint/resume equivalence.
+//! thread counts, checkpoint/resume equivalence, and checkpoints that
+//! refuse to resume a different campaign.
 
-use ggpu_fault::{run_campaign, CampaignConfig, MacroMap, Workload};
+use ggpu_fault::{run_campaign, CampaignConfig, CampaignError, MacroMap, Workload};
 use ggpu_kernels::bench;
 use ggpu_netlist::EccPolicy;
 use ggpu_rtl::{generate, GgpuConfig};
@@ -107,6 +108,60 @@ fn checkpoint_resume_is_byte_identical() {
     let mut wrong = cfg.clone();
     wrong.seed = 1;
     assert!(run_campaign(&w, &map, &wrong).is_err());
+
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint resumes only the campaign that wrote it. A journal
+/// written under another ECC policy, machine or watchdog is refused
+/// instead of replayed as this campaign's outcomes, and a record
+/// naming a macro the map does not have is corruption.
+#[test]
+fn checkpoint_refuses_a_foreign_campaign() {
+    let (w, parity) = campaign_fixture();
+    let design = generate(&GgpuConfig::with_cus(1).expect("cfg")).expect("generate");
+    let secded =
+        MacroMap::from_design(&design, &EccPolicy::uniform(EccScheme::SecDed)).expect("macro map");
+    let path = std::env::temp_dir().join(format!("ggpu_fault_foreign_{}.txt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+
+    let mut cfg = CampaignConfig::new(0x5EED, 16);
+    cfg.threads = 2;
+    cfg.checkpoint = Some(path.clone());
+    run_campaign(&w, &parity, &cfg).expect("parity campaign");
+    let refused = |map: &MacroMap, cfg: &CampaignConfig| {
+        matches!(
+            run_campaign(&w, map, cfg),
+            Err(CampaignError::Checkpoint(_))
+        )
+    };
+
+    assert!(refused(&secded, &cfg), "resumed under another ECC policy");
+    let mut machine = cfg.clone();
+    machine.sim = SimtConfig::with_cus(2);
+    assert!(refused(&parity, &machine), "resumed on another machine");
+    let mut watchdog = cfg.clone();
+    watchdog.watchdog.patience += 1;
+    assert!(
+        refused(&parity, &watchdog),
+        "resumed under another watchdog"
+    );
+
+    // Point trial 0's record past the end of the macro map.
+    let text = std::fs::read_to_string(&path).expect("read ckpt");
+    let bad = format!("t 0 {} 1 masked", parity.sites().len());
+    let lines: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.starts_with("t 0 ") {
+                bad.clone()
+            } else {
+                l.to_string()
+            }
+        })
+        .collect();
+    std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("rewrite");
+    assert!(refused(&parity, &cfg), "out-of-range macro index accepted");
 
     let _ = std::fs::remove_file(&path);
 }

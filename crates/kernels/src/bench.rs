@@ -338,7 +338,9 @@ impl Bench {
 /// Number of worker threads for a suite of `jobs` kernels: the
 /// `GGPU_THREADS` environment variable if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`], clamped to the
-/// job count. The same knob governs the planner's parallel sweep.
+/// job count. This is the workspace's one reader of `GGPU_THREADS`:
+/// the planner's parallel phases and the fault campaigns size
+/// themselves through it too.
 pub fn suite_threads(jobs: usize) -> usize {
     let configured = std::env::var("GGPU_THREADS")
         .ok()

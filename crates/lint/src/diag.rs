@@ -104,12 +104,11 @@ pub enum Code {
     /// and grow the port budget by exactly the added banks' ports.
     N009,
     /// Flow supervision: the supervised flow fell back from a
-    /// configured engine to a degraded one (analytical placer → shelf,
-    /// SoA backend → scalar, incremental STA → uncached STA, beam →
-    /// greedy). Degradations are legitimate — that is the point of the
-    /// ladder — but must never be silent: each one surfaces here and
-    /// in the datasheet, and CI's `--deny warn` turns a degraded run
-    /// into a failure.
+    /// configured engine to a degraded one (SoA backend → scalar,
+    /// incremental STA → uncached STA, beam → greedy). Degradations
+    /// are legitimate — that is the point of the ladder — but must
+    /// never be silent: each one surfaces here and in the datasheet,
+    /// and CI's `--deny warn` turns a degraded run into a failure.
     N010,
 }
 

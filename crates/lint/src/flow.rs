@@ -232,9 +232,9 @@ pub fn check_banking(
 pub struct DegradationStep {
     /// Flow stage that degraded (`"plan"`, `"implement"`, …).
     pub stage: String,
-    /// The configured engine that failed (`"placer=analytical"`).
+    /// The configured engine that failed (`"SoA backend"`).
     pub from: String,
-    /// The fallback that ran instead (`"placer=legacy"`).
+    /// The fallback that ran instead (`"scalar backend"`).
     pub to: String,
     /// Why the ladder stepped down.
     pub reason: String,

@@ -140,42 +140,6 @@ pub fn kernel_mem_profiles() -> Result<Vec<KernelMemProfile>, BenchError> {
         .collect()
 }
 
-/// Derives the analytical placer's net weights from the shipped
-/// kernels' proven memory-traffic profiles ([`kernel_mem_profiles`]).
-///
-/// The CU↔GMC interface weight grows with the kernels' global-memory
-/// pressure (mean worst cache-line bound per issue: more lines in
-/// flight means the FIFOs and cache arrays matter more), and the
-/// control weight grows with divergence pressure (mean worst
-/// coalescing-class rank: scattered kernels re-issue more, so the
-/// CRAM/scheduler path sees more traffic). Local star nets are the
-/// unit reference. Pure static analysis — no simulation — and
-/// deterministic, so the derived weights are stable placer inputs.
-///
-/// # Errors
-///
-/// Returns the first [`BenchError`] if a shipped kernel fails to
-/// assemble.
-pub fn dataflow_net_weights() -> Result<ggpu_pnr::NetWeights, BenchError> {
-    let profiles = kernel_mem_profiles()?;
-    let n = profiles.len().max(1) as f64;
-    let mean_lines = profiles
-        .iter()
-        .map(|p| f64::from(p.max_lines_per_issue))
-        .sum::<f64>()
-        / n;
-    let mean_rank = profiles
-        .iter()
-        .map(|p| f64::from(p.worst_class_rank))
-        .sum::<f64>()
-        / n;
-    Ok(ggpu_pnr::NetWeights {
-        io: (1.0 + mean_lines / 8.0).clamp(1.0, 4.0),
-        control: (1.0 + 0.15 * mean_rank).clamp(1.0, 2.0),
-        local: 1.0,
-    })
-}
-
 /// Prices a cycle table at `frequency`: runtime = cycles / f.
 ///
 /// # Panics
@@ -251,20 +215,6 @@ mod tests {
             .find(|p| p.kernel == "mat_mul_local")
             .expect("mat_mul_local profiled");
         assert!(tiled.max_bank_conflict_degree >= 1);
-    }
-
-    #[test]
-    fn net_weights_follow_kernel_traffic() {
-        let w = dataflow_net_weights().expect("shipped kernels assemble");
-        // The shipped mix includes scattered kernels, so the interface
-        // nets must outweigh local star nets, and divergence pressure
-        // must lift the control weight off the floor.
-        assert!(w.io > w.local, "io {} must exceed local {}", w.io, w.local);
-        assert!(w.control > 1.0 && w.control <= 2.0);
-        assert!(w.io <= 4.0);
-        assert_eq!(w.local, 1.0);
-        // Deterministic: static analysis only.
-        assert_eq!(dataflow_net_weights().unwrap(), w);
     }
 
     #[test]

@@ -88,15 +88,6 @@ pub fn datasheet(version: &ImplementedVersion) -> String {
     for (layer, wl) in layout.wirelength.iter() {
         let _ = writeln!(out, "    {layer:<4}        : {:>9.0} um", wl.value());
     }
-    // Gated on the analytical placer so datasheets of the default
-    // (legacy) flow stay byte-identical across releases.
-    if layout.placer == ggpu_pnr::Placer::Analytical {
-        let _ = writeln!(
-            out,
-            "  macro HPWL    : {:>9.1} mm (analytical placer)",
-            layout.macro_hpwl.to_mm()
-        );
-    }
     let _ = writeln!(out, "  achieved clock: {:.0}", layout.achieved_clock);
     let _ = writeln!(
         out,
@@ -192,30 +183,6 @@ mod tests {
             )
             .unwrap();
         assert!(!datasheet(&plain).contains("resilience:"));
-    }
-
-    #[test]
-    fn legacy_datasheet_is_bit_identical_across_placer_wiring() {
-        // The macro-HPWL line is the only placer-dependent datasheet
-        // content, and it only appears under the analytical placer:
-        // stripping it from the analytical sheet must reproduce the
-        // legacy sheet byte for byte.
-        use ggpu_pnr::Placer;
-        let legacy = GpuPlanner::new(Tech::l65());
-        let planned = legacy
-            .plan(&Specification::new(2, Mhz::new(500.0)))
-            .unwrap();
-        let shelf_text = datasheet(&legacy.implement(&planned).unwrap());
-        assert!(!shelf_text.contains("macro HPWL"));
-        let analytic = GpuPlanner::new(Tech::l65()).with_placer(Placer::Analytical);
-        let analytic_text = datasheet(&analytic.implement(&planned).unwrap());
-        assert!(analytic_text.contains("macro HPWL"));
-        let stripped: String = analytic_text
-            .lines()
-            .filter(|l| !l.contains("macro HPWL"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(stripped, shelf_text);
     }
 
     #[test]

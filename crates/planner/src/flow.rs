@@ -7,7 +7,7 @@ use crate::dse::{apply_plan, optimize_with_config, DseConfig, DseError, Optimiza
 use crate::spec::Specification;
 use ggpu_fault::ResilienceReport;
 use ggpu_netlist::{Design, EccPolicy};
-use ggpu_pnr::{place_and_route, Layout, Placer, PnrError, PnrOptions};
+use ggpu_pnr::{place_and_route, Layout, PnrError, PnrOptions};
 use ggpu_rtl::{generate, ConfigError, GgpuConfig};
 use ggpu_sta::max_frequency;
 use ggpu_synth::{synthesize, SynthesisError, SynthesisReport};
@@ -24,9 +24,9 @@ use std::thread;
 /// integer, otherwise [`std::thread::available_parallelism`], clamped
 /// to the job count.
 pub fn worker_threads(jobs: usize) -> usize {
-    // One knob for the whole flow: the same function sizes the
-    // placer's global worker pool (`ggpu_pnr::Pool::global`).
-    ggpu_pnr::configured_threads().min(jobs.max(1))
+    // One knob for the whole flow, parsed in one place: the same
+    // function sizes the kernel suite and the fault campaigns.
+    ggpu_kernels::suite_threads(jobs)
 }
 
 /// Maps `job(0..jobs)` across `threads` scoped workers, returning the
@@ -222,14 +222,6 @@ impl GpuPlanner {
     /// The physical-flow options in effect.
     pub fn pnr_options(&self) -> &PnrOptions {
         &self.pnr_options
-    }
-
-    /// Selects the global placer (keeping the other physical-flow
-    /// options). [`Placer::Legacy`] is the default shelf packer;
-    /// [`Placer::Analytical`] enables the electrostatic solver.
-    pub fn with_placer(mut self, placer: Placer) -> Self {
-        self.pnr_options.placer = placer;
-        self
     }
 
     /// Replaces the planner's STA memo table — e.g. with
@@ -697,30 +689,6 @@ mod tests {
             "{:?}",
             v.trace
         );
-    }
-
-    #[test]
-    fn analytical_placer_preserves_timing_verdicts() {
-        // Placer choice must not move the paper's physical numbers:
-        // wirelength, route delays and the timing verdict are
-        // floorplan-derived, so both placers agree on them.
-        let spec = Specification::new(1, Mhz::new(667.0));
-        let legacy = planner();
-        let planned = legacy.plan(&spec).unwrap();
-        let shelf = legacy.implement(&planned).unwrap();
-        let analytic = planner()
-            .with_placer(Placer::Analytical)
-            .implement(&planned)
-            .unwrap();
-        assert_eq!(analytic.layout.placer, Placer::Analytical);
-        assert_eq!(shelf.layout.placer, Placer::Legacy);
-        assert_eq!(shelf.layout.meets_timing, analytic.layout.meets_timing);
-        assert_eq!(shelf.layout.wirelength, analytic.layout.wirelength);
-        assert_eq!(
-            shelf.layout.cu_route_delays,
-            analytic.layout.cu_route_delays
-        );
-        assert_eq!(shelf.within_spec, analytic.within_spec);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod versions;
 
 pub use cache::{fingerprint, StaCache};
 pub use cycles::{
-    dataflow_net_weights, kernel_cycles, kernel_mem_profiles, price_at, total_runtime_us,
-    KernelCycles, KernelMemProfile, KernelRuntime,
+    kernel_cycles, kernel_mem_profiles, price_at, total_runtime_us, KernelCycles, KernelMemProfile,
+    KernelRuntime,
 };
 pub use datasheet::{datasheet, datasheet_with_supervision};
 pub use dse::{

@@ -13,11 +13,10 @@
 //!   poisoned spec cannot abort its siblings;
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
-//!   (beam → greedy search, incremental STA → uncached STA,
-//!   analytical placer → legacy shelf packer, SoA backend → scalar
-//!   reference engine). Every step is recorded in a structured
-//!   [`DegradationReport`] — degraded results are never silent; the
-//!   design linter surfaces them as `N010` findings
+//!   (beam → greedy search, incremental STA → uncached STA, SoA
+//!   backend → scalar reference engine). Every step is recorded in a
+//!   structured [`DegradationReport`] — degraded results are never
+//!   silent; the design linter surfaces them as `N010` findings
 //!   ([`ggpu_lint::check_supervision`]);
 //! * all outcomes surface as one unified [`FlowError`] carrying the
 //!   stage, the spec fingerprint, the attempt count and a
@@ -37,7 +36,6 @@ use ggpu_fault::{
     run_campaign, CampaignConfig, CampaignError, CampaignReport, MacroMap, Rng, Workload,
 };
 use ggpu_lint::DegradationStep;
-use ggpu_pnr::{panic_message, Placer};
 use ggpu_simt::{AccelBackend, SimtConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
@@ -389,8 +387,8 @@ enum Rung {
     Backend(AccelBackend),
     /// Plan with this beam width and STA caching mode.
     Search { beam_width: usize, cached_sta: bool },
-    /// Implement with this placer.
-    Place(Placer),
+    /// Implement (single-rung ladder; retry only).
+    Implement,
     /// Campaign (single-rung ladder; retry only).
     Campaign,
 }
@@ -412,8 +410,7 @@ impl Rung {
                 };
                 format!("{search} search + {sta}")
             }
-            Rung::Place(Placer::Analytical) => "analytical placer".into(),
-            Rung::Place(Placer::Legacy) => "legacy shelf placer".into(),
+            Rung::Implement => "shelf placer".into(),
             Rung::Campaign => "fault campaign".into(),
         }
     }
@@ -529,31 +526,17 @@ impl Supervisor {
             }
         })?;
 
-        // Stage 3: implement (analytical → legacy shelf placer).
-        let first_placer = self.planner.pnr_options().placer;
-        let implement_rungs: Vec<Rung> = match first_placer {
-            Placer::Legacy => vec![Rung::Place(Placer::Legacy)],
-            p => vec![Rung::Place(p), Rung::Place(Placer::Legacy)],
-        };
+        // Stage 3: implement (single rung: there is one placer).
         let version = self.ladder(
             spec,
             fp,
             FlowStage::Implement,
-            &implement_rungs,
+            &[Rung::Implement],
             &mut degradations,
             {
                 let planner = self.planner.clone();
                 let planned = planned.clone();
-                move |rung| {
-                    let Rung::Place(placer) = rung else {
-                        unreachable!("implement ladder holds placer rungs")
-                    };
-                    planner
-                        .clone()
-                        .with_placer(placer)
-                        .implement(&planned)
-                        .map_err(FlowErrorKind::Plan)
-                }
+                move |_| planner.implement(&planned).map_err(FlowErrorKind::Plan)
             },
         )?;
 
@@ -703,6 +686,19 @@ impl Supervisor {
             }
         }
     }
+}
+
+/// Renders a caught panic payload as the human-readable message most
+/// panics carry (`&str` or `String`), falling back to a generic label
+/// for exotic payloads.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        return (*s).to_string();
+    }
+    if let Some(s) = payload.downcast_ref::<String>() {
+        return s.clone();
+    }
+    "non-string panic payload".to_string()
 }
 
 /// The verify stage body: lint every shipped kernel through the full
@@ -869,12 +865,22 @@ mod tests {
     }
 
     #[test]
+    fn panic_messages_render_str_and_string_payloads() {
+        let p = catch_unwind(|| panic!("plain str")).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "plain str");
+        let p = catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "formatted 7");
+        let p = catch_unwind(|| std::panic::panic_any(42u32)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
     fn degradation_report_lints_as_n010() {
         let mut report = DegradationReport::default();
         report.steps.push(DegradationStep {
-            stage: "implement".into(),
-            from: "analytical placer".into(),
-            to: "legacy shelf placer".into(),
+            stage: "plan".into(),
+            from: "beam search + incremental STA".into(),
+            to: "greedy search + incremental STA".into(),
             reason: "panicked: boom".into(),
         });
         let lint = report.lint("t", &ggpu_lint::LintConfig::new());

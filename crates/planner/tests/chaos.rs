@@ -26,10 +26,9 @@ fn chaos_config(seed: u64) -> SupervisorConfig {
 }
 
 /// Every rung of the default ladder (greedy search, uncached STA,
-/// legacy placer, scalar backend) is bit-identical to the first
-/// choice, so *any* surviving outcome must equal the unsupervised
-/// flow's — chaos can slow the flow down or kill it, never change its
-/// silicon.
+/// scalar backend) is bit-identical to the first choice, so *any*
+/// surviving outcome must equal the unsupervised flow's — chaos can
+/// slow the flow down or kill it, never change its silicon.
 #[test]
 fn chaos_campaigns_never_lose_or_corrupt_results() {
     let planner = GpuPlanner::new(Tech::l65());

@@ -25,44 +25,26 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Placers
-//!
-//! Macro placement inside the partitions runs one of two engines,
-//! selected by [`PnrOptions::placer`]: the seed-era shelf packer
-//! ([`Placer::Legacy`], the bit-stable default that all Table-I
-//! datasheets pin), or the electrostatic analytical placer
-//! ([`Placer::Analytical`], [`eplace`]) whose gradient evaluation runs
-//! data-parallel on the `GGPU_THREADS`-sized global worker pool
-//! ([`pool::Pool::global`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod eplace;
 pub mod floorplan;
 pub mod geometry;
-mod nesterov;
 pub mod place;
-pub mod pool;
 pub mod route;
 pub mod svg;
 
 use ggpu_netlist::Design;
 use ggpu_sta::{analyze, max_frequency, StaError, TimingReport};
 use ggpu_tech::sram::CompileSramError;
-use ggpu_tech::units::{Mhz, Ns, Um};
+use ggpu_tech::units::{Mhz, Ns};
 use ggpu_tech::Tech;
 use std::error::Error;
 use std::fmt;
 
-pub use eplace::NetWeights;
 pub use floorplan::{build_floorplan, DensityTargets, Floorplan, Partition, PartitionKind};
 pub use geometry::Rect;
-pub use place::{
-    macro_hpwl, place_macros, place_macros_pooled, place_macros_with, PlaceStats, PlacedMacro,
-    PlacedPartition, Placer, MAX_CELL_UTILIZATION,
-};
-pub use pool::{configured_threads, panic_message, Pool};
+pub use place::{place_macros, PlacedMacro, PlacedPartition, MAX_CELL_UTILIZATION};
 pub use route::{annotate_routes, estimate_wirelength, LayerWirelength};
 pub use svg::{role_color, to_placement_report, to_svg};
 
@@ -71,15 +53,6 @@ pub use svg::{role_color, to_placement_report, to_svg};
 pub struct PnrOptions {
     /// Partition density targets.
     pub densities: DensityTargets,
-    /// Which macro placer fills the partitions.
-    pub placer: Placer,
-    /// Net weights of the analytical placer's dataflow net model
-    /// (ignored by the legacy placer). The planner derives these from
-    /// kernel traffic profiles; the defaults model a generic
-    /// memory-bound workload.
-    pub net_weights: NetWeights,
-    /// Seed of the analytical placer's deterministic initial jitter.
-    pub seed: u64,
 }
 
 /// Errors of the physical flow.
@@ -160,13 +133,6 @@ pub struct Layout {
     pub placements: Vec<PlacedPartition>,
     /// Per-layer signal wirelength (Table II).
     pub wirelength: LayerWirelength,
-    /// Exact weighted macro half-perimeter wirelength of the placement
-    /// under the dataflow net model — the analytical placer's figure
-    /// of merit, also evaluated for legacy placements so the two are
-    /// comparable.
-    pub macro_hpwl: Um,
-    /// Which placer produced [`Layout::placements`].
-    pub placer: Placer,
     /// Post-route timing at the requested clock.
     pub post_route: TimingReport,
     /// Post-route maximum frequency.
@@ -196,9 +162,8 @@ pub fn place_and_route(
     options: PnrOptions,
 ) -> Result<Layout, PnrError> {
     let floorplan = build_floorplan(design, tech, options.densities)?;
-    let placements = place_macros_with(design, &floorplan, tech, &options)?;
+    let placements = place_macros(design, &floorplan, tech)?;
     let wirelength = estimate_wirelength(design, &floorplan, tech)?;
-    let hpwl = macro_hpwl(&floorplan, &placements, &options.net_weights);
 
     // Route annotation happens on a copy: PnR must not mutate the
     // caller's netlist.
@@ -215,8 +180,6 @@ pub fn place_and_route(
         floorplan,
         placements,
         wirelength,
-        macro_hpwl: hpwl,
-        placer: options.placer,
         post_route,
         fmax,
         cu_route_delays,

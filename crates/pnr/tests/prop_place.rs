@@ -1,12 +1,11 @@
-//! Property tests of macro placement: both placers produce legal,
+//! Property tests of macro placement: the shelf packer produces legal,
 //! complete placements over randomized CU geometries (1–64, past the
-//! paper's 8-CU ceiling) and solver seeds, and the analytical placer
-//! is deterministic — the same design and seed give byte-identical
-//! placements regardless of worker-pool size.
+//! paper's 8-CU ceiling), and those layouts flow through post-route
+//! timing.
 
 use ggpu_pnr::{
-    build_floorplan, place_and_route, place_macros_pooled, DensityTargets, PlacedPartition, Placer,
-    PnrOptions, Pool, MAX_CELL_UTILIZATION,
+    build_floorplan, place_and_route, place_macros, DensityTargets, PlacedPartition, PnrOptions,
+    MAX_CELL_UTILIZATION,
 };
 use ggpu_rtl::{generate, GgpuConfig};
 use ggpu_tech::units::Mhz;
@@ -71,7 +70,7 @@ fn assert_legal(p: &PlacedPartition, ctx: &str) {
 }
 
 #[test]
-fn both_placers_are_legal_on_random_geometries() {
+fn shelf_placement_is_legal_on_random_geometries() {
     let tech = Tech::l65();
     let mut rng = 0x5eed_u64;
     // A fixed ladder covering the interesting sizes plus random fill.
@@ -81,94 +80,30 @@ fn both_placers_are_legal_on_random_geometries() {
     }
     for cus in cu_counts {
         let gmcs = (next(&mut rng) % 2 + 1) as u32;
+        let ctx = format!("{cus}cu/{gmcs}gmc");
         let design = generate(&config(cus, gmcs)).expect("valid config");
         let fp = build_floorplan(&design, &tech, DensityTargets::default()).expect("floorplan");
-        for placer in [Placer::Legacy, Placer::Analytical] {
-            let options = PnrOptions {
-                placer,
-                seed: next(&mut rng),
-                ..PnrOptions::default()
-            };
-            let ctx = format!("{cus}cu/{gmcs}gmc/{placer:?}/seed{}", options.seed);
-            let placed = place_macros_pooled(&design, &fp, &tech, &options, Pool::global())
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(placed.len(), fp.partitions.len(), "{ctx}");
-            let mut total = 0usize;
-            for p in &placed {
-                assert_legal(p, &ctx);
-                total += p.macros.len();
-            }
-            assert!(total > 0, "{ctx}: nothing placed");
-            // Both placers place the same macro population.
-            if placer == Placer::Analytical {
-                let legacy = place_macros_pooled(
-                    &design,
-                    &fp,
-                    &tech,
-                    &PnrOptions::default(),
-                    Pool::global(),
-                )
-                .expect("legacy placement");
-                let count =
-                    |ps: &[PlacedPartition]| -> usize { ps.iter().map(|p| p.macros.len()).sum() };
-                assert_eq!(count(&placed), count(&legacy), "{ctx}");
-            }
+        let placed = place_macros(&design, &fp, &tech).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(placed.len(), fp.partitions.len(), "{ctx}");
+        let mut total = 0usize;
+        for p in &placed {
+            assert_legal(p, &ctx);
+            total += p.macros.len();
         }
-    }
-}
-
-#[test]
-fn analytical_placement_is_deterministic_across_thread_counts() {
-    let tech = Tech::l65();
-    for (cus, seed) in [(2u32, 7u64), (8, 42), (16, 1234)] {
-        let design = generate(&config(cus, 1)).expect("valid config");
-        let fp = build_floorplan(&design, &tech, DensityTargets::default()).expect("floorplan");
-        let options = PnrOptions {
-            placer: Placer::Analytical,
-            seed,
-            ..PnrOptions::default()
-        };
-        let single = Pool::new(1);
-        let quad = Pool::new(4);
-        let a = place_macros_pooled(&design, &fp, &tech, &options, &single).expect("1 thread");
-        let b = place_macros_pooled(&design, &fp, &tech, &options, &quad).expect("4 threads");
-        assert_eq!(
-            a, b,
-            "{cus} CUs seed {seed}: thread count changed placement"
-        );
-        // And stable across repeated runs on the same pool.
-        let c = place_macros_pooled(&design, &fp, &tech, &options, &quad).expect("rerun");
-        assert_eq!(b, c, "{cus} CUs seed {seed}: rerun changed placement");
-        // A different seed is allowed to (and generally does) differ,
-        // but must stay legal.
-        let other = PnrOptions {
-            seed: seed + 1,
-            ..options
-        };
-        for p in &place_macros_pooled(&design, &fp, &tech, &other, &quad).expect("other seed") {
-            assert_legal(p, "reseeded");
-        }
+        // Complete: every macro instance of the design is placed once.
+        assert_eq!(total, design.all_macros().count(), "{ctx}");
     }
 }
 
 #[test]
 fn extended_geometries_flow_through_timing() {
     // The DSE-scale acceptance: 16-, 32- and 64-CU machines produce
-    // legal, timing-evaluated layouts under the analytical placer.
+    // legal, timing-evaluated layouts on the default flow.
     let tech = Tech::l65();
     for cus in [16u32, 32, 64] {
         let design = generate(&config(cus, 2)).expect("valid config");
-        let layout = place_and_route(
-            &design,
-            &tech,
-            Mhz::new(500.0),
-            PnrOptions {
-                placer: Placer::Analytical,
-                ..PnrOptions::default()
-            },
-        )
-        .expect("flow completes");
-        assert_eq!(layout.placer, Placer::Analytical);
+        let layout = place_and_route(&design, &tech, Mhz::new(500.0), PnrOptions::default())
+            .expect("flow completes");
         assert_eq!(layout.cu_route_delays.len(), cus as usize);
         for p in &layout.placements {
             assert_legal(p, &format!("{cus}cu"));

@@ -40,7 +40,9 @@ cargo test --release -q -p gpuplanner --test prop_journal_equiv --test beam_vs_g
 echo "== perfbench (unit tests, release) =="
 # The reproduction benchmark is a package of its own outside the
 # workspace, so the steps above never compile it; this one catches a
-# library API change that would break the benchmark.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# library API change that would break the benchmark. `--locked` also
+# fails the step when a library change would rewrite perfbench's
+# Cargo.lock (for example a crate gaining or dropping a dependency).
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== ci green =="
