@@ -27,6 +27,13 @@ echo "== test (workspace) =="
 # package, so a bare `cargo test` would only run the facade's tests.
 cargo test --workspace -q
 
+echo "== goldens under 1 and 4 campaign workers =="
+# The fault-campaign golden leaves its worker count to GGPU_THREADS.
+# Two counts hand trials to workers differently; the reports must not
+# change.
+GGPU_THREADS=1 cargo test -q --test golden
+GGPU_THREADS=4 cargo test -q --test golden
+
 echo "== smoke (event-driven simulator, ~2 s) =="
 cargo run --release --example accelerator_vs_cpu 512
 

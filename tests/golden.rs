@@ -1,6 +1,7 @@
-//! Golden outputs of the 12 Table-I versions and the 1-CU@667 MHz
-//! frequency map, regenerated on every run and compared byte for byte
-//! against the files checked in under `tests/golden/`.
+//! Golden outputs of the 12 Table-I versions, the 1-CU@667 MHz
+//! frequency map and the benchmark's SEU campaign set, regenerated on
+//! every run and compared byte for byte against the files checked in
+//! under `tests/golden/`.
 //!
 //! Each version file pins the datasheet (recipe, PPA, per-layer
 //! wirelength, route delays), the DSE trace, the synthesis fmax as an
@@ -13,12 +14,15 @@
 //! tmp directory and the test fails with a line diff plus the `cp`
 //! command that accepts them.
 
+use g_gpu::netlist::EccPolicy;
 use g_gpu::planner::{
     datasheet, frequency_map, map_to_csv, paper_versions, GpuPlanner, Specification,
 };
 use g_gpu::rtl::{generate, GgpuConfig};
+use g_gpu::tech::sram::EccScheme;
 use g_gpu::tech::units::Mhz;
 use g_gpu::tech::Tech;
+use ggpu_fault::{run_campaign, CampaignConfig, MacroMap, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -72,6 +76,37 @@ fn generate_all() -> Vec<(String, String)> {
     files
 }
 
+/// The 12 campaign reports of perfbench's `fault_campaign` set, one
+/// JSON block each: mat_mul, copy, vec_mul and fir at n = 256 on the
+/// 1-CU design, under no protection, parity and SEC-DED, 32 trials per
+/// campaign at a fixed seed. Trials time out at 4× the golden cycles,
+/// as in the benchmark. `threads = 0` leaves the worker count to
+/// `GGPU_THREADS`, so running this file under several thread counts
+/// checks that no report depends on which worker ran which trial.
+fn fault_campaigns() -> String {
+    let design = generate(&GgpuConfig::with_cus(1).expect("1 CU is valid")).expect("1-CU design");
+    let maps: Vec<MacroMap> = [
+        EccPolicy::unprotected(),
+        EccPolicy::uniform(EccScheme::Parity),
+        EccPolicy::uniform(EccScheme::SecDed),
+    ]
+    .iter()
+    .map(|p| MacroMap::from_design(&design, p).expect("macro map"))
+    .collect();
+    let mut out = String::new();
+    for bench in &g_gpu::kernels::all()[..4] {
+        let w = Workload::from_bench(bench, 256).expect("campaign kernel prepares");
+        let mut cfg = CampaignConfig::new(1, 32);
+        let golden = w.run_golden(cfg.sim).expect("golden run");
+        cfg.sim.max_cycles = 4 * golden.cycles;
+        for map in &maps {
+            let report = run_campaign(&w, map, &cfg).expect("campaign runs");
+            out.push_str(&report.to_json());
+        }
+    }
+    out
+}
+
 /// A line diff (longest common subsequence) of `expected` → `actual`,
 /// `-`/`+` for removed/added lines, unchanged lines omitted.
 fn line_diff(expected: &str, actual: &str) -> String {
@@ -104,15 +139,20 @@ fn line_diff(expected: &str, actual: &str) -> String {
     out
 }
 
-#[test]
-fn table1_versions_and_frequency_map_match_goldens() {
+/// Compares freshly generated `files` against `tests/golden/`. On a
+/// mismatch the actual files go to `CARGO_TARGET_TMPDIR/golden/<set>`
+/// and the test fails with a line diff plus the `cp` command that
+/// accepts them.
+fn assert_goldens(set: &str, files: Vec<(String, String)>) {
     let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let actual_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    let actual_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("golden")
+        .join(set);
     // Stale files from an earlier failing run must not ride along
     // with the `cp` below.
     let _ = std::fs::remove_dir_all(&actual_dir);
     let mut report = String::new();
-    for (name, actual) in generate_all() {
+    for (name, actual) in files {
         let path = golden_dir.join(&name);
         let expected = std::fs::read_to_string(&path).unwrap_or_default();
         if expected == actual {
@@ -127,6 +167,19 @@ fn table1_versions_and_frequency_map_match_goldens() {
         "goldens differ:\n{report}\nto accept the new outputs:\n  cp {}/* {}/",
         actual_dir.display(),
         golden_dir.display()
+    );
+}
+
+#[test]
+fn table1_versions_and_frequency_map_match_goldens() {
+    assert_goldens("table1", generate_all());
+}
+
+#[test]
+fn fault_campaigns_match_golden() {
+    assert_goldens(
+        "fault",
+        vec![("fault_campaigns.txt".into(), fault_campaigns())],
     );
 }
 
