@@ -29,7 +29,7 @@ use crate::map::{Geometry, MacroMap};
 use crate::report::{CampaignReport, MacroAvf, OutcomeCounts};
 use crate::rng::Rng;
 use crate::workload::{Workload, WorkloadError};
-use ggpu_simt::{FaultPlan, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
+use ggpu_simt::{FaultPlan, Gpu, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
 use ggpu_wal::{Journal, WalError, WalOp};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -253,21 +253,25 @@ pub fn run_campaign(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&trial) = pending.get(i) else { break };
-                let res = run_trial(workload, map, cfg, &geom, cycle_hi, trial);
-                let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-                if let (Ok(rec), Some(journal)) = (&res, guard.1.as_mut()) {
-                    // Checkpoint write failures degrade to an
-                    // un-checkpointed campaign rather than losing the
-                    // computed trial.
-                    let _ = journal.append(&format!(
-                        "t {} {} {} {}",
-                        rec.trial, rec.macro_idx, rec.cycle, rec.outcome
-                    ));
+            scope.spawn(|| {
+                // One machine per worker, restaged before every trial.
+                let mut gpu = Gpu::new(cfg.sim, workload.memory_words());
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&trial) = pending.get(i) else { break };
+                    let res = run_trial(workload, map, cfg, &geom, cycle_hi, trial, &mut gpu);
+                    let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
+                    if let (Ok(rec), Some(journal)) = (&res, guard.1.as_mut()) {
+                        // Checkpoint write failures degrade to an
+                        // un-checkpointed campaign rather than losing
+                        // the computed trial.
+                        let _ = journal.append(&format!(
+                            "t {} {} {} {}",
+                            rec.trial, rec.macro_idx, rec.cycle, rec.outcome
+                        ));
+                    }
+                    guard.0.push(res);
                 }
-                guard.0.push(res);
             });
         }
     });
@@ -282,8 +286,9 @@ pub fn run_campaign(
     Ok(build_report(workload, map, cfg, golden.cycles, &records))
 }
 
-/// Runs one seeded trial. Pure in `(seed, trial)` given the map and
-/// geometry.
+/// Runs one seeded trial on `gpu`, a machine built with `cfg.sim`,
+/// which it restages first. Pure in `(seed, trial)` given the map and
+/// geometry, whatever ran on `gpu` before.
 fn run_trial(
     workload: &Workload,
     map: &MacroMap,
@@ -291,11 +296,12 @@ fn run_trial(
     geom: &Geometry,
     cycle_hi: u64,
     trial: u32,
+    gpu: &mut Gpu,
 ) -> Result<TrialRecord, CampaignError> {
     let mut rng = Rng::for_trial(cfg.seed, u64::from(trial));
     let (macro_idx, injection) = map.sample_injection(&mut rng, geom, 1, cycle_hi);
     let cycle = injection.cycle;
-    let mut gpu = workload.fresh_gpu(cfg.sim).map_err(CampaignError::Setup)?;
+    workload.restage(gpu).map_err(CampaignError::Setup)?;
     let opts = HardenedOptions {
         plan: FaultPlan::new(vec![injection]),
         watchdog: Some(cfg.watchdog),
@@ -304,7 +310,7 @@ fn run_trial(
         Err(SimError::UncorrectableFault(_)) => Outcome::DetectedUncorrectable,
         Err(SimError::Watchdog { .. }) | Err(SimError::CycleLimit { .. }) => Outcome::Hang,
         Err(_) => Outcome::Crash,
-        Ok(run) => match workload.read_output(&gpu) {
+        Ok(run) => match workload.read_output(gpu) {
             Err(_) => Outcome::Crash,
             Ok(out) if out != workload.golden() => Outcome::Sdc,
             Ok(_) if run.log.count(InjectionOutcome::Corrected) > 0 => Outcome::DetectedCorrected,
@@ -474,6 +480,47 @@ mod tests {
         // `source()` exposes the WalError for callers that downcast.
         assert!(std::error::Error::source(&err).is_some());
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A worker's reused machine classifies every trial exactly as a
+    /// new one does, whatever the trials before it wrote: each trial
+    /// runs on its own `fresh_gpu`, then again on one machine that
+    /// visits the trials in reverse order.
+    #[test]
+    fn reused_machine_matches_a_fresh_one_per_trial() {
+        use ggpu_netlist::EccPolicy;
+        use ggpu_simt::AccelBackend;
+        use ggpu_tech::sram::EccScheme;
+
+        let design = ggpu_rtl::generate(&ggpu_rtl::GgpuConfig::with_cus(1).unwrap()).unwrap();
+        let w = Workload::from_bench(&ggpu_kernels::bench::all()[2], 256).unwrap();
+        for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
+            for policy in [
+                EccPolicy::unprotected(),
+                EccPolicy::uniform(EccScheme::Parity),
+                EccPolicy::uniform(EccScheme::SecDed),
+            ] {
+                let map = MacroMap::from_design(&design, &policy).unwrap();
+                let mut cfg = CampaignConfig::new(5, 64);
+                cfg.sim.backend = backend;
+                let cycle_hi = w.run_golden(cfg.sim).unwrap().cycles;
+                let geom = Geometry::new(cfg.sim, w.memory_words());
+                let trial =
+                    |t, gpu: &mut Gpu| run_trial(&w, &map, &cfg, &geom, cycle_hi, t, gpu).unwrap();
+                let fresh: Vec<TrialRecord> = (0..cfg.trials)
+                    .map(|t| trial(t, &mut w.fresh_gpu(cfg.sim).unwrap()))
+                    .collect();
+                let mut gpu = Gpu::new(cfg.sim, w.memory_words());
+                let mut reused: Vec<TrialRecord> =
+                    (0..cfg.trials).rev().map(|t| trial(t, &mut gpu)).collect();
+                reused.reverse();
+                assert_eq!(fresh, reused, "{backend:?} under {policy:?}");
+                assert!(
+                    fresh.iter().any(|r| r.outcome != Outcome::Masked),
+                    "{backend:?} under {policy:?}: every trial masked, nothing compared"
+                );
+            }
+        }
     }
 
     #[test]

@@ -102,8 +102,9 @@ impl Workload {
         GPU_MEMORY_WORDS
     }
 
-    /// A fresh machine with inputs staged — every trial starts from
-    /// this identical state.
+    /// A new machine with inputs staged: [`Gpu::new`] plus
+    /// [`Workload::restage`]. Campaign trials do not build one each;
+    /// every worker restages one machine before each trial.
     ///
     /// # Errors
     ///
@@ -112,11 +113,26 @@ impl Workload {
     /// assumed).
     pub fn fresh_gpu(&self, config: SimtConfig) -> Result<Gpu, SimError> {
         let mut gpu = Gpu::new(config, GPU_MEMORY_WORDS);
+        self.restage(&mut gpu)?;
+        Ok(gpu)
+    }
+
+    /// Returns `gpu` to the state every run starts from: [`Gpu::reset`]
+    /// zeroes the pages the previous run wrote, then the inputs are
+    /// written again. After any run, faulting ones included, the
+    /// machine is indistinguishable from [`Workload::fresh_gpu`]'s with
+    /// the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the inputs do not fit `gpu`'s memory.
+    pub fn restage(&self, gpu: &mut Gpu) -> Result<(), SimError> {
+        gpu.reset();
         gpu.write_words(GPU_A, &self.a)?;
         if !self.b.is_empty() {
             gpu.write_words(GPU_B, &self.b)?;
         }
-        Ok(gpu)
+        Ok(())
     }
 
     /// Runs the workload fault-free and returns its stats — the

@@ -18,6 +18,7 @@
 
 use crate::config::{AccelBackend, SimtConfig};
 use crate::engine::{run_launch, ScalarWave};
+use crate::global_mem::GlobalMemory;
 use crate::gpu::{HardenState, RunStats, SimError, PARAM_SLOTS};
 use crate::soa::{SoaWave, MAX_WF};
 use crate::trace::ExecTrace;
@@ -33,7 +34,7 @@ pub struct LaunchRequest<'a> {
     pub(crate) params: [u32; PARAM_SLOTS],
     pub(crate) global_size: u32,
     pub(crate) workgroup_size: u32,
-    pub(crate) memory: &'a mut [u32],
+    pub(crate) memory: &'a mut GlobalMemory,
     /// Use the cycle-stepping reference driver instead of the
     /// event-driven time wheel (validation runs).
     pub(crate) reference: bool,

@@ -21,6 +21,7 @@
 
 use crate::config::SimtConfig;
 use crate::fault::{FaultEvent, FaultSite, Injection, InjectionOutcome, Protection};
+use crate::global_mem::GlobalMemory;
 use crate::gpu::{HardenState, RunStats, SimError, LOCAL_WORDS, PARAM_SLOTS};
 use crate::memsys::{Dram, SharedCache};
 use crate::trace::ExecTrace;
@@ -96,7 +97,7 @@ pub(crate) trait Wave: Sized {
     fn step(
         &mut self,
         env: &IssueEnv<'_>,
-        memory: &mut [u32],
+        memory: &mut GlobalMemory,
         local_mem: &mut [u32],
         cache: &mut SharedCache,
         now: u64,
@@ -184,7 +185,7 @@ struct PassOutcome {
 /// reference so both execute byte-for-byte identical passes.
 pub(crate) struct Sched<'a, W: Wave> {
     env: IssueEnv<'a>,
-    memory: &'a mut [u32],
+    memory: &'a mut GlobalMemory,
     cache: SharedCache,
     cus: Vec<ComputeUnit<W>>,
     total_groups: u32,
@@ -205,7 +206,7 @@ pub(crate) fn run_launch<W: Wave>(
     program: &[Inst],
     params: [u32; PARAM_SLOTS],
     (global_size, workgroup_size): (u32, u32),
-    memory: &mut [u32],
+    memory: &mut GlobalMemory,
     reference: bool,
     hard: Option<&mut HardenState>,
     trace: Option<&mut ExecTrace>,
@@ -460,7 +461,7 @@ impl<'a, W: Wave> Sched<'a, W> {
     /// function cannot panic for any `(site, cycle, bits)` input.
     fn apply_injection(
         cus: &mut [ComputeUnit<W>],
-        memory: &mut [u32],
+        memory: &mut GlobalMemory,
         inj: &Injection,
         now: u64,
     ) -> Result<InjectionOutcome, SimError> {
@@ -501,7 +502,7 @@ impl<'a, W: Wave> Sched<'a, W> {
                 .get_mut(cu as usize)
                 .and_then(|c| c.local_mem.get_mut(word as usize))
                 .map(Slot::Word),
-            FaultSite::GlobalWord { word } => memory.get_mut(word as usize).map(Slot::Word),
+            FaultSite::GlobalWord { word } => memory.word_mut(word as usize).map(Slot::Word),
             FaultSite::Pc { cu, slot, lane } => wf_of(cus, cu, slot)
                 .and_then(|w| w.pc_slot(lane))
                 .map(Slot::Word),
@@ -748,7 +749,7 @@ impl<'a, W: Wave> Sched<'a, W> {
     #[allow(clippy::too_many_arguments)]
     fn issue(
         env: &IssueEnv<'_>,
-        memory: &mut [u32],
+        memory: &mut GlobalMemory,
         cache: &mut SharedCache,
         cu: &mut ComputeUnit<W>,
         idx: usize,
@@ -1031,7 +1032,7 @@ impl Wave for ScalarWave {
     fn step(
         &mut self,
         env: &IssueEnv<'_>,
-        memory: &mut [u32],
+        memory: &mut GlobalMemory,
         local_mem: &mut [u32],
         cache: &mut SharedCache,
         now: u64,
@@ -1117,7 +1118,7 @@ impl Wave for ScalarWave {
                         return Err(SimError::MemoryOutOfBounds { addr });
                     }
                     if is_store {
-                        memory[widx] = self.reg(l, rd);
+                        memory.store(widx, self.reg(l, rd));
                     } else {
                         self.regs[l * 32 + rd.index()] = memory[widx];
                     }

@@ -14,6 +14,7 @@ use crate::config::SimtConfig;
 use crate::fault::{
     FaultLog, FaultReport, HardenedOptions, HardenedRun, Injection, WatchdogConfig,
 };
+use crate::global_mem::GlobalMemory;
 use crate::memsys::MemStats;
 use crate::trace::ExecTrace;
 use ggpu_isa::asm::{assemble, AssembleError};
@@ -335,7 +336,7 @@ impl RunStats {
 /// The SIMT machine: configuration plus global memory.
 pub struct Gpu {
     config: SimtConfig,
-    memory: Vec<u32>,
+    memory: GlobalMemory,
 }
 
 impl fmt::Debug for Gpu {
@@ -353,8 +354,17 @@ impl Gpu {
     pub fn new(config: SimtConfig, memory_words: usize) -> Self {
         Self {
             config,
-            memory: vec![0; memory_words],
+            memory: GlobalMemory::zeroed(memory_words),
         }
+    }
+
+    /// Returns global memory to its [`Gpu::new`] state, all zeros.
+    /// Only the 4 KiB pages written since the machine was built or
+    /// last reset are cleared (by launches, faulting ones included,
+    /// by injected upsets and by [`Gpu::write_words`]), so the cost
+    /// scales with what the last run wrote, not with the memory size.
+    pub fn reset(&mut self) {
+        self.memory.reset();
     }
 
     /// The machine configuration.
@@ -380,7 +390,7 @@ impl Gpu {
                 addr: byte_addr + (data.len() as u32) * 4,
             });
         }
-        self.memory[start..end].copy_from_slice(data);
+        self.memory.store_slice(start, data);
         Ok(())
     }
 

@@ -35,6 +35,7 @@ pub mod accel;
 pub mod config;
 mod engine;
 pub mod fault;
+mod global_mem;
 pub mod gpu;
 pub mod memsys;
 mod soa;

@@ -36,6 +36,7 @@
 //! ascending lane order exactly as in the reference.
 
 use crate::engine::{observe_issue, IssueEnv, StepOut, Wave};
+use crate::global_mem::GlobalMemory;
 use crate::gpu::SimError;
 use crate::memsys::SharedCache;
 use crate::trace::ExecTrace;
@@ -393,7 +394,7 @@ impl Wave for SoaWave {
     fn step(
         &mut self,
         env: &IssueEnv<'_>,
-        memory: &mut [u32],
+        memory: &mut GlobalMemory,
         local_mem: &mut [u32],
         cache: &mut SharedCache,
         now: u64,
@@ -614,7 +615,7 @@ impl Wave for SoaWave {
                     if coalesced {
                         let widx = (base_addr / 4) as usize;
                         if is_store {
-                            memory[widx..widx + n].copy_from_slice(&self.regs[vro..vro + n]);
+                            memory.store_slice(widx, &self.regs[vro..vro + n]);
                         } else {
                             self.regs[vro..vro + n].copy_from_slice(&memory[widx..widx + n]);
                         }
@@ -631,7 +632,7 @@ impl Wave for SoaWave {
                         // every lane in order, so the last lane wins.
                         let widx = (base_addr / 4) as usize;
                         if is_store {
-                            memory[widx] = self.regs[vro + n - 1];
+                            memory.store(widx, self.regs[vro + n - 1]);
                         } else {
                             let val = memory[widx];
                             self.regs[vro..vro + n].fill(val);
@@ -649,7 +650,7 @@ impl Wave for SoaWave {
                             let addr = scratch.addr[l];
                             let widx = (addr / 4) as usize;
                             if is_store {
-                                memory[widx] = self.regs[vro + l];
+                                memory.store(widx, self.regs[vro + l]);
                             } else {
                                 self.regs[vro + l] = memory[widx];
                             }
@@ -679,7 +680,7 @@ impl Wave for SoaWave {
                                 return Err(SimError::MemoryOutOfBounds { addr });
                             }
                             if is_store {
-                                memory[widx] = self.regs[vro + l];
+                                memory.store(widx, self.regs[vro + l]);
                             } else {
                                 self.regs[vro + l] = memory[widx];
                             }
@@ -706,7 +707,7 @@ impl Wave for SoaWave {
                             return Err(SimError::MemoryOutOfBounds { addr });
                         }
                         if is_store {
-                            memory[widx] = self.regs[vro + l];
+                            memory.store(widx, self.regs[vro + l]);
                         } else {
                             self.regs[vro + l] = memory[widx];
                         }
