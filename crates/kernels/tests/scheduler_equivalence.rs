@@ -101,8 +101,7 @@ fn lram_banking_only_adds_conflict_cycles() {
     // Banking is a timing model: run_gpu_with golden-checks every
     // output, the ideal LRAM never charges a conflict, and more banks
     // never conflict more. mat_mul_local, the one kernel with LRAM
-    // traffic, conflicts on 4 banks and runs clean on 8: the asymmetry
-    // the BankMemory transform exploits.
+    // traffic, conflicts on 4 banks and runs clean on 8.
     let run = |bench: &Bench, lram: LramModel| {
         let config = SimtConfig {
             lram,

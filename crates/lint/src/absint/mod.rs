@@ -1,11 +1,11 @@
 //! Abstract interpretation of SIMT kernels.
 //!
-//! A monotone-framework fixpoint ([`solver`]) over composable
-//! per-register domains ([`domain`]): interval value-range,
-//! power-of-two stride/alignment, a lane-affine shape (`a·tid + c`
-//! with interval coefficients — subsuming the old uniform/varying
-//! taint bit), and a depth-capped symbolic expression. On top of the
-//! fixpoint this module derives:
+//! A monotone-framework fixpoint (the private `solver` module) over
+//! composable per-register domains ([`domain`]): interval
+//! value-range, power-of-two stride/alignment, a lane-affine shape
+//! (`a·tid + c` with interval coefficients — subsuming the old
+//! uniform/varying taint bit), and a depth-capped symbolic
+//! expression. On top of the fixpoint this module derives:
 //!
 //! * **K010** — out-of-bounds memory access: *proven* (every possible
 //!   address faults) at deny strength, *possible* (the range reaches
@@ -29,8 +29,7 @@
 //! * [`MemAccessSummary`] — the static cost model per memory
 //!   instruction: coalescing class (broadcast / unit-stride /
 //!   strided-k / scattered), a cache-line bound per wavefront issue,
-//!   and the LRAM bank-conflict degree — exported through
-//!   `gpuplanner::cycles` next to the simulated numbers.
+//!   and the LRAM bank-conflict degree.
 //!
 //! Soundness is *gated, not asserted*: `crates/simt` records concrete
 //! per-access addresses and branch uniformity on both backends, and a

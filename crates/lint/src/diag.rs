@@ -100,8 +100,10 @@ pub enum Code {
     /// resolves its role to `none`). Only emitted by the resilience
     /// lint, which callers invoke when a target exists.
     N008,
-    /// Flow invariant: memory banking must preserve total macro bits
-    /// and grow the port budget by exactly the added banks' ports.
+    /// Retired: the memory-banking flow invariant (total macro bits
+    /// preserved, port budget grown by exactly the added banks'
+    /// ports). The banking transform it gated is gone, so no pass
+    /// emits it; the slot stays reserved.
     N009,
     /// Flow supervision: the supervised flow fell back from a
     /// configured engine to a degraded one (SoA backend → scalar,
@@ -207,8 +209,9 @@ impl Code {
     /// but corpus-coverage tests skip them.
     pub fn retired(self) -> bool {
         // K007's syntactic race check is subsumed by the
-        // flow-sensitive K012.
-        self == Code::K007
+        // flow-sensitive K012; N009 gated the removed banking
+        // transform.
+        matches!(self, Code::K007 | Code::N009)
     }
 
     /// One-line description for `--help`/docs.
@@ -234,7 +237,7 @@ impl Code {
             Code::N006 => "pipeline insertion broke timing endpoints",
             Code::N007 => "missing top module or instantiation cycle",
             Code::N008 => "SRAM macro without ECC/parity under a resilience target",
-            Code::N009 => "memory banking changed stored bits or port budget",
+            Code::N009 => "retired: memory-banking invariant, its transform was removed",
             Code::N010 => "flow supervision degraded a stage to a fallback engine",
         }
     }
@@ -529,6 +532,18 @@ mod tests {
             assert_eq!(Code::parse(code.as_str()), Some(code));
         }
         assert_eq!(Code::parse("K999"), None);
+    }
+
+    #[test]
+    fn retired_codes_still_parse_and_say_so() {
+        let retired: Vec<Code> = Code::ALL.into_iter().filter(|c| c.retired()).collect();
+        assert_eq!(retired, [Code::K007, Code::N009]);
+        for code in retired {
+            assert_eq!(Code::parse(code.as_str()), Some(code));
+            assert!(code.description().starts_with("retired: "), "{code}");
+            let config = LintConfig::new().with_override(code, Severity::Allow);
+            assert_eq!(config.severity(code), Severity::Allow);
+        }
     }
 
     #[test]

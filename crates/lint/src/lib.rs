@@ -47,8 +47,6 @@ pub use cache::verify_program_cached;
 pub use cfg::Cfg;
 pub use design::{lint_design, lint_resilience};
 pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};
-pub use flow::{
-    check_banking, check_division, check_pipeline, check_supervision, DegradationStep, FlowSnapshot,
-};
+pub use flow::{check_division, check_pipeline, check_supervision, DegradationStep, FlowSnapshot};
 pub use kernel::{verify_asm, verify_program, verify_program_with_ctx, DIVERGENCE_DEPTH_LIMIT};
 pub use shipped::{verify_shipped, SHIPPED_KERNELS};

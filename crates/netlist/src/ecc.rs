@@ -1,11 +1,12 @@
 //! Error-protection policy for a design's SRAM macros.
 //!
-//! The netlist records *what* memories exist ([`MacroInst`]); an
-//! [`EccPolicy`] records *how* each architectural role is protected
-//! against soft errors. The two are kept separate on purpose:
-//! [`MacroInst`]'s structural hash participates in the incremental-STA
-//! fingerprints, so protection (a planner-level concern that only
-//! widens words at compile time) must not perturb netlist identity.
+//! The netlist records *what* memories exist
+//! ([`MacroInst`](crate::MacroInst)); an [`EccPolicy`] records *how*
+//! each architectural role is protected against soft errors. The two
+//! are kept separate on purpose: the macro's structural hash
+//! participates in the incremental-STA fingerprints, so protection (a
+//! planner-level concern that only widens words at compile time) must
+//! not perturb netlist identity.
 //!
 //! The policy is consumed by
 //!

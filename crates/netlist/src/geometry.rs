@@ -1,13 +1,10 @@
-//! Unified memory geometry: structural bank groups.
+//! Structural bank groups.
 //!
-//! Every layer of the flow used to encode memory shape its own way —
-//! name-stem matching in the synthesis transforms, a duplicated
-//! sibling scan in the planner's plan replay, substring aggregation in
-//! the fault maps, and an unrelated line/bank model in the simulator.
-//! This module is the one shared abstraction: the macros implementing
-//! the banks of one *logical* memory carry the same structural
-//! [`BankGroupId`], and [`MemGeometry`] summarizes the group's shape
-//! (bank count, ports per bank, interleave stride) for any consumer.
+//! The macros implementing the banks of one *logical* memory carry the
+//! same structural [`BankGroupId`]. Memory division finds a macro's
+//! siblings through it ([`Module::sibling_macro_names`]) and its parts
+//! inherit it, so fault maps and later transforms keep treating a
+//! divided structure as one memory.
 //!
 //! Group ids are assigned by the RTL generator (and propagated by the
 //! synthesis transforms), so membership is a structural fact of the
@@ -30,110 +27,10 @@ impl fmt::Display for BankGroupId {
     }
 }
 
-/// The shape of one banked memory: how many physical banks implement
-/// the logical word space, how they interleave, and the per-bank port
-/// budget. Derived from a bank group's members, never stored — the
-/// macros stay the single source of truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemGeometry {
-    /// Number of physical banks.
-    pub banks: u32,
-    /// Ports on each bank (1 single-ported, 2 dual-ported).
-    pub ports_per_bank: u32,
-    /// Interleave stride in words: word `w` lives in bank
-    /// `(w / interleave_words) % banks`. `1` is word-interleaved —
-    /// the layout every banking transform in this flow produces.
-    pub interleave_words: u32,
-    /// Words held by each bank.
-    pub words_per_bank: u32,
-    /// Data bits per word.
-    pub bits: u32,
-}
-
-impl MemGeometry {
-    /// The geometry of an unbanked memory: one bank holding every word.
-    pub fn flat(words: u32, bits: u32, ports: u32) -> Self {
-        Self {
-            banks: 1,
-            ports_per_bank: ports,
-            interleave_words: 1,
-            words_per_bank: words,
-            bits,
-        }
-    }
-
-    /// The bank serving logical word `word`.
-    pub fn bank_of_word(&self, word: u32) -> u32 {
-        (word / self.interleave_words.max(1)) % self.banks.max(1)
-    }
-
-    /// Total logical words across all banks.
-    pub fn total_words(&self) -> u64 {
-        u64::from(self.banks) * u64::from(self.words_per_bank)
-    }
-
-    /// Total data bits across all banks.
-    pub fn total_bits(&self) -> u64 {
-        self.total_words() * u64::from(self.bits)
-    }
-
-    /// Total ports across all banks — the concurrency the memory
-    /// offers one wavefront beat.
-    pub fn total_ports(&self) -> u32 {
-        self.banks * self.ports_per_bank
-    }
-}
-
-impl fmt::Display for MemGeometry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}x{}w x{}b ({}p/bank)",
-            self.banks, self.words_per_bank, self.bits, self.ports_per_bank
-        )
-    }
-}
-
 impl Module {
     /// The bank group of the named macro, if it carries one.
     pub fn bank_group_of(&self, macro_name: &str) -> Option<BankGroupId> {
         self.find_macro(macro_name).and_then(|m| m.bank_group)
-    }
-
-    /// The members of `group`, in macro order.
-    pub fn bank_group_members(&self, group: BankGroupId) -> Vec<&MacroInst> {
-        self.macros
-            .iter()
-            .filter(|m| m.bank_group == Some(group))
-            .collect()
-    }
-
-    /// A fresh group id, greater than every id used in this module.
-    pub fn next_bank_group_id(&self) -> BankGroupId {
-        BankGroupId(
-            self.macros
-                .iter()
-                .filter_map(|m| m.bank_group)
-                .map(|g| g.0 + 1)
-                .max()
-                .unwrap_or(0),
-        )
-    }
-
-    /// The geometry of `group`, derived from its members: bank count is
-    /// the member count, per-bank words/bits/ports come from the first
-    /// member (banking transforms keep members homogeneous), and the
-    /// interleave is word-granular. `None` for an empty group.
-    pub fn bank_group_geometry(&self, group: BankGroupId) -> Option<MemGeometry> {
-        let members = self.bank_group_members(group);
-        let first = members.first()?;
-        Some(MemGeometry {
-            banks: members.len() as u32,
-            ports_per_bank: first.config.port_count(),
-            interleave_words: 1,
-            words_per_bank: first.config.words,
-            bits: first.config.bits,
-        })
     }
 
     /// The structural siblings of `target`: the members of its bank
@@ -174,42 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn geometry_summarizes_a_group() {
-        let mut m = Module::new("cu");
-        for i in 0..4 {
-            m.macros.push(bank(&format!("lram{i}"), Some(1)));
-        }
-        m.macros.push(bank("scratch", None));
-        let g = m.bank_group_geometry(BankGroupId(1)).unwrap();
-        assert_eq!(g.banks, 4);
-        assert_eq!(g.words_per_bank, 64);
-        assert_eq!(g.bits, 32);
-        assert_eq!(g.ports_per_bank, 1);
-        assert_eq!(g.total_words(), 256);
-        assert_eq!(g.total_bits(), 256 * 32);
-        assert_eq!(g.total_ports(), 4);
-        assert!(m.bank_group_geometry(BankGroupId(9)).is_none());
-    }
-
-    #[test]
-    fn word_interleave_maps_words_round_robin() {
-        let g = MemGeometry {
-            banks: 4,
-            ports_per_bank: 1,
-            interleave_words: 1,
-            words_per_bank: 64,
-            bits: 32,
-        };
-        assert_eq!(g.bank_of_word(0), 0);
-        assert_eq!(g.bank_of_word(5), 1);
-        assert_eq!(g.bank_of_word(7), 3);
-        let flat = MemGeometry::flat(256, 32, 2);
-        assert_eq!(flat.banks, 1);
-        assert_eq!(flat.bank_of_word(123), 0);
-        assert_eq!(flat.total_ports(), 2);
-    }
-
-    #[test]
     fn siblings_come_from_structure_not_names() {
         let mut m = Module::new("cu");
         m.macros.push(bank("lsu_b0", Some(3)));
@@ -233,15 +94,5 @@ mod tests {
         m.macros.push(odd);
         let target = m.find_macro("a0").unwrap().clone();
         assert_eq!(m.sibling_macro_names(&target), vec!["a0", "a1"]);
-    }
-
-    #[test]
-    fn next_group_id_is_fresh() {
-        let mut m = Module::new("cu");
-        assert_eq!(m.next_bank_group_id(), BankGroupId(0));
-        m.macros.push(bank("x0", Some(2)));
-        m.macros.push(bank("y0", Some(7)));
-        m.macros.push(bank("z", None));
-        assert_eq!(m.next_bank_group_id(), BankGroupId(8));
     }
 }

@@ -41,7 +41,7 @@ pub mod timing;
 pub use design::{Design, MacroIter, ModuleSnapshot};
 pub use ecc::EccPolicy;
 pub use export::to_structural_verilog;
-pub use geometry::{BankGroupId, MemGeometry};
+pub use geometry::BankGroupId;
 pub use ids::ModuleId;
 pub use module::{CellGroup, Instance, MacroInst, MemoryRole, Module};
 pub use stats::{design_stats, NetlistStats};

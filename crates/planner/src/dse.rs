@@ -37,16 +37,6 @@ pub enum Action {
         /// Division axis.
         axis: DivideAxis,
     },
-    /// Re-bank the named macro's structural group into `banks`
-    /// word-interleaved banks each.
-    Bank {
-        /// Module owning the macro.
-        module: String,
-        /// Macro name (one representative member of the group).
-        macro_name: String,
-        /// Banks per member macro (power of two, >= 2).
-        banks: u32,
-    },
     /// Insert a pipeline register at the midpoint of the named path.
     Pipeline {
         /// Module owning the path.
@@ -66,11 +56,6 @@ impl fmt::Display for Action {
                 factor,
                 axis,
             } => write!(f, "divide {module}/{macro_name} x{factor} ({axis})"),
-            Action::Bank {
-                module,
-                macro_name,
-                banks,
-            } => write!(f, "bank {module}/{macro_name} x{banks}"),
             Action::Pipeline { module, path } => write!(f, "pipeline {module}/{path}"),
         }
     }
@@ -85,12 +70,6 @@ impl fmt::Display for Action {
 pub struct OptimizationPlan {
     /// Total division factor per `(module, macro)`.
     pub divisions: BTreeMap<(String, String), u32>,
-    /// Banks per member macro for each banked `(module, macro)` group.
-    /// Keys name post-division macros (banking composes after the
-    /// divisions of the same plan). Empty on every legacy plan — the
-    /// frequency-map loop never banks; only the memory co-optimizer
-    /// ([`crate::memopt`]) fills this in.
-    pub bankings: BTreeMap<(String, String), u32>,
     /// Pipeline insertions in application order.
     pub pipelines: Vec<(String, String)>,
 }
@@ -98,13 +77,12 @@ pub struct OptimizationPlan {
 impl OptimizationPlan {
     /// `true` if the plan performs no work.
     pub fn is_empty(&self) -> bool {
-        self.divisions.is_empty() && self.bankings.is_empty() && self.pipelines.is_empty()
+        self.divisions.is_empty() && self.pipelines.is_empty()
     }
 
     /// All actions of the plan in canonical application order:
-    /// divisions in `BTreeMap` key order, then bankings in key order,
-    /// then pipelines in insertion order. The journal's rebase diffs
-    /// exactly this list.
+    /// divisions in `BTreeMap` key order, then pipelines in insertion
+    /// order. The journal's rebase diffs exactly this list.
     pub fn actions(&self) -> Vec<Action> {
         let mut out: Vec<Action> = self
             .divisions
@@ -116,15 +94,6 @@ impl OptimizationPlan {
                 axis: DivideAxis::Words,
             })
             .collect();
-        out.extend(
-            self.bankings
-                .iter()
-                .map(|((module, macro_name), banks)| Action::Bank {
-                    module: module.clone(),
-                    macro_name: macro_name.clone(),
-                    banks: *banks,
-                }),
-        );
         out.extend(
             self.pipelines
                 .iter()
@@ -486,24 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plans_never_bank() {
-        // The frequency-map exploration only divides and pipelines;
-        // `bankings` stays empty unless `co_optimize_memory` is asked
-        // for. This is what keeps all 12 Table-I versions (and their
-        // datasheets) byte-identical to the pre-banking flow.
-        let tech = Tech::l65();
-        let b = base();
-        for mhz in [500.0, 590.0, 667.0] {
-            let opt = optimize_for(&b, &tech, Mhz::new(mhz)).unwrap();
-            assert!(
-                opt.plan.bankings.is_empty(),
-                "{mhz} MHz plan banked: {:?}",
-                opt.plan.bankings
-            );
-        }
-    }
-
-    #[test]
     fn impossible_target_reports_best() {
         let err = optimize_for(&base(), &Tech::l65(), Mhz::new(2000.0)).unwrap_err();
         match err {
@@ -561,9 +512,7 @@ mod tests {
                 .actions()
                 .into_iter()
                 .map(|a| match a {
-                    Action::Divide { module, .. }
-                    | Action::Bank { module, .. }
-                    | Action::Pipeline { module, .. } => module,
+                    Action::Divide { module, .. } | Action::Pipeline { module, .. } => module,
                 })
                 .collect();
             assert!(!named.is_empty(), "{cus} CU: 667 MHz needs a plan");

@@ -7,7 +7,7 @@ use crate::dse::{apply_plan, optimize_with_config, DseConfig, DseError, Optimiza
 use crate::spec::Specification;
 use ggpu_fault::ResilienceReport;
 use ggpu_netlist::{Design, EccPolicy};
-use ggpu_pnr::{place_and_route, Layout, PnrError, PnrOptions};
+use ggpu_pnr::{place_and_route, Layout, PnrError};
 use ggpu_rtl::{generate, ConfigError, GgpuConfig};
 use ggpu_sta::max_frequency;
 use ggpu_synth::{synthesize, SynthesisError, SynthesisReport};
@@ -65,6 +65,8 @@ where
 /// Errors of the end-to-end flow.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
+    /// The specification's frequency is not finite and positive.
+    Frequency(Mhz),
     /// The specification maps to an invalid generator configuration.
     Config(ConfigError),
     /// The exploration could not reach the requested frequency.
@@ -81,6 +83,9 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PlanError::Frequency(mhz) => {
+                write!(f, "frequency {mhz} is not a finite positive clock")
+            }
             PlanError::Config(e) => write!(f, "configuration: {e}"),
             PlanError::Dse(e) => write!(f, "exploration: {e}"),
             PlanError::Synthesis(e) => write!(f, "synthesis: {e}"),
@@ -97,7 +102,7 @@ impl Error for PlanError {
             PlanError::Dse(e) => Some(e),
             PlanError::Synthesis(e) => Some(e),
             PlanError::Pnr(e) => Some(e),
-            PlanError::Lint(_) => None,
+            PlanError::Frequency(_) | PlanError::Lint(_) => None,
         }
     }
 }
@@ -184,7 +189,6 @@ impl ImplementedVersion {
 #[derive(Debug, Clone)]
 pub struct GpuPlanner {
     tech: Tech,
-    pnr_options: PnrOptions,
     sta_cache: Arc<StaCache>,
     ecc_policy: Option<EccPolicy>,
 }
@@ -194,7 +198,6 @@ impl GpuPlanner {
     pub fn new(tech: Tech) -> Self {
         Self {
             tech,
-            pnr_options: PnrOptions::default(),
             sta_cache: Arc::new(StaCache::new()),
             ecc_policy: None,
         }
@@ -211,17 +214,6 @@ impl GpuPlanner {
     /// effectiveness.
     pub fn sta_cache(&self) -> &StaCache {
         &self.sta_cache
-    }
-
-    /// Overrides the physical-flow options.
-    pub fn with_pnr_options(mut self, options: PnrOptions) -> Self {
-        self.pnr_options = options;
-        self
-    }
-
-    /// The physical-flow options in effect.
-    pub fn pnr_options(&self) -> &PnrOptions {
-        &self.pnr_options
     }
 
     /// Replaces the planner's STA memo table — e.g. with
@@ -265,6 +257,12 @@ impl GpuPlanner {
     }
 
     pub(crate) fn config_for(&self, spec: &Specification) -> Result<GgpuConfig, PlanError> {
+        // A clock period exists only for a finite positive frequency;
+        // anything else would panic in `Mhz::period` downstream.
+        let mhz = spec.frequency.value();
+        if !(mhz.is_finite() && mhz > 0.0) {
+            return Err(PlanError::Frequency(spec.frequency));
+        }
         let cfg = GgpuConfig {
             compute_units: spec.compute_units,
             memory_controllers: spec.memory_controllers,
@@ -385,12 +383,7 @@ impl GpuPlanner {
     /// `within_spec == false` with a reduced achieved clock, exactly
     /// like the paper's 8-CU 667 MHz version closing at 600 MHz).
     pub fn implement(&self, planned: &PlannedVersion) -> Result<ImplementedVersion, PlanError> {
-        let layout = place_and_route(
-            &planned.design,
-            &self.tech,
-            planned.spec.frequency,
-            self.pnr_options,
-        )?;
+        let layout = place_and_route(&planned.design, &self.tech, planned.spec.frequency)?;
         let area = planned.synthesis.stats.total_area().to_mm2();
         let power = planned.synthesis.total_power().to_watts();
         let area_ok = planned.spec.max_area_mm2.is_none_or(|max| area <= max);

@@ -31,9 +31,9 @@
 //! ([`ggpu_sta::EngineStats::undeclared_dirty`]), never trusts it.
 
 use crate::dse::{Action, DseError, OptimizationPlan};
-use ggpu_lint::{check_banking, check_division, check_pipeline, FlowSnapshot, LintConfig, Report};
+use ggpu_lint::{check_division, check_pipeline, FlowSnapshot, LintConfig, Report};
 use ggpu_netlist::{Design, ModuleId};
-use ggpu_synth::{BankMemory, DivideMemory, PipelineInsert, Transform, TransformError, Undo};
+use ggpu_synth::{DivideMemory, PipelineInsert, Transform, TransformError, Undo};
 
 /// One committed transaction: the action, its undo record, and the
 /// modules it dirtied.
@@ -82,15 +82,6 @@ fn transform_of(action: &Action) -> Box<dyn Transform> {
             factor: *factor,
             axis: *axis,
         }),
-        Action::Bank {
-            module,
-            macro_name,
-            banks,
-        } => Box::new(BankMemory {
-            module: module.clone(),
-            macro_name: macro_name.clone(),
-            banks: *banks,
-        }),
         Action::Pipeline { module, path } => Box::new(PipelineInsert {
             module: module.clone(),
             path: path.clone(),
@@ -108,11 +99,6 @@ fn lint_label(action: &Action) -> String {
             factor,
             ..
         } => format!("{module}/{macro_name} x{factor}"),
-        Action::Bank {
-            module,
-            macro_name,
-            banks,
-        } => format!("{module}/{macro_name} x{banks}"),
         Action::Pipeline { module, path } => format!("{module}/{path}"),
     }
 }
@@ -192,20 +178,6 @@ impl TransformJournal {
     /// (the transaction is reverted before returning).
     pub fn apply(&mut self, action: &Action) -> Result<Vec<ModuleId>, DseError> {
         let transform = transform_of(action);
-        // N009 compares the port budget against the banked group's
-        // ports-per-bank, which must be read off the target macro
-        // *before* the transform consumes it.
-        let group_ports = match action {
-            Action::Bank {
-                module, macro_name, ..
-            } => self
-                .design
-                .module_by_name(module)
-                .and_then(|id| self.design.module(id).find_macro(macro_name))
-                .map(|m| m.config.port_count())
-                .unwrap_or(0),
-            _ => 0,
-        };
         let before = FlowSnapshot::of(&self.design);
         let undo = transform
             .apply(&mut self.design)
@@ -216,17 +188,6 @@ impl TransformJournal {
         match action {
             Action::Divide { .. } => {
                 check_division(before, after, &label, &self.lint_config, &mut invariants);
-            }
-            Action::Bank { banks, .. } => {
-                check_banking(
-                    before,
-                    after,
-                    *banks,
-                    group_ports,
-                    &label,
-                    &self.lint_config,
-                    &mut invariants,
-                );
             }
             Action::Pipeline { .. } => {
                 check_pipeline(before, after, &label, &self.lint_config, &mut invariants);
@@ -425,9 +386,7 @@ mod tests {
             .actions()
             .into_iter()
             .map(|a| match a {
-                Action::Divide { module, .. }
-                | Action::Bank { module, .. }
-                | Action::Pipeline { module, .. } => module,
+                Action::Divide { module, .. } | Action::Pipeline { module, .. } => module,
             })
             .collect();
         assert_eq!(

@@ -28,13 +28,11 @@
 
 pub mod beam;
 pub mod cache;
-pub mod cycles;
 pub mod datasheet;
 pub mod dse;
 pub mod flow;
 pub mod journal;
 pub mod map;
-pub mod memopt;
 pub mod spec;
 pub mod spreadsheet;
 pub mod supervise;
@@ -42,10 +40,6 @@ pub mod sweep;
 pub mod versions;
 
 pub use cache::{fingerprint, StaCache};
-pub use cycles::{
-    kernel_cycles, kernel_mem_profiles, price_at, total_runtime_us, KernelCycles, KernelMemProfile,
-    KernelRuntime,
-};
 pub use datasheet::{datasheet, datasheet_with_supervision};
 pub use dse::{
     apply_plan, apply_plan_dirty, optimize_for, optimize_for_with, optimize_with_config, Action,
@@ -56,9 +50,6 @@ pub use flow::{
 };
 pub use journal::{Checkpoint, TransformJournal};
 pub use map::{advise, advise_candidates, advise_delta, advise_with, Advice};
-pub use memopt::{
-    co_optimize_memory, MemOptConfig, MemOptError, MemoryCandidate, MemoryCoOptimized,
-};
 pub use spec::Specification;
 pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
 pub use supervise::{

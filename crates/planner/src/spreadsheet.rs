@@ -164,7 +164,7 @@ pub fn map_to_csv(rows: &[MapRow]) -> String {
                 .map(|s| {
                     // Check bits stored next to every word, as a
                     // fraction of the data bits — per bank, so the
-                    // figure is invariant under banking/division.
+                    // figure is invariant under division.
                     let check = s.check_bits(r.config.bits);
                     format!("{:.2}", 100.0 * f64::from(check) / f64::from(r.config.bits))
                 })

@@ -779,6 +779,31 @@ mod tests {
     }
 
     #[test]
+    fn bad_spec_frequencies_are_plan_errors_not_panics() {
+        // `Mhz::period` panics on 0, negative and NaN, and +inf prices
+        // to infinite area and power: all four are refused up front.
+        let sup = supervisor();
+        let planner = GpuPlanner::new(Tech::l65());
+        for mhz in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let spec = Specification::new(1, Mhz::new(mhz));
+            let frequency_error = |e: &PlanError| match e {
+                PlanError::Frequency(f) => f.value().to_bits() == mhz.to_bits(),
+                _ => false,
+            };
+            let err = planner.plan(&spec).unwrap_err();
+            assert!(frequency_error(&err), "plan at {mhz}: {err}");
+            let err = planner.estimate(&spec).unwrap_err();
+            assert!(frequency_error(&err), "estimate at {mhz}: {err}");
+            let err = sup.run_spec(&spec).unwrap_err();
+            assert_eq!(err.stage, FlowStage::Plan, "{mhz}: {err}");
+            assert!(
+                matches!(&err.kind, FlowErrorKind::Plan(e) if frequency_error(e)),
+                "{mhz}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn injected_io_failures_exhaust_the_ladder() {
         // An I/O error on every attempt: both verify rungs burn their
         // full retry budget and the stage surfaces a retryable

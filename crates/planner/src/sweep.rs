@@ -490,9 +490,6 @@ fn encode_plan(plan: &OptimizationPlan) -> String {
     for ((module, mac), factor) in &plan.divisions {
         items.push(format!("d,{},{},{factor}", esc(module), esc(mac)));
     }
-    for ((module, mac), banks) in &plan.bankings {
-        items.push(format!("b,{},{},{banks}", esc(module), esc(mac)));
-    }
     for (module, path) in &plan.pipelines {
         items.push(format!("l,{},{}", esc(module), esc(path)));
     }
@@ -515,10 +512,6 @@ fn decode_plan(s: &str) -> Result<OptimizationPlan, SweepError> {
             ["d", module, mac, factor] => {
                 let factor = factor.parse::<u32>().map_err(|_| bad(item))?;
                 plan.divisions.insert((unesc(module)?, unesc(mac)?), factor);
-            }
-            ["b", module, mac, banks] => {
-                let banks = banks.parse::<u32>().map_err(|_| bad(item))?;
-                plan.bankings.insert((unesc(module)?, unesc(mac)?), banks);
             }
             ["l", module, path] => plan.pipelines.push((unesc(module)?, unesc(path)?)),
             _ => return Err(bad(item)),
@@ -592,7 +585,6 @@ mod tests {
     fn records_round_trip() {
         let mut plan = OptimizationPlan::default();
         plan.divisions.insert(("cu 0".into(), "reg;file".into()), 4);
-        plan.bankings.insert(("gmc".into(), "tag%ram".into()), 2);
         plan.pipelines.push(("top".into(), "p__p0,p1".into()));
         let outcomes = [
             PointOutcome::Planned {
@@ -624,6 +616,7 @@ mod tests {
             "p 0 ok - t=- extra",
             "p 0 budget notanumber",
             "p 0 ok d,only,three t=-",
+            "p 0 ok b,compute_unit,lram0,2 t=-",
             "p 0 ok - t=%zz",
         ] {
             assert!(

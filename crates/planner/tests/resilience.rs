@@ -8,7 +8,7 @@ use ggpu_fault::MacroMap;
 use ggpu_tech::sram::EccScheme;
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
-use gpuplanner::{apply_plan, GpuPlanner, OptimizationPlan, Specification};
+use gpuplanner::{GpuPlanner, Specification};
 
 fn planned_map(planner: &GpuPlanner, mhz: f64) -> (gpuplanner::PlannedVersion, MacroMap) {
     let spec = Specification::new(1, Mhz::new(mhz)).with_resilience(EccScheme::Parity);
@@ -70,50 +70,4 @@ fn planned_resilience_report_tracks_the_divided_netlist() {
     // word count is conserved, so stored bits are conserved too.
     assert_eq!(fast_res.stored_bits_total(), base_res.stored_bits_total());
     assert!(fast_res.rows.iter().any(|r| r.path.contains("rf_bank_d0")));
-}
-
-#[test]
-fn banking_redistributes_seu_exposure_across_banks() {
-    let planner = GpuPlanner::new(Tech::l65());
-    let spec = Specification::new(1, Mhz::new(500.0)).with_resilience(EccScheme::Parity);
-    let version = planner.plan(&spec).unwrap();
-    let policy = planner.resilience_policy(&spec).unwrap();
-    let base_map = MacroMap::from_design(&version.design, &policy).unwrap();
-
-    // Bank the LRAM group 2x on top of the planned design — the same
-    // plan shape `co_optimize_memory` emits when banking wins.
-    let mut plan = OptimizationPlan::default();
-    plan.bankings
-        .insert(("compute_unit".into(), "lram0".into()), 2);
-    let banked = apply_plan(&version.design, &plan).unwrap();
-    let banked_map = MacroMap::from_design(&banked, &policy).unwrap();
-
-    // Aggregate LRAM exposure is conserved: banking moves words into
-    // narrower banks, it does not create or destroy stored bits.
-    let agg_base = base_map.exposure_of("lram0");
-    let agg_banked = banked_map.exposure_of("lram0");
-    assert!(agg_base > 0.0);
-    assert!(
-        (agg_base - agg_banked).abs() < 1e-9,
-        "aggregate {agg_base} vs {agg_banked}"
-    );
-
-    // Each bank is its own campaign site carrying strictly less than
-    // the unbanked macro, so SEUs spread across independent targets.
-    let part = banked_map.exposure_of("lram0_b0");
-    assert!(part > 0.0, "bank exists as a separate site");
-    assert!(
-        part < agg_base * 0.75,
-        "per-bank exposure {part} must drop below the unbanked {agg_base}"
-    );
-    // The unbanked design has no such site.
-    assert_eq!(base_map.exposure_of("lram0_b0"), 0.0);
-
-    // Parity is one check bit per word and banking conserves words,
-    // so the resilience report's stored/data bit totals match too.
-    let base_res = ggpu_fault::ResilienceReport::from_map(&base_map, "parity");
-    let banked_res = ggpu_fault::ResilienceReport::from_map(&banked_map, "parity");
-    assert_eq!(base_res.data_bits_total(), banked_res.data_bits_total());
-    assert_eq!(base_res.stored_bits_total(), banked_res.stored_bits_total());
-    assert!(banked_res.rows.iter().any(|r| r.path.contains("lram0_b0")));
 }

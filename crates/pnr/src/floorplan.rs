@@ -16,26 +16,13 @@ use ggpu_netlist::{Design, ModuleId};
 use ggpu_tech::units::{Um, Um2};
 use ggpu_tech::Tech;
 
-/// Density targets of the three partition kinds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DensityTargets {
-    /// Std-cell utilization inside CU partitions (paper: 0.70).
-    pub cu: f64,
-    /// Std-cell utilization inside the memory controller (paper: 0.70).
-    pub gmc: f64,
-    /// Std-cell utilization of the top region (paper: 0.30).
-    pub top: f64,
-}
-
-impl Default for DensityTargets {
-    fn default() -> Self {
-        Self {
-            cu: 0.70,
-            gmc: 0.70,
-            top: 0.30,
-        }
-    }
-}
+/// Std-cell utilization target inside CU partitions (paper: 0.70).
+const CU_DENSITY: f64 = 0.70;
+/// Std-cell utilization target inside the memory controller (paper:
+/// 0.70).
+const GMC_DENSITY: f64 = 0.70;
+/// Std-cell utilization target of the top region (paper: 0.30).
+const TOP_DENSITY: f64 = 0.30;
 
 /// Role of a placed partition (used for colouring and route rules).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,11 +131,7 @@ fn partition_size(cell_area: Um2, macro_area: Um2, density: f64) -> Um2 {
 ///
 /// Returns [`PnrError::MissingPartition`] if the expected hierarchy is
 /// not present.
-pub fn build_floorplan(
-    design: &Design,
-    tech: &Tech,
-    densities: DensityTargets,
-) -> Result<Floorplan, PnrError> {
+pub fn build_floorplan(design: &Design, tech: &Tech) -> Result<Floorplan, PnrError> {
     let top_id = design.top();
     let top = design.module(top_id);
 
@@ -174,9 +157,9 @@ pub fn build_floorplan(
     let gmc_stats = subtree_stats(design, gmc_id, tech).map_err(PnrError::Sram)?;
     let top_stats = local_stats(design, top_id, tech).map_err(PnrError::Sram)?;
 
-    let cu_area = partition_size(cu_stats.cell_area, cu_stats.macro_area, densities.cu);
-    let gmc_area = partition_size(gmc_stats.cell_area, gmc_stats.macro_area, densities.gmc);
-    let top_area = partition_size(top_stats.cell_area, top_stats.macro_area, densities.top);
+    let cu_area = partition_size(cu_stats.cell_area, cu_stats.macro_area, CU_DENSITY);
+    let gmc_area = partition_size(gmc_stats.cell_area, gmc_stats.macro_area, GMC_DENSITY);
+    let top_area = partition_size(top_stats.cell_area, top_stats.macro_area, TOP_DENSITY);
 
     // CU clones form two columns flanking the central GMC column.
     let n = cu_instances.len();
@@ -281,7 +264,7 @@ mod tests {
 
     fn floorplan(n: u32) -> Floorplan {
         let d = generate(&GgpuConfig::with_cus(n).unwrap()).unwrap();
-        build_floorplan(&d, &Tech::l65(), DensityTargets::default()).unwrap()
+        build_floorplan(&d, &Tech::l65()).unwrap()
     }
 
     #[test]
@@ -372,7 +355,7 @@ mod tests {
         });
         let t = d.add_module(top);
         d.set_top(t);
-        let err = build_floorplan(&d, &Tech::l65(), DensityTargets::default()).unwrap_err();
+        let err = build_floorplan(&d, &Tech::l65()).unwrap_err();
         assert!(matches!(
             err,
             PnrError::MissingPartition("memory_controller")

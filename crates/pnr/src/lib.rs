@@ -13,14 +13,14 @@
 //! # Example
 //!
 //! ```
-//! use ggpu_pnr::{place_and_route, PnrOptions};
+//! use ggpu_pnr::place_and_route;
 //! use ggpu_rtl::{generate, GgpuConfig};
 //! use ggpu_tech::units::Mhz;
 //! use ggpu_tech::Tech;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate(&GgpuConfig::with_cus(1)?)?;
-//! let layout = place_and_route(&design, &Tech::l65(), Mhz::new(500.0), PnrOptions::default())?;
+//! let layout = place_and_route(&design, &Tech::l65(), Mhz::new(500.0))?;
 //! assert!(layout.meets_timing);
 //! # Ok(())
 //! # }
@@ -42,18 +42,11 @@ use ggpu_tech::Tech;
 use std::error::Error;
 use std::fmt;
 
-pub use floorplan::{build_floorplan, DensityTargets, Floorplan, Partition, PartitionKind};
+pub use floorplan::{build_floorplan, Floorplan, Partition, PartitionKind};
 pub use geometry::Rect;
 pub use place::{place_macros, PlacedMacro, PlacedPartition, MAX_CELL_UTILIZATION};
 pub use route::{annotate_routes, estimate_wirelength, LayerWirelength};
 pub use svg::{role_color, to_placement_report, to_svg};
-
-/// Options of the physical flow.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PnrOptions {
-    /// Partition density targets.
-    pub densities: DensityTargets,
-}
 
 /// Errors of the physical flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,13 +148,8 @@ pub struct Layout {
 /// Returns [`PnrError`] if the hierarchy lacks the expected
 /// partitions, macros do not fit, utilization is illegal, or timing
 /// analysis fails.
-pub fn place_and_route(
-    design: &Design,
-    tech: &Tech,
-    target: Mhz,
-    options: PnrOptions,
-) -> Result<Layout, PnrError> {
-    let floorplan = build_floorplan(design, tech, options.densities)?;
+pub fn place_and_route(design: &Design, tech: &Tech, target: Mhz) -> Result<Layout, PnrError> {
+    let floorplan = build_floorplan(design, tech)?;
     let placements = place_macros(design, &floorplan, tech)?;
     let wirelength = estimate_wirelength(design, &floorplan, tech)?;
 
@@ -196,8 +184,7 @@ mod tests {
     #[test]
     fn one_cu_closes_500mhz_post_route() {
         let d = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
-        let layout =
-            place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let layout = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         assert!(layout.meets_timing, "post-route fmax {}", layout.fmax);
         assert_eq!(layout.achieved_clock, Mhz::new(500.0));
     }
@@ -205,8 +192,7 @@ mod tests {
     #[test]
     fn eight_cu_baseline_also_closes_500mhz() {
         let d = generate(&GgpuConfig::with_cus(8).unwrap()).unwrap();
-        let layout =
-            place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let layout = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         assert!(
             layout.meets_timing,
             "paper: 8CU@500MHz closes; fmax {}",
@@ -218,15 +204,14 @@ mod tests {
     fn pnr_does_not_mutate_the_design() {
         let d = generate(&GgpuConfig::with_cus(2).unwrap()).unwrap();
         let before = d.clone();
-        let _ = place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let _ = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         assert_eq!(d, before);
     }
 
     #[test]
     fn route_delays_are_reported_per_cu() {
         let d = generate(&GgpuConfig::with_cus(4).unwrap()).unwrap();
-        let layout =
-            place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let layout = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         assert_eq!(layout.cu_route_delays.len(), 4);
         assert!(layout.cu_route_delays.iter().all(|d| d.value() > 0.0));
     }

@@ -230,13 +230,13 @@ pub fn place_macros(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::floorplan::{build_floorplan, DensityTargets};
+    use crate::floorplan::build_floorplan;
     use ggpu_rtl::{generate, GgpuConfig};
 
     fn placed(n: u32) -> Vec<PlacedPartition> {
         let d = generate(&GgpuConfig::with_cus(n).unwrap()).unwrap();
         let tech = Tech::l65();
-        let fp = build_floorplan(&d, &tech, DensityTargets::default()).unwrap();
+        let fp = build_floorplan(&d, &tech).unwrap();
         place_macros(&d, &fp, &tech).unwrap()
     }
 

@@ -193,14 +193,14 @@ pub fn annotate_routes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::floorplan::{build_floorplan, DensityTargets};
+    use crate::floorplan::build_floorplan;
     use ggpu_rtl::{generate, GgpuConfig};
     use ggpu_sta::max_frequency;
 
     fn setup(n: u32) -> (Design, Floorplan, Tech) {
         let d = generate(&GgpuConfig::with_cus(n).unwrap()).unwrap();
         let tech = Tech::l65();
-        let fp = build_floorplan(&d, &tech, DensityTargets::default()).unwrap();
+        let fp = build_floorplan(&d, &tech).unwrap();
         (d, fp, tech)
     }
 

@@ -28,11 +28,11 @@ pub fn role_color(role: MemoryRole) -> &'static str {
 ///
 /// ```
 /// # use ggpu_rtl::{generate, GgpuConfig};
-/// # use ggpu_pnr::{place_and_route, PnrOptions};
+/// # use ggpu_pnr::place_and_route;
 /// # use ggpu_tech::{Tech, units::Mhz};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = generate(&GgpuConfig::with_cus(1)?)?;
-/// let layout = place_and_route(&design, &Tech::l65(), Mhz::new(500.0), PnrOptions::default())?;
+/// let layout = place_and_route(&design, &Tech::l65(), Mhz::new(500.0))?;
 /// let svg = ggpu_pnr::to_svg(&layout);
 /// assert!(svg.starts_with("<svg"));
 /// # Ok(())
@@ -147,7 +147,7 @@ pub fn to_placement_report(layout: &Layout) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{place_and_route, PnrOptions};
+    use crate::place_and_route;
     use ggpu_rtl::{generate, GgpuConfig};
     use ggpu_tech::units::Mhz;
     use ggpu_tech::Tech;
@@ -155,8 +155,7 @@ mod tests {
     #[test]
     fn svg_contains_all_partitions_and_macros() {
         let d = generate(&GgpuConfig::with_cus(2).unwrap()).unwrap();
-        let layout =
-            place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let layout = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         let svg = super::to_svg(&layout);
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
@@ -171,8 +170,7 @@ mod tests {
     #[test]
     fn placement_report_lists_every_macro_inside_the_die() {
         let d = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
-        let layout =
-            place_and_route(&d, &Tech::l65(), Mhz::new(500.0), PnrOptions::default()).unwrap();
+        let layout = place_and_route(&d, &Tech::l65(), Mhz::new(500.0)).unwrap();
         let def = super::to_placement_report(&layout);
         assert!(def.starts_with("DESIGN ggpu_1cu ;"));
         assert!(def.contains("COMPONENTS 51 ;"));

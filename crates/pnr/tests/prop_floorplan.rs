@@ -5,7 +5,7 @@
 //! The configuration space (cus x gmcs) is small enough to sweep
 //! exhaustively, which is strictly stronger than sampling it.
 
-use ggpu_pnr::{build_floorplan, place_and_route, DensityTargets, PnrOptions};
+use ggpu_pnr::{build_floorplan, place_and_route};
 use ggpu_rtl::{generate, GgpuConfig};
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
@@ -24,8 +24,7 @@ fn floorplans_are_always_legal() {
     for cus in 1u32..=8 {
         for gmcs in 1u32..=2 {
             let design = generate(&config(cus, gmcs)).expect("valid config");
-            let fp =
-                build_floorplan(&design, &tech, DensityTargets::default()).expect("floorplans");
+            let fp = build_floorplan(&design, &tech).expect("floorplans");
             assert_eq!(fp.cus().count(), cus as usize);
             assert_eq!(fp.gmcs().count(), gmcs as usize);
             for p in &fp.partitions {
@@ -46,8 +45,7 @@ fn placement_and_routing_always_complete_at_500mhz() {
     for cus in 1u32..=8 {
         for gmcs in 1u32..=2 {
             let design = generate(&config(cus, gmcs)).expect("valid config");
-            let layout = place_and_route(&design, &tech, Mhz::new(500.0), PnrOptions::default())
-                .expect("flow completes");
+            let layout = place_and_route(&design, &tech, Mhz::new(500.0)).expect("flow completes");
             // Every macro of every partition is inside its outline.
             for p in &layout.placements {
                 for m in &p.macros {
@@ -68,8 +66,8 @@ fn more_cus_means_more_wire_and_area() {
     for cus in 1u32..=7 {
         let small = generate(&config(cus, 1)).expect("valid");
         let big = generate(&config(cus + 1, 1)).expect("valid");
-        let fp_s = build_floorplan(&small, &tech, DensityTargets::default()).expect("ok");
-        let fp_b = build_floorplan(&big, &tech, DensityTargets::default()).expect("ok");
+        let fp_s = build_floorplan(&small, &tech).expect("ok");
+        let fp_b = build_floorplan(&big, &tech).expect("ok");
         // Adding a CU fills an empty column slot when the count goes
         // odd -> even, so chip area is non-decreasing (strictly larger
         // whenever a new row is opened).

@@ -4,8 +4,7 @@
 //! timing.
 
 use ggpu_pnr::{
-    build_floorplan, place_and_route, place_macros, DensityTargets, PlacedPartition, PnrOptions,
-    MAX_CELL_UTILIZATION,
+    build_floorplan, place_and_route, place_macros, PlacedPartition, MAX_CELL_UTILIZATION,
 };
 use ggpu_rtl::{generate, GgpuConfig};
 use ggpu_tech::units::Mhz;
@@ -82,7 +81,7 @@ fn shelf_placement_is_legal_on_random_geometries() {
         let gmcs = (next(&mut rng) % 2 + 1) as u32;
         let ctx = format!("{cus}cu/{gmcs}gmc");
         let design = generate(&config(cus, gmcs)).expect("valid config");
-        let fp = build_floorplan(&design, &tech, DensityTargets::default()).expect("floorplan");
+        let fp = build_floorplan(&design, &tech).expect("floorplan");
         let placed = place_macros(&design, &fp, &tech).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_eq!(placed.len(), fp.partitions.len(), "{ctx}");
         let mut total = 0usize;
@@ -102,8 +101,7 @@ fn extended_geometries_flow_through_timing() {
     let tech = Tech::l65();
     for cus in [16u32, 32, 64] {
         let design = generate(&config(cus, 2)).expect("valid config");
-        let layout = place_and_route(&design, &tech, Mhz::new(500.0), PnrOptions::default())
-            .expect("flow completes");
+        let layout = place_and_route(&design, &tech, Mhz::new(500.0)).expect("flow completes");
         assert_eq!(layout.cu_route_delays.len(), cus as usize);
         for p in &layout.placements {
             assert_legal(p, &format!("{cus}cu"));

@@ -9,7 +9,7 @@
 //!   the validation oracle.
 //! * [`SoaAccelerator`] — the data-oriented fast path
 //!   (structure-of-arrays register file, bitmask issue, scratch
-//!   arena; see [`crate::soa`]).
+//!   arena; see the crate-private `soa` module).
 //!
 //! Plain [`crate::Gpu::launch`] resolves a backend from
 //! [`SimtConfig::backend`]; [`crate::Gpu::launch_with`] runs an

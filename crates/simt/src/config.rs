@@ -23,13 +23,13 @@ pub enum AccelBackend {
 
 /// How the local scratchpad (LRAM) serves a wavefront beat's lanes.
 ///
-/// Mirrors the netlist side: `Banked { banks }` models the
-/// word-interleaved banks a `BankMemory` transform creates (word `w`
+/// `Banked { banks }` models a word-interleaved scratchpad (word `w`
 /// lives in bank `w % banks`); lanes of one beat that touch *distinct
 /// words* of the same bank serialize, costing extra beats, while
-/// lanes reading the same word broadcast for free. `Ideal` is the
-/// legacy infinite-port model — zero conflict cost, bit-identical
-/// cycle counts to every pre-banking datasheet.
+/// lanes reading the same word broadcast for free. No generated
+/// netlist is banked this way: the model is a simulator-side study.
+/// `Ideal` is the infinite-port model — zero conflict cost, and the
+/// timing every datasheet and Table III cell uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LramModel {
     /// Every lane is served in its scheduled beat (legacy timing).

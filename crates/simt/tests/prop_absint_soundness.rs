@@ -360,11 +360,10 @@ fn bank_conflict_bound_holds_across_geometries() {
     });
 }
 
-/// Bug-injection pin: the strided local store whose conflict degree the
-/// paper-motivated banking transform is meant to cure. Stride-two words
-/// over four banks land eight lanes on two banks (degree 4); doubling
-/// the banks halves the degree — and the abstract prediction is tight,
-/// not merely sound, on both geometries.
+/// Bug-injection pin: a strided local store that conflicts on a banked
+/// LRAM. Stride-two words over four banks land eight lanes on two
+/// banks (degree 4); doubling the banks halves the degree — and the
+/// abstract prediction is tight, not merely sound, on both geometries.
 #[test]
 fn strided_local_conflict_degree_is_tight() {
     let kernel = Kernel::from_asm(

@@ -1,7 +1,7 @@
 //! Incremental STA engine.
 //!
 //! [`IncrementalSta`] caches the clock-independent timing of each
-//! module ([`crate::analysis::UnclockedPath`]) in a content-addressed
+//! module (the crate-private `UnclockedPath`) in a content-addressed
 //! table keyed by the pair *(module structural fingerprint, technology
 //! fingerprint)*. Because the key is derived from the module's
 //! contents, invalidation is automatic: any transform that edits a
@@ -21,8 +21,8 @@
 //! The engine is a pure memoization of [`crate::analysis::analyze`] /
 //! [`crate::analysis::max_frequency`]: per-module results are assembled
 //! in arena order before the final slack sort, slack arithmetic is the
-//! shared [`crate::analysis::UnclockedPath::at_period`], and critical
-//! selection uses the same strict-less comparison as the report sort.
+//! shared `UnclockedPath::at_period`, and critical selection uses the
+//! same strict-less comparison as the report sort.
 //! Property tests in the planner crate assert byte-identical reports
 //! and plans between this engine and the full recompute.
 

@@ -5,13 +5,10 @@
 //! timing closure). [`divide_macro`] and [`insert_pipeline`] are the
 //! two optimizations GPUPlanner applies while exploring the design
 //! space: memory division when the critical path starts at a memory
-//! block, pipeline insertion otherwise. [`bank_macro`] is the third
-//! transform: word-interleaved banking that trades a little crossbar
-//! area for conflict-free concurrent lane access. All are unified
-//! behind the [`Transform`] trait ([`DivideMemory`], [`BankMemory`],
-//! [`PipelineInsert`]), whose [`Undo`] records let the planner's
-//! transaction journal apply, measure and revert candidates in
-//! O(touched modules).
+//! block, pipeline insertion otherwise. Both are unified behind the
+//! [`Transform`] trait ([`DivideMemory`], [`PipelineInsert`]), whose
+//! [`Undo`] records let the planner's transaction journal apply,
+//! measure and revert candidates in O(touched modules).
 //!
 //! # Example
 //!
@@ -36,7 +33,6 @@ pub mod transform;
 pub use report::SynthesisReport;
 pub use synthesis::{synthesize, SynthesisError};
 pub use transform::{
-    bank_macro, divide_macro, insert_pipeline, revert, BankMemory, BankOutcome, DivideAxis,
-    DivideMemory, DivideOutcome, PipelineInsert, Transform, TransformError, Undo,
-    PIPELINE_WIDTH_BITS,
+    divide_macro, insert_pipeline, revert, DivideAxis, DivideMemory, DivideOutcome, PipelineInsert,
+    Transform, TransformError, Undo, PIPELINE_WIDTH_BITS,
 };

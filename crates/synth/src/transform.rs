@@ -209,176 +209,6 @@ impl Transform for PipelineInsert {
     }
 }
 
-/// Memory banking as a [`Transform`]: splits the named macro — and
-/// every structural sibling of its logical memory — into `banks`
-/// word-interleaved banks (`{name}_b0` …), adding the crossbar and
-/// arbitration logic that lets different SIMT lanes hit different
-/// banks in the same beat.
-///
-/// Physically a bank split prices like a word division (each bank is
-/// `words / banks` deep), but the semantics differ: a division steers
-/// by address MSBs and still serves one access per port per cycle,
-/// while banking interleaves consecutive words round-robin so a
-/// wavefront's lanes spread across banks — the cycle-side win the
-/// simulator's conflict-aware LRAM model measures. The new banks keep
-/// (or, for a lone macro, found) a structural bank group, so
-/// [`ggpu_netlist::Module::bank_group_geometry`] reports the post-
-/// transform bank count to every consumer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankMemory {
-    /// Owning module name.
-    pub module: String,
-    /// The macro to bank (any member of the structure).
-    pub macro_name: String,
-    /// Bank count (power of two ≥ 2).
-    pub banks: u32,
-}
-
-impl fmt::Display for BankMemory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bank {}/{} x{}",
-            self.module, self.macro_name, self.banks
-        )
-    }
-}
-
-impl Transform for BankMemory {
-    fn dirty_modules(&self, design: &Design) -> Result<Vec<ModuleId>, TransformError> {
-        Ok(vec![resolve_module(design, &self.module)?])
-    }
-
-    fn apply(&self, design: &mut Design) -> Result<Undo, TransformError> {
-        let id = resolve_module(design, &self.module)?;
-        let target = design
-            .module(id)
-            .find_macro(&self.macro_name)
-            .cloned()
-            .ok_or_else(|| TransformError::MacroNotFound {
-                module: self.module.clone(),
-                name: self.macro_name.clone(),
-            })?;
-        let siblings = design.module(id).sibling_macro_names(&target);
-        let snapshot = design.snapshot_module(id);
-        for name in siblings {
-            if let Err(e) = bank_macro(design, id, &name, self.banks) {
-                design.restore_module(snapshot);
-                return Err(e);
-            }
-        }
-        Ok(Undo {
-            snapshots: vec![snapshot],
-        })
-    }
-}
-
-/// What a banking did to the netlist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankOutcome {
-    /// Names of the replacement banks.
-    pub bank_names: Vec<String>,
-    /// The geometry of each bank.
-    pub bank_config: SramConfig,
-    /// Crossbar/arbiter cells added to the owning module.
-    pub xbar_cells_added: u64,
-}
-
-/// Splits the named macro of `module` into `banks` word-interleaved
-/// banks, adding the lane-to-bank crossbar and per-bank arbitration
-/// logic and rewiring every timing path that references it.
-///
-/// The banks inherit the macro's structural group id (a lone macro
-/// founds a fresh group), so the logical memory's
-/// [`ggpu_netlist::MemGeometry`] grows its bank count by the split
-/// factor.
-///
-/// # Errors
-///
-/// Returns [`TransformError`] if the macro does not exist or the
-/// per-bank geometry is outside the compiler range.
-pub fn bank_macro(
-    design: &mut Design,
-    module: ModuleId,
-    macro_name: &str,
-    banks: u32,
-) -> Result<BankOutcome, TransformError> {
-    let module_name = design.module(module).name.clone();
-    let original = design
-        .module(module)
-        .find_macro(macro_name)
-        .cloned()
-        .ok_or_else(|| TransformError::MacroNotFound {
-            module: module_name.clone(),
-            name: macro_name.to_string(),
-        })?;
-
-    let bank_configs = original.config.banked(banks)?;
-    let bank_config = bank_configs[0];
-    let group = original
-        .bank_group
-        .unwrap_or_else(|| design.module(module).next_bank_group_id());
-
-    // Word-interleaved banks: a conflict-free wavefront beat touches
-    // each bank once, so per-bank activity is the original's share.
-    let per_bank_activity = original.access_activity / f64::from(banks);
-    let m = design.module_mut(module);
-    m.remove_macro(macro_name);
-    let mut bank_names = Vec::with_capacity(banks as usize);
-    for (i, cfg) in bank_configs.into_iter().enumerate() {
-        let name = format!("{macro_name}_b{i}");
-        m.macros.push(
-            MacroInst::new(name.clone(), cfg, original.role, per_bank_activity)
-                .with_bank_group(group),
-        );
-        bank_names.push(name);
-    }
-
-    // Crossbar: unlike a division's one-of-N read select, banking
-    // routes any lane to any bank, so both the data return path and
-    // the address fan-in carry a full MUX tree per bank; the grant
-    // arbitration adds an AOI node per bank and address bit.
-    let select_levels = (banks as f64).log2().ceil() as usize;
-    let xbar_cells = 2 * u64::from(bank_config.bits) * u64::from(banks - 1);
-    let addr_bits = 32 - bank_config.words.leading_zeros().max(1);
-    let arb_cells = u64::from(addr_bits) * u64::from(banks);
-    m.groups.push(CellGroup::new(
-        format!("{macro_name}_xbar"),
-        CellClass::Mux2,
-        xbar_cells,
-        original.access_activity.min(1.0),
-    ));
-    m.groups.push(CellGroup::new(
-        format!("{macro_name}_arb"),
-        CellClass::Aoi21,
-        arb_cells,
-        original.access_activity.min(1.0),
-    ));
-
-    // Rewire timing paths: launching paths gain the return-crossbar
-    // MUX levels, capturing paths gain the arbiter grant stage.
-    let first = bank_names[0].clone();
-    for path in &mut design.module_mut(module).paths {
-        if matches!(&path.start, PathEndpoint::Macro(n) if n == macro_name) {
-            path.start = PathEndpoint::Macro(first.clone());
-            for _ in 0..select_levels {
-                path.stages.insert(0, LogicStage::new(CellClass::Mux2, 1));
-            }
-        }
-        if matches!(&path.end, PathEndpoint::Macro(n) if n == macro_name) {
-            path.end = PathEndpoint::Macro(first.clone());
-            path.stages
-                .push(LogicStage::new(CellClass::Aoi21, banks.min(4)));
-        }
-    }
-
-    Ok(BankOutcome {
-        bank_names,
-        bank_config,
-        xbar_cells_added: xbar_cells + arb_cells,
-    })
-}
-
 /// Which extent of the macro a division splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DivideAxis {
@@ -920,104 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn banking_splits_into_interleaved_banks_and_improves_fmax() {
-        let (mut d, id) = test_design();
-        let tech = Tech::l65();
-        let before = max_frequency(&d, &tech).unwrap().unwrap();
-        let out = bank_macro(&mut d, id, "ram", 4).unwrap();
-        assert_eq!(out.bank_names.len(), 4);
-        assert_eq!(out.bank_config.words, 512);
-        assert_eq!(out.bank_config.bits, 32);
-        let after = max_frequency(&d, &tech).unwrap().unwrap();
-        assert!(after > before, "fmax {before} -> {after}");
-        let m = d.module(id);
-        assert!(m.find_macro("ram").is_none());
-        assert!(m.find_macro("ram_b3").is_some());
-        assert!(m.groups.iter().any(|g| g.name == "ram_xbar"));
-        assert!(m.groups.iter().any(|g| g.name == "ram_arb"));
-        // A lone macro founds a fresh group holding all its banks.
-        let group = m.bank_group_of("ram_b0").unwrap();
-        let geom = m.bank_group_geometry(group).unwrap();
-        assert_eq!(geom.banks, 4);
-        assert_eq!(geom.words_per_bank, 512);
-        assert!(d.validate().is_ok());
-    }
-
-    #[test]
-    fn banking_a_grouped_structure_grows_the_group() {
-        let mut d = Design::new("t");
-        let mut m = Module::new("m");
-        for i in 0..4 {
-            m.macros.push(
-                MacroInst::new(
-                    format!("lram{i}"),
-                    SramConfig::dual(4096, 32),
-                    MemoryRole::ScratchRam,
-                    0.5,
-                )
-                .with_bank_group(BankGroupId(1)),
-            );
-        }
-        let id = d.add_module(m);
-        d.set_top(id);
-        let t = BankMemory {
-            module: "m".into(),
-            macro_name: "lram0".into(),
-            banks: 2,
-        };
-        t.apply(&mut d).unwrap();
-        let m = d.module(id);
-        // All 4 members split: 8 banks now carry the same group id.
-        let geom = m.bank_group_geometry(BankGroupId(1)).unwrap();
-        assert_eq!(geom.banks, 8);
-        assert_eq!(geom.words_per_bank, 2048);
-        assert_eq!(geom.total_words(), 4 * 4096);
-        assert_eq!(geom.total_ports(), 16);
-    }
-
-    #[test]
-    fn banking_apply_revert_round_trips_bit_identically() {
-        let (mut d, id) = test_design();
-        let fp0 = fingerprint(&d);
-        let mfp0 = d.module_fingerprint(id);
-        let t = BankMemory {
-            module: "m".into(),
-            macro_name: "ram".into(),
-            banks: 4,
-        };
-        let undo = t.apply(&mut d).unwrap();
-        assert_eq!(undo.dirty_modules(), vec![id]);
-        assert_ne!(fingerprint(&d), fp0, "banking must change the design");
-        t.revert(&mut d, undo);
-        assert_eq!(fingerprint(&d), fp0);
-        assert_eq!(d.module_fingerprint(id), mfp0);
-    }
-
-    #[test]
-    fn failed_banking_leaves_design_untouched() {
-        let (mut d, _) = test_design();
-        let fp0 = fingerprint(&d);
-        // Factor 3 is an uneven split; the snapshot rollback restores.
-        let t = BankMemory {
-            module: "m".into(),
-            macro_name: "ram".into(),
-            banks: 3,
-        };
-        assert!(matches!(t.apply(&mut d), Err(TransformError::Sram(_))));
-        assert_eq!(fingerprint(&d), fp0);
-        let t = BankMemory {
-            module: "m".into(),
-            macro_name: "ghost".into(),
-            banks: 2,
-        };
-        assert!(matches!(
-            t.apply(&mut d),
-            Err(TransformError::MacroNotFound { .. })
-        ));
-        assert_eq!(fingerprint(&d), fp0);
-    }
-
-    #[test]
     fn failed_apply_leaves_design_untouched() {
         let (mut d, id) = test_design();
         let fp0 = fingerprint(&d);
@@ -1075,12 +807,6 @@ mod tests {
             path: "sched".into(),
         };
         assert_eq!(p.to_string(), "pipeline pe/sched");
-        let b = BankMemory {
-            module: "cu".into(),
-            macro_name: "lram0".into(),
-            banks: 4,
-        };
-        assert_eq!(b.to_string(), "bank cu/lram0 x4");
     }
 
     #[test]

@@ -46,16 +46,6 @@ pub enum PortKind {
     Dual,
 }
 
-impl PortKind {
-    /// Number of ports this kind provides.
-    pub fn count(self) -> u32 {
-        match self {
-            PortKind::Single => 1,
-            PortKind::Dual => 2,
-        }
-    }
-}
-
 impl fmt::Display for PortKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -163,27 +153,6 @@ impl SramConfig {
         part.validate()?;
         Ok(vec![part; n as usize])
     }
-
-    /// Number of ports of this configuration.
-    pub fn port_count(self) -> u32 {
-        self.ports.count()
-    }
-
-    /// Splits this macro into `banks` word-interleaved banks — the
-    /// banking transform's per-bank geometry. Capacity-wise identical
-    /// to [`SramConfig::split_words`]; semantically the banks share
-    /// the logical word space round-robin (word `w` in bank
-    /// `w % banks`) instead of partitioning it into contiguous ranges,
-    /// and every bank keeps the parent's port kind, so the *total*
-    /// port count of the logical memory grows by the bank factor.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `banks` does not evenly divide `words`, or if the
-    /// per-bank geometry falls outside the compiler range.
-    pub fn banked(self, banks: u32) -> Result<Vec<SramConfig>, CompileSramError> {
-        self.split_words(banks)
-    }
 }
 
 impl fmt::Display for SramConfig {
@@ -281,17 +250,6 @@ impl SramConfig {
         widened.validate()?;
         Ok(widened)
     }
-}
-
-/// Total check bits a banked memory pays under `scheme`: every one of
-/// the `banks` banks (each shaped like `bank`) stores its own check
-/// bits next to every word, so the overhead is
-/// `banks x bank.words x check_bits(bank.bits)`. Word-interleaving does
-/// not share check bits across banks — each bank must be independently
-/// correctable, which is exactly what makes banking and ECC orthogonal
-/// knobs for the planner.
-pub fn banked_ecc_check_bits(scheme: EccScheme, bank: SramConfig, banks: u32) -> u64 {
-    u64::from(banks) * u64::from(bank.words) * u64::from(scheme.check_bits(bank.bits))
 }
 
 /// Error returned when a requested geometry cannot be compiled.
@@ -724,56 +682,6 @@ mod tests {
         );
         assert!(c.compile(SramConfig::dual(MIN_WORDS, MIN_BITS)).is_ok());
         assert!(c.compile(SramConfig::dual(MAX_WORDS, MAX_BITS)).is_ok());
-    }
-
-    #[test]
-    fn banking_preserves_capacity_ports_and_prices_like_division() {
-        let c = compiler();
-        let cfg = SramConfig::dual(2048, 32);
-        let banks = cfg.banked(4).unwrap();
-        assert_eq!(banks.len(), 4);
-        let total: u64 = banks.iter().map(|b| b.capacity_bits()).sum();
-        assert_eq!(total, cfg.capacity_bits());
-        // Every bank keeps the parent's port kind, so the logical
-        // memory's total port count grows by the bank factor.
-        assert!(banks.iter().all(|b| b.ports == cfg.ports));
-        assert_eq!(
-            banks.iter().map(|b| b.port_count()).sum::<u32>(),
-            4 * cfg.port_count()
-        );
-        // Banks are word-splits, so the compiler prices them like
-        // division parts: faster access, more total area.
-        let whole = c.compile(cfg).unwrap();
-        let bank = c.compile(banks[0]).unwrap();
-        assert!(bank.access_time < whole.access_time);
-        assert!(4.0 * bank.area.value() > whole.area.value());
-        // Too many banks push words below the compiler minimum.
-        assert!(SramConfig::dual(32, 32).banked(4).is_err());
-    }
-
-    #[test]
-    fn banked_ecc_check_bits_scale_with_bank_count() {
-        let bank = SramConfig::dual(512, 32);
-        // Parity: 1 bit per word per bank.
-        assert_eq!(banked_ecc_check_bits(EccScheme::Parity, bank, 4), 4 * 512);
-        // SEC-DED on 32-bit words: 6 Hamming + 1 overall parity.
-        let per_word = u64::from(EccScheme::SecDed.check_bits(32));
-        assert_eq!(per_word, 7);
-        assert_eq!(
-            banked_ecc_check_bits(EccScheme::SecDed, bank, 8),
-            8 * 512 * per_word
-        );
-        assert_eq!(banked_ecc_check_bits(EccScheme::None, bank, 8), 0);
-        // Banking a protected memory pays exactly `banks` times the
-        // per-bank overhead — no sharing across banks.
-        let whole = SramConfig::dual(2048, 32);
-        let banked: u64 = whole
-            .banked(4)
-            .unwrap()
-            .iter()
-            .map(|b| banked_ecc_check_bits(EccScheme::SecDed, *b, 1))
-            .sum();
-        assert_eq!(banked, banked_ecc_check_bits(EccScheme::SecDed, bank, 4));
     }
 
     #[test]

@@ -13,6 +13,10 @@ cargo fmt --all -- --check
 echo "== clippy (-D warnings, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs (rustdoc, warnings are errors) =="
+# Catches intra-doc links to private, renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== lint (static kernel verifier, warnings are denials) =="
 # Gates on the shipped kernels AND the generated 1/8-CU netlists; the
 # command fails (non-zero exit) on any deny-level finding and prints a

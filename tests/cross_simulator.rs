@@ -59,6 +59,22 @@ fn gpu_cycle_counts_scale_down_with_cus_for_parallel_kernels() {
 }
 
 #[test]
+fn more_cus_never_slow_any_kernel() {
+    // Weaker than the scaling test above, but over all seven Table III
+    // kernels: an 8-CU machine retires the same grid in no more cycles
+    // than a 1-CU machine.
+    for bench in all() {
+        let c1 = bench.run_gpu(512, 1).unwrap().cycles;
+        let c8 = bench.run_gpu(512, 8).unwrap().cycles;
+        assert!(
+            c8 <= c1,
+            "{}: 8 CUs took {c8} cycles vs {c1} on 1",
+            bench.name
+        );
+    }
+}
+
+#[test]
 fn divergent_kernels_issue_more_than_their_lane_ops_imply() {
     // parallel_sel branches per element: its vector-instruction count
     // per lane-op must exceed the branchless copy kernel's.
