@@ -1,7 +1,7 @@
 //! Golden outputs of the 12 Table-I versions, the 1-CU@667 MHz
-//! frequency map and the benchmark's SEU campaign set, regenerated on
-//! every run and compared byte for byte against the files checked in
-//! under `tests/golden/`.
+//! frequency map, the benchmark's SEU campaign set and the Table-III
+//! simulation statistics, regenerated on every run and compared byte
+//! for byte against the files checked in under `tests/golden/`.
 //!
 //! Each version file pins the datasheet (recipe, PPA, per-layer
 //! wirelength, route delays), the DSE trace, the synthesis fmax as an
@@ -107,6 +107,53 @@ fn fault_campaigns() -> String {
     out
 }
 
+/// Compute-unit counts of Table III's G-GPU columns.
+const TABLE3_CUS: [u32; 4] = [1, 2, 4, 8];
+
+/// Table III at the paper's input sizes, one line per run: the 7
+/// RISC-V cycle counts and the 28 G-GPU `RunStats`, every field
+/// `RunStats::eq` compares (so neither `sim_wall` nor
+/// `sched_iterations`, which describe the host, not the simulation).
+/// Every run is checked against its golden reference on the way.
+fn table3_runstats() -> String {
+    let mut out = String::from(
+        "# Table III at the paper's input sizes (verified runs)\n\
+         # kernel target n cycles [vector_instructions lane_ops wavefronts workgroups \
+         stall_cycles busy_cycles lram_conflict_cycles mem.accesses mem.hits mem.fills \
+         mem.writebacks]\n",
+    );
+    for bench in g_gpu::kernels::all() {
+        let rv = bench
+            .run_riscv(bench.riscv_n)
+            .unwrap_or_else(|e| panic!("{} riscv: {e}", bench.name));
+        let _ = writeln!(out, "{} riscv {} {}", bench.name, bench.riscv_n, rv.cycles);
+        for cus in TABLE3_CUS {
+            let s = bench
+                .run_gpu(bench.gpu_n, cus)
+                .unwrap_or_else(|e| panic!("{} gpu {cus}cu: {e}", bench.name));
+            let _ = writeln!(
+                out,
+                "{} {cus}cu {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                bench.name,
+                bench.gpu_n,
+                s.cycles,
+                s.vector_instructions,
+                s.lane_ops,
+                s.wavefronts,
+                s.workgroups,
+                s.stall_cycles,
+                s.busy_cycles,
+                s.lram_conflict_cycles,
+                s.mem.accesses,
+                s.mem.hits,
+                s.mem.fills,
+                s.mem.writebacks,
+            );
+        }
+    }
+    out
+}
+
 /// A line diff (longest common subsequence) of `expected` → `actual`,
 /// `-`/`+` for removed/added lines, unchanged lines omitted.
 fn line_diff(expected: &str, actual: &str) -> String {
@@ -180,6 +227,18 @@ fn fault_campaigns_match_golden() {
     assert_goldens(
         "fault",
         vec![("fault_campaigns.txt".into(), fault_campaigns())],
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "28 paper-size launches take ~20 s unoptimized; run with --release"
+)]
+fn table3_runstats_match_golden() {
+    assert_goldens(
+        "table3",
+        vec![("table3_runstats.txt".into(), table3_runstats())],
     );
 }
 
