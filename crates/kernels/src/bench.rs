@@ -181,15 +181,21 @@ impl Bench {
     /// Golden output for a run of size `n`.
     pub fn golden(&self, n: u32) -> Vec<u32> {
         let (a, b) = self.inputs(n);
+        self.golden_of(n, &a, &b)
+    }
+
+    /// Golden output for a run of size `n` on the `(a, b)` that
+    /// [`Bench::inputs`] built for it.
+    fn golden_of(&self, n: u32, a: &[u32], b: &[u32]) -> Vec<u32> {
         match self.kind {
-            Kind::MatMul => mat_mul::golden(n, &a, &b),
-            Kind::MatMulLocal => mat_mul_local::golden(n, &a, &b),
-            Kind::Copy => copy::golden(n, &a, &b),
-            Kind::VecMul => vec_mul::golden(n, &a, &b),
-            Kind::Fir => fir::golden(n, &a, &b),
-            Kind::DivInt => div_int::golden(n, &a, &b),
-            Kind::Xcorr => xcorr::golden(n, &a, &b),
-            Kind::ParallelSel => parallel_sel::golden(n, &a, &b),
+            Kind::MatMul => mat_mul::golden(n, a, b),
+            Kind::MatMulLocal => mat_mul_local::golden(n, a, b),
+            Kind::Copy => copy::golden(n, a, b),
+            Kind::VecMul => vec_mul::golden(n, a, b),
+            Kind::Fir => fir::golden(n, a, b),
+            Kind::DivInt => div_int::golden(n, a, b),
+            Kind::Xcorr => xcorr::golden(n, a, b),
+            Kind::ParallelSel => parallel_sel::golden(n, a, b),
         }
     }
 
@@ -297,7 +303,7 @@ impl Bench {
             gpu.launch(&kernel, &launch)
         }
         .map_err(BenchError::Gpu)?;
-        let golden = self.golden(n);
+        let golden = self.golden_of(n, &a, &b);
         let out = gpu
             .read_words(GPU_OUT, golden.len())
             .map_err(BenchError::Gpu)?;
@@ -326,7 +332,7 @@ impl Bench {
         cpu.set_reg(13, RISCV_OUT); // a3
         cpu.set_reg(14, self.extra(n)); // a4
         let stats = cpu.run().map_err(BenchError::Riscv)?;
-        let golden = self.golden(n);
+        let golden = self.golden_of(n, &a, &b);
         let out = cpu
             .read_words(RISCV_OUT, golden.len())
             .map_err(BenchError::Riscv)?;

@@ -13,19 +13,12 @@ pub fn inputs(n: u32) -> (Vec<u32>, Vec<u32>) {
     (data(n as usize, 12, 65_536), Vec::new())
 }
 
-/// Reference output: the sorted permutation of `a`.
+/// Reference output: the sorted permutation of `a`. Ranks with index
+/// tie-breaks are distinct, so placing every value at its rank, as the
+/// kernel does, lays out exactly the sorted multiset.
 pub fn golden(n: u32, a: &[u32], _b: &[u32]) -> Vec<u32> {
-    let n = n as usize;
-    let mut out = vec![0u32; n];
-    for i in 0..n {
-        let v = a[i];
-        let rank = a
-            .iter()
-            .enumerate()
-            .filter(|&(j, &w)| w < v || (w == v && j < i))
-            .count();
-        out[rank] = v;
-    }
+    let mut out = a[..n as usize].to_vec();
+    out.sort_unstable();
     out
 }
 
@@ -62,3 +55,60 @@ pub const RISCV_ASM: &str = "
     done:
     ecall
 ";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::data;
+    use ggpu_prop::Rng;
+
+    /// The kernel's own algorithm: each value lands at its rank, the
+    /// count of smaller values plus equal values at lower indices. The
+    /// oracle the sort-based reference is checked against.
+    fn rank_golden(n: u32, a: &[u32]) -> Vec<u32> {
+        let n = n as usize;
+        let mut out = vec![0u32; n];
+        for i in 0..n {
+            let v = a[i];
+            let rank = a
+                .iter()
+                .enumerate()
+                .filter(|&(j, &w)| w < v || (w == v && j < i))
+                .count();
+            out[rank] = v;
+        }
+        out
+    }
+
+    #[test]
+    fn sorted_reference_matches_the_rank_placement() {
+        for n in 0..=130u32 {
+            let (a, b) = inputs(n);
+            assert_eq!(golden(n, &a, &b), rank_golden(n, &a), "n = {n}");
+            // Few distinct values: long runs of index tie-breaks.
+            let few = data(n as usize, 5, 3);
+            assert_eq!(golden(n, &few, &[]), rank_golden(n, &few), "ties n = {n}");
+        }
+    }
+
+    #[test]
+    fn sorted_reference_matches_on_adversarial_inputs() {
+        let len = 67;
+        let alternating: Vec<u32> = (0..len)
+            .map(|i| if i % 3 == 0 { u32::MAX } else { 0 })
+            .collect();
+        let descending: Vec<u32> = (0..len as u32).rev().collect();
+        let mut rng = Rng::seeded(18);
+        let cases = [
+            vec![42; len],
+            vec![0; len],
+            vec![u32::MAX; len],
+            alternating,
+            descending,
+            (0..len).map(|_| rng.any_u32()).collect(),
+        ];
+        for a in &cases {
+            assert_eq!(golden(len as u32, a, &[]), rank_golden(len as u32, a));
+        }
+    }
+}

@@ -7,9 +7,12 @@
 //!   keeps each architectural register's 64 lane values contiguous, so
 //!   a vector instruction reads two cache-dense rows and writes one,
 //!   instead of striding 32-word-apart per-lane register blocks.
-//! * **64-bit `exec` bitmask** — the active set is one word;
-//!   the issue set at the minimum PC is computed by bit iteration
-//!   (`trailing_zeros`), never by collecting a `Vec<usize>` of lanes.
+//! * **64-bit `exec` bitmask** — the active set is one word; a
+//!   diverged wavefront's issue set at the minimum PC comes from one
+//!   branch-free pass over the PC row (inactive lanes read as
+//!   `u32::MAX`; min, then lane equality ANDed with `exec`), and lane
+//!   loops visit the set by bit iteration (`trailing_zeros`), never by
+//!   collecting a `Vec<usize>` of lanes.
 //! * **Uniform-PC fast path** — converged wavefronts (the common case)
 //!   skip the min-PC scan entirely: a `uniform` hint says every active
 //!   lane shares one PC, invalidated only by divergent branches and
@@ -105,6 +108,48 @@ impl Default for SoaScratch {
             local_words: Vec::new(),
         }
     }
+}
+
+/// `LANE_BIT[k]` is lane `k`'s bit within one 32-lane half of an
+/// execution mask.
+const LANE_BIT: [u32; 32] = {
+    let mut bits = [0u32; 32];
+    let mut k = 0;
+    while k < 32 {
+        bits[k] = 1 << k;
+        k += 1;
+    }
+    bits
+};
+
+/// Issue-set selection for a diverged wavefront: the minimum PC over
+/// the active lanes of `exec`, and the mask of active lanes at it.
+/// Branch-free over the whole PC row: inactive lanes read as
+/// `u32::MAX`, one min-reduction finds the front, and lane equality
+/// ANDed with `exec` gives the mask (so an active lane parked at
+/// `u32::MAX` still issues). `exec` must be non-zero and name only
+/// lanes of `pcs`. Kept out of line: its unrolled row loops, inlined,
+/// would double into `step` and `observe` and crowd the converged path.
+#[inline(never)]
+fn diverged_issue_set(pcs: &[u32], exec: u64) -> (u32, u64) {
+    debug_assert!(pcs.len() <= MAX_WF as usize, "wider than one mask word");
+    // Two 32-lane halves, so each lane's bit is a constant-table load
+    // rather than a per-lane variable shift.
+    let (lo, hi) = pcs.split_at(pcs.len().min(32));
+    let halves = [(lo, exec as u32), (hi, (exec >> 32) as u32)];
+    let mut pc = u32::MAX;
+    for (row, active) in halves {
+        for (&p, &bit) in row.iter().zip(&LANE_BIT) {
+            pc = pc.min(p | u32::from(active & bit == 0).wrapping_neg());
+        }
+    }
+    let [issue_lo, issue_hi] = halves.map(|(row, active)| {
+        let at_pc = row.iter().zip(&LANE_BIT).fold(0u32, |m, (&p, &bit)| {
+            m | (bit & u32::from(p == pc).wrapping_neg())
+        });
+        at_pc & active
+    });
+    (pc, (u64::from(issue_hi) << 32) | u64::from(issue_lo))
 }
 
 /// Per-op specialized row loop: the `match` pins the operation so
@@ -411,20 +456,7 @@ impl Wave for SoaWave {
         let (pc, issue) = if self.uniform {
             (self.lazy_pc, exec)
         } else {
-            let mut pc = u32::MAX;
-            let mut issue = 0u64;
-            let mut m = exec;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let p = self.pcs[l];
-                if p < pc {
-                    pc = p;
-                    issue = 1u64 << l;
-                } else if p == pc {
-                    issue |= 1u64 << l;
-                }
-            }
+            let (pc, issue) = diverged_issue_set(&self.pcs, exec);
             if issue == exec {
                 // Reconverged: every active lane is at the min PC
                 // (their stored slots all hold it, so marking them
@@ -952,21 +984,7 @@ impl Wave for SoaWave {
         let (pc, issue) = if self.uniform {
             (self.lazy_pc, self.exec)
         } else {
-            let mut pc = u32::MAX;
-            let mut issue = 0u64;
-            let mut m = self.exec;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let p = self.pcs[l];
-                if p < pc {
-                    pc = p;
-                    issue = 1u64 << l;
-                } else if p == pc {
-                    issue |= 1u64 << l;
-                }
-            }
-            (pc, issue)
+            diverged_issue_set(&self.pcs, self.exec)
         };
         let contiguous = (issue & issue.wrapping_add(1)) == 0;
         // Ascending-ordered issue lane list, matching the side-effect
@@ -1061,5 +1079,75 @@ impl Wave for SoaWave {
         self.materialize_pcs();
         self.exec ^= 1u64 << lane;
         self.uniform = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ggpu_prop::{cases, Rng};
+
+    /// The per-lane scan oracle for [`diverged_issue_set`]: visit the
+    /// active lanes in ascending order, restart the mask on a smaller
+    /// PC, extend it on an equal one.
+    fn scan_issue_set(pcs: &[u32], exec: u64) -> (u32, u64) {
+        let mut pc = u32::MAX;
+        let mut issue = 0u64;
+        let mut m = exec;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let p = pcs[l];
+            if p < pc {
+                pc = p;
+                issue = 1u64 << l;
+            } else if p == pc {
+                issue |= 1u64 << l;
+            }
+        }
+        (pc, issue)
+    }
+
+    /// A PC drawn so that lanes often tie, sometimes sit at the top of
+    /// the range, and now and then are anything at all.
+    fn random_pc(rng: &mut Rng) -> u32 {
+        match rng.u32_in(0, 3) {
+            0 => rng.u32_in(0, 3),
+            1 => rng.pick_copy(&[u32::MAX, u32::MAX - 1]),
+            2 => rng.u32_in(10, 40),
+            _ => rng.any_u32(),
+        }
+    }
+
+    #[test]
+    fn branch_free_issue_set_matches_the_lane_scan() {
+        cases(2000, |rng| {
+            let wf = rng.pick_copy(&[1u32, 8, 16, 33, 64]);
+            let full = SoaWave::items_mask(wf);
+            let pcs: Vec<u32> = (0..wf).map(|_| random_pc(rng)).collect();
+            let exec = match rng.u32_in(0, 3) {
+                0 => 1u64 << rng.u32_in(0, wf - 1),
+                1 => full,
+                _ => rng.next_u64() & full,
+            };
+            if exec == 0 {
+                return;
+            }
+            assert_eq!(
+                diverged_issue_set(&pcs, exec),
+                scan_issue_set(&pcs, exec),
+                "wf {wf}, exec {exec:#x}, pcs {pcs:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn lanes_at_the_top_pc_still_issue() {
+        let mut pcs = vec![u32::MAX; 64];
+        assert_eq!(diverged_issue_set(&pcs, 0b1010), (u32::MAX, 0b1010));
+        pcs[5] = 9;
+        // The inactive lane at a lower PC does not pull the front down.
+        assert_eq!(diverged_issue_set(&pcs, 0b1010), (u32::MAX, 0b1010));
+        assert_eq!(diverged_issue_set(&pcs, 0b10_1010), (9, 0b10_0000));
     }
 }

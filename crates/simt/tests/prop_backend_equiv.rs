@@ -488,6 +488,75 @@ fn exec_mask_reactivation_matches() {
     });
 }
 
+/// The rank loop of the shipped `parallel_sel` kernel: every lane
+/// walks all `n` values and branches on each one against its own, so
+/// lanes of a wavefront stay at different PCs for most of the run
+/// (random programs diverge only in short stretches).
+const RANK_LOOP: &str = "
+    gid   r1
+    param r2, 0
+    param r3, 1
+    param r4, 3
+    slli  r5, r1, 2
+    add   r5, r5, r3
+    lw    r6, r5, 0
+    addi  r7, r0, 0
+    addi  r8, r0, 0
+    loop:
+    slli  r9, r7, 2
+    add   r9, r9, r3
+    lw    r10, r9, 0
+    bltu  r10, r6, inc
+    bne   r10, r6, next
+    bge   r7, r1, next
+    inc:
+    addi  r8, r8, 1
+    next:
+    addi  r7, r7, 1
+    blt   r7, r2, loop
+    slli  r11, r8, 2
+    add   r11, r11, r4
+    sw    r11, r6, 0
+    ret";
+
+/// Persistent data-dependent divergence over random memory at small
+/// `n`: values drawn from 2, 16 or 2^32 distinct words, so runs mix
+/// index tie-breaks with value comparisons. A test fn of its own keeps
+/// the other properties' seeded cases on their current draws.
+#[test]
+fn data_dependent_divergence_bit_identical() {
+    let kernel = Kernel::from_asm("rank", RANK_LOOP).expect("assembles");
+
+    // One full wavefront: a lane-op count below a full issue per
+    // instruction means the run did diverge.
+    let mut gpu = Gpu::new(SimtConfig::with_cus(1), MEM_WORDS);
+    let values: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+    gpu.write_words(0, &values).expect("seed");
+    let stats = gpu
+        .launch(&kernel, &Launch::new(64, 64, vec![64, 0, 0, 0x2000]))
+        .expect("rank loop completes");
+    assert!(
+        stats.lane_ops < 64 * stats.vector_instructions,
+        "the rank loop must diverge: {} lane ops over {} issues",
+        stats.lane_ops,
+        stats.vector_instructions
+    );
+
+    cases(60, |rng| {
+        let config = small_config(rng);
+        let n = rng.u32_in(1, 160);
+        let wg = rng.u32_in(1, config.wavefront_size * config.max_wavefronts_per_cu);
+        let top = rng.pick_copy(&[1u32, 15, u32::MAX]);
+        let mut mem = seed_mem(rng);
+        for w in &mut mem[..n as usize] {
+            *w = rng.u32_in(0, top);
+        }
+        // Params: n, &a (word 0), unused, &out (word 2048).
+        let launch = Launch::new(n, wg, vec![n, 0, 0, 0x2000]);
+        assert_equiv(&kernel, &launch, config, &mem, None);
+    });
+}
+
 /// Divergent-barrier rejection and barrier-heavy shapes agree.
 #[test]
 fn divergent_barrier_cases_match() {

@@ -38,6 +38,12 @@ echo "== goldens under 1 and 4 campaign workers =="
 GGPU_THREADS=1 cargo test -q --test golden
 GGPU_THREADS=4 cargo test -q --test golden
 
+echo "== Table III at the paper's sizes (release) =="
+# tests/golden/table3_runstats.txt pins the 28 paper-size G-GPU
+# RunStats and the 7 RISC-V cycle counts. Its test is ignored in
+# debug builds (~20 s there, ~1.5 s optimized), so it runs here.
+cargo test --release -q --test golden
+
 echo "== smoke (event-driven simulator, ~2 s) =="
 cargo run --release --example accelerator_vs_cpu 512
 
