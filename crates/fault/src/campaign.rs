@@ -29,12 +29,13 @@ use crate::map::{Geometry, MacroMap};
 use crate::report::{CampaignReport, MacroAvf, OutcomeCounts};
 use crate::rng::Rng;
 use crate::workload::{Workload, WorkloadError};
-use ggpu_simt::{FaultPlan, Gpu, HardenedOptions, InjectionOutcome, SimError, SimtConfig};
+#[cfg(test)]
+use ggpu_simt::{FaultPlan, HardenedOptions};
+use ggpu_simt::{Gpu, HardenedRun, Injection, InjectionOutcome, SimError, SimtConfig};
 use ggpu_wal::{Journal, WalError, WalOp};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How one fault trial ended.
@@ -200,11 +201,22 @@ impl From<WalError> for CampaignError {
     }
 }
 
-/// Shared worker output: finished-trial results plus the checkpoint
-/// journal (behind one lock so checkpoint lines are whole).
-type TrialSink = (Vec<Result<TrialRecord, CampaignError>>, Option<Journal>);
+/// Shared worker output, behind one lock so checkpoint lines are
+/// whole.
+struct TrialSink {
+    records: Vec<TrialRecord>,
+    journal: Option<Journal>,
+    /// A worker whose pass could not run.
+    error: Option<CampaignError>,
+}
 
 /// Runs (or resumes) a fault-injection campaign.
+///
+/// Every pending trial's injection is sampled up front and the trials
+/// are sorted by `(cycle, trial)`. Each worker takes a contiguous run
+/// of that order and forks its trials from one fault-free pass on its
+/// own machine ([`Gpu::launch_forked`]), so the pass only moves
+/// forward and a trial simulates only what its upset changes.
 ///
 /// # Errors
 ///
@@ -216,12 +228,17 @@ pub fn run_campaign(
     map: &MacroMap,
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
-    let golden = workload.run_golden(cfg.sim)?;
+    // The fault-free reference runs on the first worker's machine.
+    let mut first_gpu = Gpu::new(cfg.sim, workload.memory_words());
+    let golden = workload.run_golden_on(&mut first_gpu)?;
     // Injections target [1, cycles): cycle 0 precedes dispatch (every
     // CU-resident site is vacant) and the final cycle post-dates the
     // last read.
     let cycle_hi = golden.cycles.max(2);
     let geom = Geometry::new(cfg.sim, workload.memory_words());
+    let plans: Vec<Planned> = (0..cfg.trials)
+        .map(|t| plan_trial(map, cfg, &geom, cycle_hi, t))
+        .collect();
 
     let mut done: BTreeMap<u32, TrialRecord> = BTreeMap::new();
     let journal = match &cfg.checkpoint {
@@ -229,8 +246,14 @@ pub fn run_campaign(
             let header = checkpoint_header(cfg, workload, map);
             let (journal, lines, _) = Journal::open(path, &header)?;
             for (no, line) in lines.iter().enumerate() {
-                let rec = parse_record(line, no, cfg, map)?;
-                done.insert(rec.trial, rec);
+                let rec = parse_record(line, no, &plans)?;
+                if done.insert(rec.trial, rec).is_some() {
+                    return Err(CampaignError::Checkpoint(format!(
+                        "trial {} recorded twice (line {})",
+                        rec.trial,
+                        no + 2
+                    )));
+                }
             }
             // Campaign trials are re-runnable at no cost beyond the
             // re-simulation, so the journal trades the per-append
@@ -243,25 +266,39 @@ pub fn run_campaign(
         None => None,
     };
 
-    let pending: Vec<u32> = (0..cfg.trials).filter(|t| !done.contains_key(t)).collect();
-    let sink: Mutex<TrialSink> = Mutex::new((Vec::with_capacity(pending.len()), journal));
-    let next = AtomicUsize::new(0);
+    // Pending trials in injection order, split into their ids
+    // (trial, macro) and the injections a worker's pass forks.
+    let mut pending: Vec<(u32, Planned)> = (0..cfg.trials)
+        .zip(plans)
+        .filter(|(t, _)| !done.contains_key(t))
+        .collect();
+    pending.sort_by_key(|(t, p)| (p.injection.cycle, *t));
+    let (ids, injections): (Vec<(u32, u32)>, Vec<Injection>) = pending
+        .into_iter()
+        .map(|(t, p)| ((t, p.macro_idx), p.injection))
+        .unzip();
+    let sink = Mutex::new(TrialSink {
+        records: Vec::with_capacity(ids.len()),
+        journal,
+        error: None,
+    });
     let workers = match cfg.threads {
-        0 => ggpu_kernels::suite_threads(pending.len()),
-        n => n.min(pending.len().max(1)),
+        0 => ggpu_kernels::suite_threads(ids.len()),
+        n => n.min(ids.len().max(1)),
     };
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One machine per worker, restaged before every trial.
-                let mut gpu = Gpu::new(cfg.sim, workload.memory_words());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&trial) = pending.get(i) else { break };
-                    let res = run_trial(workload, map, cfg, &geom, cycle_hi, trial, &mut gpu);
+        let sink = &sink;
+        let mut first_gpu = Some(first_gpu);
+        for w in 0..workers {
+            let run = w * ids.len() / workers..(w + 1) * ids.len() / workers;
+            let (ids, injections) = (&ids[run.clone()], &injections[run]);
+            let gpu = first_gpu.take();
+            scope.spawn(move || {
+                let mut gpu = gpu.unwrap_or_else(|| Gpu::new(cfg.sim, workload.memory_words()));
+                let forked = fork_trials(workload, cfg, &mut gpu, ids, injections, |rec| {
                     let mut guard = sink.lock().unwrap_or_else(|e| e.into_inner());
-                    if let (Ok(rec), Some(journal)) = (&res, guard.1.as_mut()) {
+                    if let Some(journal) = guard.journal.as_mut() {
                         // Checkpoint write failures degrade to an
                         // un-checkpointed campaign rather than losing
                         // the computed trial.
@@ -270,15 +307,20 @@ pub fn run_campaign(
                             rec.trial, rec.macro_idx, rec.cycle, rec.outcome
                         ));
                     }
-                    guard.0.push(res);
+                    guard.records.push(rec);
+                });
+                if let Err(e) = forked {
+                    sink.lock().unwrap_or_else(|e| e.into_inner()).error = Some(e);
                 }
             });
         }
     });
 
-    let (results, _) = sink.into_inner().unwrap_or_else(|e| e.into_inner());
-    for res in results {
-        let rec = res?;
+    let sink = sink.into_inner().unwrap_or_else(|e| e.into_inner());
+    if let Some(e) = sink.error {
+        return Err(e);
+    }
+    for rec in sink.records {
         done.insert(rec.trial, rec);
     }
 
@@ -286,43 +328,103 @@ pub fn run_campaign(
     Ok(build_report(workload, map, cfg, golden.cycles, &records))
 }
 
-/// Runs one seeded trial on `gpu`, a machine built with `cfg.sim`,
-/// which it restages first. Pure in `(seed, trial)` given the map and
-/// geometry, whatever ran on `gpu` before.
-fn run_trial(
-    workload: &Workload,
+/// One trial's seeded injection and the macro it hits.
+#[derive(Debug)]
+struct Planned {
+    macro_idx: u32,
+    injection: Injection,
+}
+
+/// Trial `trial`'s injection: a pure function of `(seed, trial)`, the
+/// map and the geometry.
+fn plan_trial(
     map: &MacroMap,
     cfg: &CampaignConfig,
     geom: &Geometry,
     cycle_hi: u64,
     trial: u32,
-    gpu: &mut Gpu,
-) -> Result<TrialRecord, CampaignError> {
+) -> Planned {
     let mut rng = Rng::for_trial(cfg.seed, u64::from(trial));
     let (macro_idx, injection) = map.sample_injection(&mut rng, geom, 1, cycle_hi);
-    let cycle = injection.cycle;
+    Planned {
+        macro_idx: macro_idx as u32,
+        injection,
+    }
+}
+
+/// Forks `injections` (sorted by cycle; `ids[i]` is the trial and
+/// macro of `injections[i]`) from one fault-free pass on `gpu`, a
+/// machine built with `cfg.sim`, which it restages first; hands each
+/// classified trial to `record`.
+fn fork_trials(
+    workload: &Workload,
+    cfg: &CampaignConfig,
+    gpu: &mut Gpu,
+    ids: &[(u32, u32)],
+    injections: &[Injection],
+    mut record: impl FnMut(TrialRecord),
+) -> Result<(), CampaignError> {
+    if injections.is_empty() {
+        return Ok(());
+    }
     workload.restage(gpu).map_err(CampaignError::Setup)?;
-    let opts = HardenedOptions {
-        plan: FaultPlan::new(vec![injection]),
-        watchdog: Some(cfg.watchdog),
-    };
-    let outcome = match gpu.launch_hardened(workload.kernel(), workload.launch(), &opts) {
+    let mut visited = 0;
+    let pass = gpu.launch_forked(
+        workload.kernel(),
+        workload.launch(),
+        Some(cfg.watchdog),
+        injections,
+        |i, run, image| {
+            visited += 1;
+            let (trial, macro_idx) = ids[i];
+            record(TrialRecord {
+                trial,
+                macro_idx,
+                cycle: injections[i].cycle,
+                outcome: classify(workload, run, workload.output_of(image)),
+            });
+        },
+    );
+    match pass {
+        // Only a launch that failed validation visits nothing.
+        Err(e) if visited < injections.len() => Err(CampaignError::Setup(e)),
+        _ => Ok(()),
+    }
+}
+
+/// How a trial ended: a typed error by kind, then the output against
+/// [`Workload::golden`] (`None` when it could not be read), then
+/// whether ECC corrected the upset.
+fn classify(
+    workload: &Workload,
+    run: Result<HardenedRun, SimError>,
+    output: Option<&[u32]>,
+) -> Outcome {
+    match run {
         Err(SimError::UncorrectableFault(_)) => Outcome::DetectedUncorrectable,
         Err(SimError::Watchdog { .. }) | Err(SimError::CycleLimit { .. }) => Outcome::Hang,
         Err(_) => Outcome::Crash,
-        Ok(run) => match workload.read_output(gpu) {
-            Err(_) => Outcome::Crash,
-            Ok(out) if out != workload.golden() => Outcome::Sdc,
-            Ok(_) if run.log.count(InjectionOutcome::Corrected) > 0 => Outcome::DetectedCorrected,
-            Ok(_) => Outcome::Masked,
+        Ok(run) => match output {
+            None => Outcome::Crash,
+            Some(out) if out != workload.golden() => Outcome::Sdc,
+            Some(_) if run.log.count(InjectionOutcome::Corrected) > 0 => Outcome::DetectedCorrected,
+            Some(_) => Outcome::Masked,
         },
+    }
+}
+
+/// Runs one planned trial from scratch on `gpu`, which it restages
+/// first: the oracle the forked trials are checked against.
+#[cfg(test)]
+fn run_trial(workload: &Workload, cfg: &CampaignConfig, plan: &Planned, gpu: &mut Gpu) -> Outcome {
+    workload.restage(gpu).expect("inputs fit");
+    let opts = HardenedOptions {
+        plan: FaultPlan::new(vec![plan.injection.clone()]),
+        watchdog: Some(cfg.watchdog),
     };
-    Ok(TrialRecord {
-        trial,
-        macro_idx: macro_idx as u32,
-        cycle,
-        outcome,
-    })
+    let run = gpu.launch_hardened(workload.kernel(), workload.launch(), &opts);
+    let output = workload.read_output(gpu).ok();
+    classify(workload, run, output.as_deref())
 }
 
 /// FNV-1a-64: a fixed digest, so a journal written by one build is
@@ -353,15 +455,12 @@ fn checkpoint_header(cfg: &CampaignConfig, workload: &Workload, map: &MacroMap) 
     )
 }
 
-/// Parses one complete journal record line. Torn tails never reach
-/// this point (the journal repairs them on open), so a line that does
-/// not parse is genuine corruption and errors.
-fn parse_record(
-    line: &str,
-    no: usize,
-    cfg: &CampaignConfig,
-    map: &MacroMap,
-) -> Result<TrialRecord, CampaignError> {
+/// Parses one complete journal record line and checks it against the
+/// trial's seeded injection. Torn tails never reach this point (the
+/// journal repairs them on open), so a line that does not parse, or
+/// that names another macro or cycle than its trial's injection, is
+/// genuine corruption and errors.
+fn parse_record(line: &str, no: usize, plans: &[Planned]) -> Result<TrialRecord, CampaignError> {
     let mut f = line.split_ascii_whitespace();
     let rec = (|| {
         if f.next()? != "t" {
@@ -378,25 +477,26 @@ fn parse_record(
             outcome,
         })
     })();
-    match rec {
-        Some(r) if r.trial >= cfg.trials => Err(CampaignError::Checkpoint(format!(
-            "trial {} out of range (campaign has {})",
-            r.trial, cfg.trials
-        ))),
-        Some(r) if r.macro_idx as usize >= map.sites().len() => {
-            Err(CampaignError::Checkpoint(format!(
-                "trial {} hits macro {} (map has {})",
-                r.trial,
-                r.macro_idx,
-                map.sites().len()
-            )))
-        }
-        Some(r) => Ok(r),
-        None => Err(CampaignError::Checkpoint(format!(
+    let Some(r) = rec else {
+        return Err(CampaignError::Checkpoint(format!(
             "unparseable line {}: {line:?}",
             no + 2
-        ))),
+        )));
+    };
+    let Some(plan) = plans.get(r.trial as usize) else {
+        return Err(CampaignError::Checkpoint(format!(
+            "trial {} out of range (campaign has {})",
+            r.trial,
+            plans.len()
+        )));
+    };
+    if (r.macro_idx, r.cycle) != (plan.macro_idx, plan.injection.cycle) {
+        return Err(CampaignError::Checkpoint(format!(
+            "trial {} recorded macro {} at cycle {}, but its injection hits macro {} at cycle {}",
+            r.trial, r.macro_idx, r.cycle, plan.macro_idx, plan.injection.cycle
+        )));
     }
+    Ok(r)
 }
 
 fn build_report(
@@ -482,43 +582,69 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
-    /// A worker's reused machine classifies every trial exactly as a
-    /// new one does, whatever the trials before it wrote: each trial
-    /// runs on its own `fresh_gpu`, then again on one machine that
-    /// visits the trials in reverse order.
+    /// Trials forked from one fault-free pass classify exactly as the
+    /// same trials run from scratch, each on a fresh machine: mat_mul,
+    /// copy, vec_mul and fir under all three policies, on both
+    /// backends. The fault-free reference ran on the forking machine
+    /// first, as in `run_campaign`.
     #[test]
-    fn reused_machine_matches_a_fresh_one_per_trial() {
+    fn forked_trials_match_fresh_launches() {
         use ggpu_netlist::EccPolicy;
         use ggpu_simt::AccelBackend;
         use ggpu_tech::sram::EccScheme;
 
         let design = ggpu_rtl::generate(&ggpu_rtl::GgpuConfig::with_cus(1).unwrap()).unwrap();
-        let w = Workload::from_bench(&ggpu_kernels::bench::all()[2], 256).unwrap();
-        for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
-            for policy in [
-                EccPolicy::unprotected(),
-                EccPolicy::uniform(EccScheme::Parity),
-                EccPolicy::uniform(EccScheme::SecDed),
-            ] {
-                let map = MacroMap::from_design(&design, &policy).unwrap();
-                let mut cfg = CampaignConfig::new(5, 64);
-                cfg.sim.backend = backend;
-                let cycle_hi = w.run_golden(cfg.sim).unwrap().cycles;
-                let geom = Geometry::new(cfg.sim, w.memory_words());
-                let trial =
-                    |t, gpu: &mut Gpu| run_trial(&w, &map, &cfg, &geom, cycle_hi, t, gpu).unwrap();
-                let fresh: Vec<TrialRecord> = (0..cfg.trials)
-                    .map(|t| trial(t, &mut w.fresh_gpu(cfg.sim).unwrap()))
-                    .collect();
-                let mut gpu = Gpu::new(cfg.sim, w.memory_words());
-                let mut reused: Vec<TrialRecord> =
-                    (0..cfg.trials).rev().map(|t| trial(t, &mut gpu)).collect();
-                reused.reverse();
-                assert_eq!(fresh, reused, "{backend:?} under {policy:?}");
-                assert!(
-                    fresh.iter().any(|r| r.outcome != Outcome::Masked),
-                    "{backend:?} under {policy:?}: every trial masked, nothing compared"
-                );
+        for bench in &ggpu_kernels::bench::all()[..4] {
+            let w = Workload::from_bench(bench, 128).unwrap();
+            for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
+                for policy in [
+                    EccPolicy::unprotected(),
+                    EccPolicy::uniform(EccScheme::Parity),
+                    EccPolicy::uniform(EccScheme::SecDed),
+                ] {
+                    let map = MacroMap::from_design(&design, &policy).unwrap();
+                    let mut cfg = CampaignConfig::new(5, 48);
+                    cfg.sim.backend = backend;
+                    let mut gpu = Gpu::new(cfg.sim, w.memory_words());
+                    let cycle_hi = w.run_golden_on(&mut gpu).unwrap().cycles;
+                    let geom = Geometry::new(cfg.sim, w.memory_words());
+                    let plans: Vec<Planned> = (0..cfg.trials)
+                        .map(|t| plan_trial(&map, &cfg, &geom, cycle_hi, t))
+                        .collect();
+                    let mut order: Vec<u32> = (0..cfg.trials).collect();
+                    order.sort_by_key(|&t| (plans[t as usize].injection.cycle, t));
+                    let ids: Vec<(u32, u32)> = order
+                        .iter()
+                        .map(|&t| (t, plans[t as usize].macro_idx))
+                        .collect();
+                    let injections: Vec<Injection> = order
+                        .iter()
+                        .map(|&t| plans[t as usize].injection.clone())
+                        .collect();
+                    let mut forked = vec![None; plans.len()];
+                    fork_trials(&w, &cfg, &mut gpu, &ids, &injections, |rec| {
+                        assert!(forked[rec.trial as usize].replace(rec).is_none());
+                    })
+                    .unwrap();
+                    let fresh: Vec<Option<TrialRecord>> = (0..cfg.trials)
+                        .map(|t| {
+                            let plan = &plans[t as usize];
+                            let mut gpu = w.fresh_gpu(cfg.sim).unwrap();
+                            Some(TrialRecord {
+                                trial: t,
+                                macro_idx: plan.macro_idx,
+                                cycle: plan.injection.cycle,
+                                outcome: run_trial(&w, &cfg, plan, &mut gpu),
+                            })
+                        })
+                        .collect();
+                    let what = format!("{} on {backend:?} under {policy:?}", w.name);
+                    assert_eq!(forked, fresh, "{what}");
+                    assert!(
+                        fresh.iter().flatten().any(|r| r.outcome != Outcome::Masked),
+                        "{what}: every trial masked, nothing compared"
+                    );
+                }
             }
         }
     }

@@ -103,8 +103,12 @@ impl Workload {
     }
 
     /// A new machine with inputs staged: [`Gpu::new`] plus
-    /// [`Workload::restage`]. Campaign trials do not build one each;
-    /// every worker restages one machine before each trial.
+    /// [`Workload::restage`]. Campaigns do not build one per trial:
+    /// every worker restages one machine and forks all of its trials
+    /// from one fault-free pass on it ([`Gpu::launch_forked`]). A
+    /// forked trial's result and memory image equal those of the same
+    /// single-injection [`Gpu::launch_hardened`] on a `fresh_gpu`,
+    /// which is how the campaign tests check the fork.
     ///
     /// # Errors
     ///
@@ -119,9 +123,12 @@ impl Workload {
 
     /// Returns `gpu` to the state every run starts from: [`Gpu::reset`]
     /// zeroes the pages the previous run wrote, then the inputs are
-    /// written again. After any run, faulting ones included, the
-    /// machine is indistinguishable from [`Workload::fresh_gpu`]'s with
-    /// the same configuration.
+    /// written again. After any run, faulting or forked ones included,
+    /// the machine is indistinguishable from [`Workload::fresh_gpu`]'s
+    /// with the same configuration. A campaign restages each worker's
+    /// machine before its fault-free reference and before its forked
+    /// pass; the forks themselves restore only what their suffix
+    /// changed.
     ///
     /// # Errors
     ///
@@ -135,8 +142,9 @@ impl Workload {
         Ok(())
     }
 
-    /// Runs the workload fault-free and returns its stats — the
-    /// campaign's reference for cycles and for output comparison.
+    /// Runs the workload fault-free on a new machine and returns its
+    /// stats — the campaign's reference for cycles and for output
+    /// comparison.
     ///
     /// # Errors
     ///
@@ -144,13 +152,22 @@ impl Workload {
     /// or produces output differing from the golden model (which would
     /// mean the simulator itself is broken).
     pub fn run_golden(&self, config: SimtConfig) -> Result<RunStats, WorkloadError> {
-        let mut gpu = self.fresh_gpu(config).map_err(WorkloadError::Golden)?;
+        self.run_golden_on(&mut Gpu::new(config, GPU_MEMORY_WORDS))
+    }
+
+    /// [`Workload::run_golden`] on `gpu`, which it restages first: a
+    /// campaign runs its reference on the machine its first worker
+    /// then reuses.
+    ///
+    /// # Errors
+    ///
+    /// As [`Workload::run_golden`].
+    pub(crate) fn run_golden_on(&self, gpu: &mut Gpu) -> Result<RunStats, WorkloadError> {
+        self.restage(gpu).map_err(WorkloadError::Golden)?;
         let stats = gpu
             .launch(&self.kernel, &self.launch)
             .map_err(WorkloadError::Golden)?;
-        let out = gpu
-            .read_words(GPU_OUT, self.golden.len())
-            .map_err(WorkloadError::Golden)?;
+        let out = self.read_output(gpu).map_err(WorkloadError::Golden)?;
         if out != self.golden {
             return Err(WorkloadError::Golden(SimError::BadLaunch(
                 "golden run diverged from reference model".into(),
@@ -167,6 +184,14 @@ impl Workload {
     /// Returns [`SimError`] if the output region is out of range.
     pub fn read_output(&self, gpu: &Gpu) -> Result<Vec<u32>, SimError> {
         gpu.read_words(GPU_OUT, self.golden.len())
+    }
+
+    /// The output region of a whole global-memory image, as
+    /// [`Gpu::launch_forked`] hands it to its visitor; `None` if the
+    /// image is too small to hold it.
+    pub(crate) fn output_of<'m>(&self, image: &'m [u32]) -> Option<&'m [u32]> {
+        let start = GPU_OUT as usize / 4;
+        image.get(start..start + self.golden.len())
     }
 }
 

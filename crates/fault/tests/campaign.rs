@@ -114,8 +114,9 @@ fn checkpoint_resume_is_byte_identical() {
 
 /// A checkpoint resumes only the campaign that wrote it. A journal
 /// written under another ECC policy, machine or watchdog is refused
-/// instead of replayed as this campaign's outcomes, and a record
-/// naming a macro the map does not have is corruption.
+/// instead of replayed as this campaign's outcomes. A record naming a
+/// macro or cycle other than its trial's seeded injection, or a second
+/// record for one trial, is corruption.
 #[test]
 fn checkpoint_refuses_a_foreign_campaign() {
     let (w, parity) = campaign_fixture();
@@ -147,21 +148,49 @@ fn checkpoint_refuses_a_foreign_campaign() {
         "resumed under another watchdog"
     );
 
-    // Point trial 0's record past the end of the macro map.
+    // Edits of trial 0's record, each refused on its own.
     let text = std::fs::read_to_string(&path).expect("read ckpt");
-    let bad = format!("t 0 {} 1 masked", parity.sites().len());
-    let lines: Vec<String> = text
+    let record = text
         .lines()
-        .map(|l| {
-            if l.starts_with("t 0 ") {
-                bad.clone()
-            } else {
-                l.to_string()
-            }
-        })
-        .collect();
-    std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("rewrite");
-    assert!(refused(&parity, &cfg), "out-of-range macro index accepted");
+        .find(|l| l.starts_with("t 0 "))
+        .expect("trial 0 recorded")
+        .to_string();
+    let fields: Vec<&str> = record.split(' ').collect();
+    let (macro_idx, cycle): (usize, u64) = (
+        fields[2].parse().expect("macro"),
+        fields[3].parse().expect("cycle"),
+    );
+    let sites = parity.sites().len();
+    let with_trial0 = |line: &str| format!("t 0 {line} {}", fields[4]);
+    let edits = [
+        (
+            "an out-of-range macro index",
+            with_trial0(&format!("{sites} {cycle}")),
+        ),
+        (
+            "another in-range macro",
+            with_trial0(&format!("{} {cycle}", (macro_idx + 1) % sites)),
+        ),
+        (
+            "another cycle",
+            with_trial0(&format!("{macro_idx} {}", cycle + 1)),
+        ),
+        ("a second record", format!("{record}\n{record}")),
+    ];
+    for (what, edit) in edits {
+        let edited: Vec<&str> = text
+            .lines()
+            .map(|l| if l == record { edit.as_str() } else { l })
+            .collect();
+        std::fs::write(&path, format!("{}\n", edited.join("\n"))).expect("rewrite");
+        assert!(refused(&parity, &cfg), "accepted {what} for trial 0");
+    }
+    // The untouched journal still resumes.
+    std::fs::write(&path, &text).expect("restore");
+    assert!(
+        run_campaign(&w, &parity, &cfg).is_ok(),
+        "refused its own journal"
+    );
 
     let _ = std::fs::remove_file(&path);
 }

@@ -62,7 +62,9 @@ fn resume_from_any_truncation_offset_is_byte_identical() {
 fn resume_skips_recorded_trials() {
     // A journal holding a sentinel record for trial 0 proves resumed
     // campaigns trust surviving records instead of re-running them:
-    // the sentinel's (impossible) outcome flows into the report.
+    // the sentinel's (impossible) outcome flows into the report. It
+    // keeps trial 0's macro and cycle, which a resume checks against
+    // the trial's seeded injection.
     let (w, map) = fixture();
     let path = scratch("skip");
     let _ = std::fs::remove_file(&path);
@@ -73,12 +75,13 @@ fn resume_skips_recorded_trials() {
 
     let text = std::fs::read_to_string(&path).expect("read");
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    // Replace trial 0's record with a sentinel marked `hang`.
+    // Replace trial 0's outcome with a sentinel `hang`.
     let idx = lines
         .iter()
         .position(|l| l.starts_with("t 0 "))
         .expect("trial 0 recorded");
-    lines[idx] = "t 0 0 1 hang".to_string();
+    let fields: Vec<&str> = lines[idx].split(' ').collect();
+    lines[idx] = format!("t 0 {} {} hang", fields[2], fields[3]);
     std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("rewrite");
 
     let resumed = run_campaign(&w, &map, &cfg).expect("resumed");

@@ -18,6 +18,7 @@
 
 use crate::config::{AccelBackend, SimtConfig};
 use crate::engine::{run_launch, ScalarWave};
+use crate::fault::{HardenedRun, Injection};
 use crate::global_mem::GlobalMemory;
 use crate::gpu::{HardenState, RunStats, SimError, PARAM_SLOTS};
 use crate::soa::{SoaWave, MAX_WF};
@@ -42,7 +43,21 @@ pub struct LaunchRequest<'a> {
     pub(crate) hard: Option<&'a mut HardenState>,
     /// Soundness-oracle trace sink; `None` for plain runs.
     pub(crate) trace: Option<&'a mut ExecTrace>,
+    /// Fork plan of [`crate::Gpu::launch_forked`]; `None` otherwise.
+    pub(crate) fork: Option<Fork<'a>>,
 }
+
+/// What [`crate::Gpu::launch_forked`] asks of the scheduler: the
+/// single-injection runs to fork from the fault-free one, and where to
+/// hand each result.
+pub(crate) struct Fork<'a> {
+    pub(crate) injections: &'a [Injection],
+    pub(crate) visit: &'a mut Visit<'a>,
+}
+
+/// Receives each forked run: the injection's index, its result and the
+/// memory image it leaves.
+pub(crate) type Visit<'a> = dyn FnMut(usize, Result<HardenedRun, SimError>, &[u32]) + 'a;
 
 impl LaunchRequest<'_> {
     /// The machine configuration of this launch.
@@ -92,16 +107,7 @@ impl Accelerator for ScalarAccelerator {
     }
 
     fn run(&self, req: LaunchRequest<'_>) -> Result<RunStats, SimError> {
-        run_launch::<ScalarWave>(
-            req.config,
-            req.program,
-            req.params,
-            (req.global_size, req.workgroup_size),
-            req.memory,
-            req.reference,
-            req.hard,
-            req.trace,
-        )
+        run_launch::<ScalarWave>(req)
     }
 }
 
@@ -123,16 +129,7 @@ impl Accelerator for SoaAccelerator {
                 req.config.wavefront_size
             )));
         }
-        run_launch::<SoaWave>(
-            req.config,
-            req.program,
-            req.params,
-            (req.global_size, req.workgroup_size),
-            req.memory,
-            req.reference,
-            req.hard,
-            req.trace,
-        )
+        run_launch::<SoaWave>(req)
     }
 }
 

@@ -19,10 +19,14 @@
 //! fault semantics bit-identical (enforced by
 //! `crates/simt/tests/prop_backend_equiv.rs`).
 
+use crate::accel::{Fork, LaunchRequest};
 use crate::config::SimtConfig;
-use crate::fault::{FaultEvent, FaultSite, Injection, InjectionOutcome, Protection};
-use crate::global_mem::GlobalMemory;
-use crate::gpu::{HardenState, RunStats, SimError, LOCAL_WORDS, PARAM_SLOTS};
+use crate::fault::{
+    FaultEvent, FaultLog, FaultReport, FaultSite, HardenedRun, Injection, InjectionOutcome,
+    Protection,
+};
+use crate::global_mem::{GlobalMemory, PageSnapshot};
+use crate::gpu::{HardenState, RunStats, SimError, WatchdogState, LOCAL_WORDS, PARAM_SLOTS};
 use crate::memsys::{Dram, SharedCache};
 use crate::trace::ExecTrace;
 use ggpu_isa::inst::{AluOp, IdSource, Inst};
@@ -71,7 +75,7 @@ pub(crate) enum StepOut {
 /// an observable side effect (memory writes, cache-port arbitration,
 /// fault surfacing), and per-lane semantics match [`ScalarWave`]'s
 /// scalar loops exactly.
-pub(crate) trait Wave: Sized {
+pub(crate) trait Wave: Sized + Clone {
     /// Reusable per-scheduler scratch (lane lists, operand staging,
     /// touched-line buffers). One instance lives in the [`Sched`] and
     /// is lent to every issue, so the steady-state instruction loop
@@ -134,6 +138,11 @@ pub(crate) trait Wave: Sized {
     /// Toggles one lane's execution-mask bit (the caller has checked
     /// [`Wave::has_lane`]).
     fn toggle_exec(&mut self, lane: u32);
+
+    /// Overwrites `buf` with this wavefront, lazy engine state
+    /// included, reusing `buf`'s lane storage: the fork snapshot copies
+    /// every resident wavefront before each forked suffix.
+    fn clone_into_buf(&self, buf: &mut Self);
 }
 
 /// One compute unit: resident wavefronts, scratchpad, issue stage.
@@ -166,6 +175,47 @@ pub(crate) struct ComputeUnit<W> {
     dirty: bool,
 }
 
+impl<W: Wave> ComputeUnit<W> {
+    fn new() -> Self {
+        Self {
+            wavefronts: Vec::new(),
+            pool: Vec::new(),
+            local_mem: vec![0; LOCAL_WORDS],
+            busy_until: 0,
+            rr_cursor: 0,
+            dispatch_hint: true,
+            cached_live: false,
+            cached_ready: u64::MAX,
+            dirty: true,
+        }
+    }
+
+    /// Copies `src`'s resident wavefronts, LRAM, issue stage and cached
+    /// summary into `self`, reusing `self`'s buffers (surplus
+    /// wavefronts wait in `self.pool`). Pools are not copied: a pooled
+    /// wavefront is reinitialized before it is dispatched again. The
+    /// fork driver restores by swapping the two units whole, so each
+    /// keeps at most one resident list's worth of wavefronts.
+    fn save_from(&mut self, src: &Self) {
+        let keep = src.wavefronts.len().min(self.wavefronts.len());
+        self.pool.extend(self.wavefronts.drain(keep..));
+        for (i, w) in src.wavefronts.iter().enumerate() {
+            if i == self.wavefronts.len() {
+                let buf = self.pool.pop().unwrap_or_else(|| w.clone());
+                self.wavefronts.push(buf);
+            }
+            w.clone_into_buf(&mut self.wavefronts[i]);
+        }
+        self.local_mem.copy_from_slice(&src.local_mem);
+        self.busy_until = src.busy_until;
+        self.rr_cursor = src.rr_cursor;
+        self.dispatch_hint = src.dispatch_hint;
+        self.cached_live = src.cached_live;
+        self.cached_ready = src.cached_ready;
+        self.dirty = src.dirty;
+    }
+}
+
 /// Outcome of one scheduler pass (one simulated cycle's worth of
 /// dispatch/issue work), used by the event-driven driver to decide
 /// how far time can jump.
@@ -182,7 +232,10 @@ struct PassOutcome {
 
 /// One in-flight kernel run: machine state plus scheduling queues,
 /// shared by the event-driven scheduler and the cycle-stepping
-/// reference so both execute byte-for-byte identical passes.
+/// reference so both execute byte-for-byte identical passes. The run
+/// is resumable: `now` is state, so a driver can stop between passes
+/// (the fork driver saves the state there, runs a faulted suffix and
+/// restores it).
 pub(crate) struct Sched<'a, W: Wave> {
     env: IssueEnv<'a>,
     memory: &'a mut GlobalMemory,
@@ -191,6 +244,8 @@ pub(crate) struct Sched<'a, W: Wave> {
     total_groups: u32,
     next_group: u32,
     stats: RunStats,
+    /// Simulated time of the next pass.
+    now: u64,
     scratch: W::Scratch,
     /// Fault-injection / watchdog harness; `None` for plain runs.
     hard: Option<&'a mut HardenState>,
@@ -198,46 +253,55 @@ pub(crate) struct Sched<'a, W: Wave> {
     trace: Option<&'a mut ExecTrace>,
 }
 
-/// Builds and runs one launch on wave engine `W`, under either the
-/// event-driven driver or the cycle-stepping reference driver.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_launch<W: Wave>(
-    config: SimtConfig,
-    program: &[Inst],
-    params: [u32; PARAM_SLOTS],
-    (global_size, workgroup_size): (u32, u32),
-    memory: &mut GlobalMemory,
-    reference: bool,
-    hard: Option<&mut HardenState>,
-    trace: Option<&mut ExecTrace>,
-) -> Result<RunStats, SimError> {
-    let total_groups = global_size.div_ceil(workgroup_size);
-    let sched = Sched::<W> {
+/// What an injection does to the machine, decided without touching
+/// it.
+enum Verdict {
+    /// No architectural state changes: a vacant site, a SEC-DED
+    /// correction, or flips that cancel out. The run logs the outcome
+    /// and continues exactly as if fault-free.
+    Unchanged(InjectionOutcome),
+    /// Parity or SEC-DED flags the word uncorrectable: the run aborts.
+    Detected(FaultReport),
+    /// The upset lands: [`Sched::apply_injection`] changes the
+    /// machine, and the run logs the outcome.
+    Lands(InjectionOutcome),
+}
+
+/// The forkable state of a [`Sched`], saved before a mutating
+/// injection's suffix runs and put back after it. One per fork driver,
+/// reused by every fork.
+struct Snapshot<W> {
+    cus: Vec<ComputeUnit<W>>,
+    cache: SharedCache,
+    next_group: u32,
+    stats: RunStats,
+    now: u64,
+    watchdog: WatchdogState,
+    pages: PageSnapshot,
+}
+
+/// Builds and runs one launch on wave engine `W`: under the fork
+/// driver when the request carries a fork plan, otherwise under the
+/// event-driven or the cycle-stepping reference driver.
+pub(crate) fn run_launch<W: Wave>(req: LaunchRequest<'_>) -> Result<RunStats, SimError> {
+    let config = req.config;
+    let total_groups = req.global_size.div_ceil(req.workgroup_size);
+    let mut sched = Sched::<W> {
         env: IssueEnv {
             config,
-            program,
-            params,
-            global_size,
-            workgroup_size,
+            program: req.program,
+            params: req.params,
+            global_size: req.global_size,
+            workgroup_size: req.workgroup_size,
             pes_shift: config
                 .pes_per_cu
                 .is_power_of_two()
                 .then(|| config.pes_per_cu.trailing_zeros()),
         },
-        memory,
+        memory: req.memory,
         cache: SharedCache::new(config.cache, Dram::new(config.dram)),
         cus: (0..config.compute_units)
-            .map(|_| ComputeUnit {
-                wavefronts: Vec::new(),
-                pool: Vec::new(),
-                local_mem: vec![0; LOCAL_WORDS],
-                busy_until: 0,
-                rr_cursor: 0,
-                dispatch_hint: true,
-                cached_live: false,
-                cached_ready: u64::MAX,
-                dirty: true,
-            })
+            .map(|_| ComputeUnit::new())
             .collect(),
         total_groups,
         next_group: 0,
@@ -245,60 +309,189 @@ pub(crate) fn run_launch<W: Wave>(
             workgroups: u64::from(total_groups),
             ..RunStats::default()
         },
+        now: 0,
         scratch: W::Scratch::default(),
-        hard,
-        trace,
+        hard: req.hard,
+        trace: req.trace,
     };
-    if reference {
-        sched.run_cycle_reference()
-    } else {
-        sched.run_event_driven()
+    match req.fork {
+        Some(fork) => sched.run_forked(fork),
+        None => sched.run(req.reference),
     }
 }
 
 impl<'a, W: Wave> Sched<'a, W> {
-    /// Event-driven driver: the time wheel. Runs a pass, then jumps
-    /// `now` directly to the next event, accounting the skipped idle
-    /// cycles arithmetically.
-    fn run_event_driven(mut self) -> Result<RunStats, SimError> {
-        let mut now: u64 = 0;
+    /// Runs from `now` to the end of the launch: one pass per event
+    /// (the time wheel), or per simulated cycle under the `reference`
+    /// driver.
+    fn run(&mut self, reference: bool) -> Result<RunStats, SimError> {
         loop {
-            if now > self.env.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.env.config.max_cycles,
-                });
+            self.check_ceiling()?;
+            if self.step(reference)? {
+                return Ok(self.finish());
             }
-            self.harness_tick(now)?;
-            let pass = self.pass(now)?;
-            if !pass.any_alive && self.next_group >= self.total_groups {
-                break;
-            }
-            now = self.advance(now, &pass)?;
         }
-        self.stats.cycles = now;
-        self.stats.mem = self.cache.stats();
-        Ok(self.stats)
     }
 
-    /// Cycle-stepping reference driver: visits every simulated cycle.
-    fn run_cycle_reference(mut self) -> Result<RunStats, SimError> {
-        let mut now: u64 = 0;
-        loop {
-            if now > self.env.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.env.config.max_cycles,
-                });
+    /// Fork driver: runs the fault-free launch once. At the first pass
+    /// at or after each injection's cycle, taken in cycle order, it
+    /// hands `fork.visit` the result and memory image that a launch
+    /// with that one injection gives. An injection that changes no
+    /// state is answered from the fault-free run; a detected one
+    /// aborts on the spot; a landing one saves the machine into the
+    /// snapshot, runs the faulted suffix, visits and restores.
+    fn run_forked(&mut self, fork: Fork<'_>) -> Result<RunStats, SimError> {
+        let Fork { injections, visit } = fork;
+        let mut order: Vec<usize> = (0..injections.len()).collect();
+        order.sort_by_key(|&i| injections[i].cycle);
+        let mut pending = order.into_iter().peekable();
+        let mut snap = Snapshot {
+            cus: self.cus.iter().map(|_| ComputeUnit::new()).collect(),
+            cache: self.cache.clone(),
+            next_group: 0,
+            stats: RunStats::default(),
+            now: 0,
+            watchdog: WatchdogState::default(),
+            pages: PageSnapshot::default(),
+        };
+        // Unchanged-state injections with their pass time and outcome,
+        // visited with the fault-free run's result once it is known.
+        let mut unchanged: Vec<(usize, u64, InjectionOutcome)> = Vec::new();
+        let golden = loop {
+            if let Err(e) = self.check_ceiling() {
+                break Err(e);
             }
-            self.harness_tick(now)?;
-            let pass = self.pass(now)?;
-            if !pass.any_alive && self.next_group >= self.total_groups {
-                break;
+            while let Some(i) = pending.next_if(|&i| injections[i].cycle <= self.now) {
+                let inj = &injections[i];
+                match Self::resolve_injection(&self.cus, self.memory, inj, self.now) {
+                    Verdict::Unchanged(outcome) => unchanged.push((i, self.now, outcome)),
+                    Verdict::Detected(report) => {
+                        visit(i, Err(SimError::UncorrectableFault(report)), self.memory)
+                    }
+                    Verdict::Lands(_) => {
+                        self.save(&mut snap);
+                        let run = self.run_with(inj);
+                        visit(i, run, self.memory);
+                        self.restore(&mut snap);
+                    }
+                }
             }
-            now += 1;
+            match self.step(false) {
+                Ok(false) => {}
+                Ok(true) => break Ok(self.finish()),
+                Err(e) => break Err(e),
+            }
+        };
+        let with_log = |events: Vec<FaultEvent>| {
+            golden.clone().map(|stats| HardenedRun {
+                stats,
+                log: FaultLog { events },
+            })
+        };
+        for (i, cycle, outcome) in unchanged {
+            let event = FaultEvent {
+                cycle,
+                label: injections[i].label.clone(),
+                outcome,
+            };
+            visit(i, with_log(vec![event]), self.memory);
         }
-        self.stats.cycles = now;
-        self.stats.mem = self.cache.stats();
-        Ok(self.stats)
+        // Past the run's last pass: never applied.
+        for i in pending {
+            visit(i, with_log(Vec::new()), self.memory);
+        }
+        golden
+    }
+
+    /// Runs the rest of the launch with `inj` planned at the current
+    /// pass, as a hardened launch with that one injection would.
+    fn run_with(&mut self, inj: &Injection) -> Result<HardenedRun, SimError> {
+        if let Some(hard) = self.hard.as_deref_mut() {
+            hard.injections.push(inj.clone());
+        }
+        let stats = self.run(false)?;
+        let log = self
+            .hard
+            .as_deref_mut()
+            .map(|hard| std::mem::take(&mut hard.log))
+            .unwrap_or_default();
+        Ok(HardenedRun { stats, log })
+    }
+
+    /// Copies the forkable state into `snap`: every CU, the shared
+    /// cache and AXI interfaces, the dispatch position, the `RunStats`
+    /// accumulators, `now`, the watchdog and the written pages of
+    /// global memory.
+    fn save(&self, snap: &mut Snapshot<W>) {
+        for (saved, cu) in snap.cus.iter_mut().zip(&self.cus) {
+            saved.save_from(cu);
+        }
+        snap.cache.save_from(&self.cache);
+        snap.next_group = self.next_group;
+        snap.stats = self.stats;
+        snap.now = self.now;
+        if let Some(hard) = self.hard.as_deref() {
+            snap.watchdog = hard.watchdog_state;
+        }
+        self.memory.save_pages(&mut snap.pages);
+    }
+
+    /// Puts back what [`Sched::save`] copied and clears the forked
+    /// run's injection plan. The CUs and the cache swap with their
+    /// copies, which keep the forked run's state as buffers for the
+    /// next save.
+    fn restore(&mut self, snap: &mut Snapshot<W>) {
+        for (cu, saved) in self.cus.iter_mut().zip(&mut snap.cus) {
+            std::mem::swap(cu, saved);
+        }
+        std::mem::swap(&mut self.cache, &mut snap.cache);
+        self.next_group = snap.next_group;
+        self.stats = snap.stats;
+        self.now = snap.now;
+        if let Some(hard) = self.hard.as_deref_mut() {
+            hard.watchdog_state = snap.watchdog;
+            hard.injections.clear();
+            hard.next_inj = 0;
+            hard.log.events.clear();
+        }
+        self.memory.restore_pages(&snap.pages);
+    }
+
+    /// The cycle ceiling, checked before every pass.
+    fn check_ceiling(&self) -> Result<(), SimError> {
+        if self.now > self.env.config.max_cycles {
+            return Err(SimError::CycleLimit {
+                limit: self.env.config.max_cycles,
+            });
+        }
+        Ok(())
+    }
+
+    /// The harness hook and one pass at `now`, then the move to the
+    /// next pass time: the next event, or `now + 1` under the
+    /// cycle-stepping `reference`. Returns `true` once the launch has
+    /// finished (`now` is then its cycle count).
+    fn step(&mut self, reference: bool) -> Result<bool, SimError> {
+        self.harness_tick(self.now)?;
+        let pass = self.pass(self.now)?;
+        if !pass.any_alive && self.next_group >= self.total_groups {
+            return Ok(true);
+        }
+        self.now = if reference {
+            self.now + 1
+        } else {
+            self.advance(self.now, &pass)?
+        };
+        Ok(false)
+    }
+
+    /// The counters of a finished launch.
+    fn finish(&self) -> RunStats {
+        RunStats {
+            cycles: self.now,
+            mem: self.cache.stats(),
+            ..self.stats
+        }
     }
 
     /// Finds the earliest simulated time after `now` at which any CU
@@ -391,18 +584,26 @@ impl<'a, W: Wave> Sched<'a, W> {
         // architectural state is read, so landing at the first pass at
         // or after the target cycle is bit-equivalent to landing at
         // the target cycle itself on the cycle-stepping machine.
-        while hard
+        while let Some(inj) = hard
             .injections
             .get(hard.next_inj)
-            .is_some_and(|inj| inj.cycle <= now)
+            .filter(|inj| inj.cycle <= now)
         {
-            let i = hard.next_inj;
             hard.next_inj += 1;
-            let outcome =
-                Self::apply_injection(&mut self.cus, self.memory, &hard.injections[i], now)?;
+            let outcome = match Self::resolve_injection(&self.cus, self.memory, inj, now) {
+                Verdict::Unchanged(outcome) => outcome,
+                Verdict::Detected(report) => {
+                    self.hard = Some(hard);
+                    return Err(SimError::UncorrectableFault(report));
+                }
+                Verdict::Lands(outcome) => {
+                    Self::apply_injection(&mut self.cus, self.memory, inj);
+                    outcome
+                }
+            };
             hard.log.events.push(FaultEvent {
                 cycle: now,
-                label: hard.injections[i].label.clone(),
+                label: inj.label.clone(),
                 outcome,
             });
         }
@@ -413,22 +614,23 @@ impl<'a, W: Wave> Sched<'a, W> {
         // resolve — modelled latencies are finite — and must not trip
         // the heartbeat).
         if let Some(wd) = hard.watchdog {
-            if now >= hard.wd_next {
-                hard.wd_next = now + wd.interval.max(1);
+            let st = &mut hard.watchdog_state;
+            if now >= st.next {
+                st.next = now + wd.interval.max(1);
                 let instr = self.stats.vector_instructions;
-                if instr > hard.wd_last_instr {
-                    hard.wd_last_instr = instr;
+                if instr > st.last_instr {
+                    st.last_instr = instr;
                     let fp = self.arch_fingerprint();
-                    if hard.wd_fp_valid && fp == hard.wd_last_fp {
-                        hard.wd_streak += 1;
-                        if hard.wd_streak >= wd.patience.max(1) {
+                    if st.fp_valid && fp == st.last_fp {
+                        st.streak += 1;
+                        if st.streak >= wd.patience.max(1) {
                             self.hard = Some(hard);
                             return Err(SimError::Watchdog { cycle: now });
                         }
                     } else {
-                        hard.wd_streak = 0;
-                        hard.wd_last_fp = fp;
-                        hard.wd_fp_valid = true;
+                        st.streak = 0;
+                        st.last_fp = fp;
+                        st.fp_valid = true;
                     }
                 }
             }
@@ -455,75 +657,51 @@ impl<'a, W: Wave> Sched<'a, W> {
         h.finish()
     }
 
-    /// Applies one injection to the machine. Unresolvable coordinates
-    /// (index out of range, retired slot) are [`InjectionOutcome::Vacant`];
-    /// protection is decided by the total codeword flip count. This
-    /// function cannot panic for any `(site, cycle, bits)` input.
-    fn apply_injection(
-        cus: &mut [ComputeUnit<W>],
-        memory: &mut GlobalMemory,
+    /// The live wavefront in `slot` of `cu`, if any.
+    fn live_wave(cus: &[ComputeUnit<W>], cu: u32, slot: u32) -> Option<&W> {
+        cus.get(cu as usize)
+            .and_then(|c| c.wavefronts.get(slot as usize))
+            .filter(|w| !w.done())
+    }
+
+    /// Decides what `inj` does at pass time `now` without changing the
+    /// machine. Unresolvable coordinates (index out of range, retired
+    /// slot) are [`InjectionOutcome::Vacant`]; protection is decided by
+    /// the total codeword flip count. This function cannot panic for
+    /// any `(site, cycle, bits)` input.
+    fn resolve_injection(
+        cus: &[ComputeUnit<W>],
+        memory: &GlobalMemory,
         inj: &Injection,
         now: u64,
-    ) -> Result<InjectionOutcome, SimError> {
-        /// A resolved mutable view of the targeted state.
-        enum Slot<'m, W: Wave> {
-            Word(&'m mut u32),
-            Mask(&'m mut W, u32),
-        }
-        fn wf_of<W: Wave>(cus: &mut [ComputeUnit<W>], cu: u32, slot: u32) -> Option<&mut W> {
-            cus.get_mut(cu as usize)
-                .and_then(|c| c.wavefronts.get_mut(slot as usize))
-                .filter(|w| !w.done())
-        }
-        // Invalidate the targeted CU's cached pass summary: an upset
-        // can change what the next scan would conclude (e.g. an
-        // exec-mask flip feeding a retirement on the next issue).
-        match inj.site {
-            FaultSite::Register { cu, .. }
-            | FaultSite::LocalWord { cu, .. }
-            | FaultSite::Pc { cu, .. }
-            | FaultSite::ExecMask { cu, .. } => {
-                if let Some(c) = cus.get_mut(cu as usize) {
-                    c.dirty = true;
-                }
+    ) -> Verdict {
+        let resolves = match inj.site {
+            FaultSite::Register { cu, slot, lane, .. }
+            | FaultSite::Pc { cu, slot, lane }
+            | FaultSite::ExecMask { cu, slot, lane } => {
+                Self::live_wave(cus, cu, slot).is_some_and(|w| w.has_lane(lane))
             }
-            FaultSite::GlobalWord { .. } => {}
-        }
-        let slot: Option<Slot<'_, W>> = match inj.site {
-            FaultSite::Register {
-                cu,
-                slot,
-                lane,
-                reg,
-            } => wf_of(cus, cu, slot)
-                .and_then(|w| w.reg_slot(lane, reg))
-                .map(Slot::Word),
             FaultSite::LocalWord { cu, word } => cus
-                .get_mut(cu as usize)
-                .and_then(|c| c.local_mem.get_mut(word as usize))
-                .map(Slot::Word),
-            FaultSite::GlobalWord { word } => memory.word_mut(word as usize).map(Slot::Word),
-            FaultSite::Pc { cu, slot, lane } => wf_of(cus, cu, slot)
-                .and_then(|w| w.pc_slot(lane))
-                .map(Slot::Word),
-            FaultSite::ExecMask { cu, slot, lane } => wf_of(cus, cu, slot)
-                .and_then(|w| w.has_lane(lane).then_some(w))
-                .map(|w| Slot::Mask(w, lane)),
+                .get(cu as usize)
+                .is_some_and(|c| (word as usize) < c.local_mem.len()),
+            FaultSite::GlobalWord { word } => (word as usize) < memory.len(),
         };
-        let Some(slot) = slot else {
-            return Ok(InjectionOutcome::Vacant);
-        };
-        let apply = |slot: Slot<'_, W>| match slot {
-            Slot::Word(w) => {
-                for &b in &inj.flips {
-                    *w ^= 1u32 << (b % 32);
-                }
+        if !resolves {
+            return Verdict::Unchanged(InjectionOutcome::Vacant);
+        }
+        // A word whose flips cancel out keeps its value; an exec-mask
+        // upset toggles the lane whatever its flip list.
+        let changes = matches!(inj.site, FaultSite::ExecMask { .. }) || flip_mask(&inj.flips) != 0;
+        let lands = |outcome| {
+            if changes {
+                Verdict::Lands(outcome)
+            } else {
+                Verdict::Unchanged(outcome)
             }
-            Slot::Mask(w, lane) => w.toggle_exec(lane),
         };
         let total = inj.codeword_flips.max(inj.flips.len() as u32);
         let detected = || {
-            SimError::UncorrectableFault(crate::fault::FaultReport {
+            Verdict::Detected(FaultReport {
                 cycle: now,
                 label: inj.label.clone(),
                 domain: inj.site.domain(),
@@ -531,33 +709,57 @@ impl<'a, W: Wave> Sched<'a, W> {
             })
         };
         match inj.protection {
-            Protection::None => {
-                apply(slot);
-                Ok(InjectionOutcome::Applied)
-            }
-            _ if total == 0 => Ok(InjectionOutcome::Vacant),
-            Protection::Parity => {
-                if total % 2 == 1 {
-                    // Odd flip count inverts the parity: detected, not
-                    // correctable — surfaced as a typed error.
-                    Err(detected())
-                } else {
-                    // Even flip counts cancel in the parity sum and
-                    // land silently (potential SDC).
-                    apply(slot);
-                    Ok(InjectionOutcome::Applied)
-                }
-            }
+            Protection::None => lands(InjectionOutcome::Applied),
+            _ if total == 0 => Verdict::Unchanged(InjectionOutcome::Vacant),
+            // An odd flip count inverts the parity: detected, not
+            // correctable. Even counts cancel in the parity sum and
+            // land silently (potential SDC).
+            Protection::Parity if total % 2 == 1 => detected(),
+            Protection::Parity => lands(InjectionOutcome::Applied),
             Protection::SecDed => match total {
-                1 => Ok(InjectionOutcome::Corrected),
-                t if t % 2 == 0 => Err(detected()),
-                _ => {
-                    // Odd >= 3: the decoder sees a plausible single-bit
-                    // syndrome and "corrects" the wrong bit.
-                    apply(slot);
-                    Ok(InjectionOutcome::MisCorrected)
-                }
+                1 => Verdict::Unchanged(InjectionOutcome::Corrected),
+                t if t % 2 == 0 => detected(),
+                // Odd >= 3: the decoder sees a plausible single-bit
+                // syndrome and "corrects" the wrong bit.
+                _ => lands(InjectionOutcome::MisCorrected),
             },
+        }
+    }
+
+    /// Applies an injection that [`Sched::resolve_injection`] found to
+    /// land: XORs its flips into the word, or toggles the lane's
+    /// exec-mask bit, and invalidates the CU's cached pass summary (an
+    /// upset can change what the next scan concludes, e.g. an
+    /// exec-mask flip feeding a retirement on the next issue).
+    fn apply_injection(cus: &mut [ComputeUnit<W>], memory: &mut GlobalMemory, inj: &Injection) {
+        fn wave<W: Wave>(cus: &mut [ComputeUnit<W>], cu: u32, slot: u32) -> Option<&mut W> {
+            let c = cus.get_mut(cu as usize)?;
+            c.dirty = true;
+            c.wavefronts.get_mut(slot as usize)
+        }
+        let mask = flip_mask(&inj.flips);
+        let word = match inj.site {
+            FaultSite::Register {
+                cu,
+                slot,
+                lane,
+                reg,
+            } => wave(cus, cu, slot).and_then(|w| w.reg_slot(lane, reg)),
+            FaultSite::Pc { cu, slot, lane } => wave(cus, cu, slot).and_then(|w| w.pc_slot(lane)),
+            FaultSite::LocalWord { cu, word } => cus.get_mut(cu as usize).and_then(|c| {
+                c.dirty = true;
+                c.local_mem.get_mut(word as usize)
+            }),
+            FaultSite::GlobalWord { word } => memory.word_mut(word as usize),
+            FaultSite::ExecMask { cu, slot, lane } => {
+                if let Some(w) = wave(cus, cu, slot) {
+                    w.toggle_exec(lane);
+                }
+                None
+            }
+        };
+        if let Some(w) = word {
+            *w ^= mask;
         }
     }
 
@@ -858,6 +1060,12 @@ impl<'a, W: Wave> Sched<'a, W> {
     }
 }
 
+/// The XOR mask of a flip list (bit positions taken modulo 32): a bit
+/// flipped twice is back where it was.
+fn flip_mask(flips: &[u8]) -> u32 {
+    flips.iter().fold(0, |m, &b| m ^ (1u32 << (b % 32)))
+}
+
 /// Shared `observe` tail used by both engines once they have resolved
 /// the issuing PC and the ascending-ordered issue set: computes
 /// per-lane addresses, store values and branch outcomes from a
@@ -930,6 +1138,7 @@ pub(crate) fn observe_issue(
 /// per-instruction lane list and the per-access touched-line list live
 /// in a reusable [`ScalarScratch`] instead of being allocated fresh
 /// for every instruction.
+#[derive(Clone)]
 pub(crate) struct ScalarWave {
     pcs: Vec<u32>,
     active: Vec<bool>,
@@ -1277,5 +1486,26 @@ impl Wave for ScalarWave {
         if let Some(a) = self.active.get_mut(lane as usize) {
             *a = !*a;
         }
+    }
+
+    fn clone_into_buf(&self, buf: &mut Self) {
+        let mut pcs = std::mem::take(&mut buf.pcs);
+        let mut active = std::mem::take(&mut buf.active);
+        let mut regs = std::mem::take(&mut buf.regs);
+        let mut global_ids = std::mem::take(&mut buf.global_ids);
+        let mut local_ids = std::mem::take(&mut buf.local_ids);
+        pcs.clone_from(&self.pcs);
+        active.clone_from(&self.active);
+        regs.clone_from(&self.regs);
+        global_ids.clone_from(&self.global_ids);
+        local_ids.clone_from(&self.local_ids);
+        *buf = Self {
+            pcs,
+            active,
+            regs,
+            global_ids,
+            local_ids,
+            ..*self
+        };
     }
 }

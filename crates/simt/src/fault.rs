@@ -23,6 +23,18 @@
 //! * A hardened run with an empty plan (and any watchdog setting) is
 //!   bit-identical to [`crate::Gpu::launch`]: the harness acts only at
 //!   pass times that already exist and mutates nothing.
+//! * Forking ([`crate::Gpu::launch_forked`]) rests on the two rules
+//!   above: up to an injection's pass, a single-injection run *is* the
+//!   fault-free run. So one fault-free pass answers every injection in
+//!   cycle order. An injection that changes no state (vacant site,
+//!   SEC-DED correction, cancelling flips) ends like the fault-free
+//!   run with one logged event; a detected one ends at its pass with
+//!   [`crate::SimError::UncorrectableFault`]; only one that lands runs
+//!   a suffix of its own, from a saved copy of the scheduler state and
+//!   the written memory pages, which are restored before the pass
+//!   moves on. Each visited result and memory image equals
+//!   [`crate::Gpu::launch_hardened`]'s with that one injection
+//!   (`crates/simt/tests/prop_fork.rs`).
 
 use std::fmt;
 

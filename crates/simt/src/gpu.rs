@@ -9,7 +9,7 @@
 //! active PC each issue — arbitrary control flow is supported and the
 //! serialization cost of divergence emerges naturally.
 
-use crate::accel::{resolve, Accelerator, LaunchRequest, ScalarAccelerator};
+use crate::accel::{resolve, Accelerator, Fork, LaunchRequest, ScalarAccelerator};
 use crate::config::SimtConfig;
 use crate::fault::{
     FaultLog, FaultReport, HardenedOptions, HardenedRun, Injection, WatchdogConfig,
@@ -439,7 +439,7 @@ impl Gpu {
     /// Returns [`SimError`] on invalid launches, memory faults,
     /// control flow leaving the program, or the cycle ceiling.
     pub fn launch(&mut self, kernel: &Kernel, launch: &Launch) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, None)
+        self.launch_impl(kernel, launch, false, None, None, None, None)
     }
 
     /// Runs `kernel` on an explicitly chosen execution backend instead
@@ -460,7 +460,7 @@ impl Gpu {
         kernel: &Kernel,
         launch: &Launch,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), None)
+        self.launch_impl(kernel, launch, false, None, Some(accel), None, None)
     }
 
     /// Runs `kernel` while recording a concrete execution trace into
@@ -481,7 +481,7 @@ impl Gpu {
         launch: &Launch,
         trace: &mut ExecTrace,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, Some(trace))
+        self.launch_impl(kernel, launch, false, None, None, Some(trace), None)
     }
 
     /// [`Gpu::launch_traced`] on an explicitly chosen backend — how the
@@ -499,7 +499,7 @@ impl Gpu {
         launch: &Launch,
         trace: &mut ExecTrace,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), Some(trace))
+        self.launch_impl(kernel, launch, false, None, Some(accel), Some(trace), None)
     }
 
     /// Runs `kernel` under the fault-injection / watchdog harness.
@@ -526,8 +526,8 @@ impl Gpu {
         launch: &Launch,
         opts: &HardenedOptions,
     ) -> Result<HardenedRun, SimError> {
-        let mut hard = HardenState::new(opts);
-        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, None)?;
+        let mut hard = HardenState::new(opts.plan.injections(), opts.watchdog);
+        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, None, None)?;
         Ok(HardenedRun {
             stats,
             log: hard.log,
@@ -550,11 +550,82 @@ impl Gpu {
         launch: &Launch,
         opts: &HardenedOptions,
     ) -> Result<HardenedRun, SimError> {
-        let mut hard = HardenState::new(opts);
-        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), Some(accel), None)?;
+        let mut hard = HardenState::new(opts.plan.injections(), opts.watchdog);
+        let stats = self.launch_impl(
+            kernel,
+            launch,
+            false,
+            Some(&mut hard),
+            Some(accel),
+            None,
+            None,
+        )?;
         Ok(HardenedRun {
             stats,
             log: hard.log,
+        })
+    }
+
+    /// Runs `kernel` fault-free under the hardened harness once and
+    /// forks every single-injection run from it.
+    ///
+    /// For each `injections[i]`, `visit(i, result, image)` receives
+    /// exactly what [`Gpu::launch_hardened`] with a plan of that one
+    /// injection (and this `watchdog`) gives on this machine: the
+    /// result (`RunStats`, fault log or typed error) and the whole
+    /// global-memory image the run leaves. Only the host-side
+    /// `sim_wall` differs: it is zero for a visited run.
+    ///
+    /// Injections are taken in cycle order, at the first scheduler
+    /// pass at or after their cycle, where a hardened launch would
+    /// apply them:
+    ///
+    /// * one that changes no state (a vacant site, a SEC-DED
+    ///   correction, flips that cancel) is answered from the
+    ///   fault-free run and visited once that run has finished;
+    /// * one that parity or SEC-DED detects is visited on the spot
+    ///   with [`SimError::UncorrectableFault`];
+    /// * one that lands saves the scheduler state (CUs, cache, AXI
+    ///   interfaces, dispatch position, counters, watchdog, cycle) and
+    ///   the written global-memory pages, runs the faulted rest of the
+    ///   launch, visits, and restores.
+    ///
+    /// Injections past the last pass are never applied and are visited
+    /// with the fault-free result and an empty log. The machine is
+    /// left holding the fault-free run's memory image.
+    ///
+    /// # Errors
+    ///
+    /// Returns the fault-free run's own result: [`Gpu::launch`]'s
+    /// errors, or [`SimError::Watchdog`] on livelock. When the launch
+    /// fails validation ([`SimError::BadLaunch`],
+    /// [`SimError::BadConfig`]) nothing runs and `visit` is never
+    /// called; otherwise it is called exactly once per injection.
+    pub fn launch_forked(
+        &mut self,
+        kernel: &Kernel,
+        launch: &Launch,
+        watchdog: Option<WatchdogConfig>,
+        injections: &[Injection],
+        mut visit: impl FnMut(usize, Result<HardenedRun, SimError>, &[u32]),
+    ) -> Result<HardenedRun, SimError> {
+        let mut hard = HardenState::new(&[], watchdog);
+        let fork = Fork {
+            injections,
+            visit: &mut visit,
+        };
+        let stats = self.launch_impl(
+            kernel,
+            launch,
+            false,
+            Some(&mut hard),
+            None,
+            None,
+            Some(fork),
+        )?;
+        Ok(HardenedRun {
+            stats,
+            log: FaultLog::default(),
         })
     }
 
@@ -576,17 +647,27 @@ impl Gpu {
         kernel: &Kernel,
         launch: &Launch,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, true, None, Some(&ScalarAccelerator), None)
+        self.launch_impl(
+            kernel,
+            launch,
+            true,
+            None,
+            Some(&ScalarAccelerator),
+            None,
+            None,
+        )
     }
 
-    fn launch_impl(
-        &mut self,
-        kernel: &Kernel,
+    #[allow(clippy::too_many_arguments)]
+    fn launch_impl<'a>(
+        &'a mut self,
+        kernel: &'a Kernel,
         launch: &Launch,
         reference: bool,
-        hard: Option<&mut HardenState>,
+        hard: Option<&'a mut HardenState>,
         accel: Option<&dyn Accelerator>,
-        trace: Option<&mut ExecTrace>,
+        trace: Option<&'a mut ExecTrace>,
+        fork: Option<Fork<'a>>,
     ) -> Result<RunStats, SimError> {
         let wall = Instant::now();
         self.config.validate().map_err(SimError::BadConfig)?;
@@ -624,6 +705,7 @@ impl Gpu {
             reference,
             hard,
             trace,
+            fork,
         })?;
         stats.sim_wall = wall.elapsed();
         Ok(stats)
@@ -641,31 +723,34 @@ pub(crate) struct HardenState {
     pub(crate) next_inj: usize,
     /// Watchdog configuration, if enabled.
     pub(crate) watchdog: Option<WatchdogConfig>,
-    /// Next heartbeat deadline.
-    pub(crate) wd_next: u64,
-    /// Fingerprint at the previous armed check.
-    pub(crate) wd_last_fp: u64,
-    /// Whether `wd_last_fp` holds a real sample yet.
-    pub(crate) wd_fp_valid: bool,
-    /// Consecutive armed checks with an unchanged fingerprint.
-    pub(crate) wd_streak: u32,
-    /// `vector_instructions` at the previous check (activity gate).
-    pub(crate) wd_last_instr: u64,
+    /// The watchdog's progress record.
+    pub(crate) watchdog_state: WatchdogState,
     /// Applied injections and their outcomes.
     pub(crate) log: FaultLog,
 }
 
+/// What the retirement-progress watchdog remembers between heartbeats.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WatchdogState {
+    /// Next heartbeat deadline.
+    pub(crate) next: u64,
+    /// Fingerprint at the previous armed check.
+    pub(crate) last_fp: u64,
+    /// Whether `last_fp` holds a real sample yet.
+    pub(crate) fp_valid: bool,
+    /// Consecutive armed checks with an unchanged fingerprint.
+    pub(crate) streak: u32,
+    /// `vector_instructions` at the previous check (activity gate).
+    pub(crate) last_instr: u64,
+}
+
 impl HardenState {
-    fn new(opts: &HardenedOptions) -> Self {
+    fn new(injections: &[Injection], watchdog: Option<WatchdogConfig>) -> Self {
         Self {
-            injections: opts.plan.injections().to_vec(),
+            injections: injections.to_vec(),
             next_inj: 0,
-            watchdog: opts.watchdog,
-            wd_next: 0,
-            wd_last_fp: 0,
-            wd_fp_valid: false,
-            wd_streak: 0,
-            wd_last_instr: 0,
+            watchdog,
+            watchdog_state: WatchdogState::default(),
             log: FaultLog::default(),
         }
     }

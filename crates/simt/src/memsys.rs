@@ -165,6 +165,17 @@ impl SharedCache {
         }
     }
 
+    /// Copies `src`'s lines, bank and interface queues and counters
+    /// into `self`, reusing `self`'s buffers. Both caches must share one
+    /// geometry (the fork snapshot starts as a clone of the live cache).
+    pub(crate) fn save_from(&mut self, src: &Self) {
+        debug_assert_eq!(self.cfg, src.cfg, "snapshot of another cache geometry");
+        self.lines.copy_from_slice(&src.lines);
+        self.bank_free.copy_from_slice(&src.bank_free);
+        self.dram.iface_free.copy_from_slice(&src.dram.iface_free);
+        self.stats = src.stats;
+    }
+
     /// Accumulated counters.
     pub fn stats(&self) -> MemStats {
         self.stats

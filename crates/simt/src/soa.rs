@@ -52,6 +52,7 @@ use std::hash::Hash;
 pub(crate) const MAX_WF: u32 = 64;
 
 /// One wavefront in structure-of-arrays layout.
+#[derive(Clone)]
 pub(crate) struct SoaWave {
     /// Wavefront size (lanes), `<= 64`.
     wf: u32,
@@ -1079,6 +1080,21 @@ impl Wave for SoaWave {
         self.materialize_pcs();
         self.exec ^= 1u64 << lane;
         self.uniform = false;
+    }
+
+    fn clone_into_buf(&self, buf: &mut Self) {
+        fn copy_row(dst: &mut Box<[u32]>, src: &[u32]) {
+            if dst.len() == src.len() {
+                dst.copy_from_slice(src);
+            } else {
+                *dst = src.into();
+            }
+        }
+        let mut pcs = std::mem::take(&mut buf.pcs);
+        let mut regs = std::mem::take(&mut buf.regs);
+        copy_row(&mut pcs, &self.pcs);
+        copy_row(&mut regs, &self.regs);
+        *buf = Self { pcs, regs, ..*self };
     }
 }
 

@@ -54,6 +54,12 @@ echo "== property suite (transactional transform engine, release) =="
 # (The debug-mode run is part of the workspace tests above.)
 cargo test --release -q -p gpuplanner --test prop_journal_equiv --test beam_vs_greedy
 
+echo "== fork property suite (release, raised case count) =="
+# Gpu::launch_forked against fresh single-injection hardened launches
+# on both backends: results, fault logs, typed errors and memory
+# images. The workspace tests above run it at its default 48 cases.
+GGPU_PROP_CASES=1000 cargo test --release -q -p ggpu-simt --test prop_fork
+
 echo "== perfbench (unit tests, release) =="
 # The reproduction benchmark is a package of its own outside the
 # workspace, so the steps above never compile it; this one catches a
