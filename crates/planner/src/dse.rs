@@ -169,7 +169,7 @@ impl From<StaError> for DseError {
 
 /// Strips one `_d<digits>` division suffix, recovering the original
 /// macro name a plan keys on.
-pub(crate) fn original_macro_name(name: &str) -> &str {
+fn original_macro_name(name: &str) -> &str {
     if let Some(pos) = name.rfind("_d") {
         if name[pos + 2..].chars().all(|c| c.is_ascii_digit()) && !name[pos + 2..].is_empty() {
             return &name[..pos];
@@ -231,39 +231,18 @@ pub struct Optimized {
     pub trace: Vec<String>,
 }
 
-/// Search configuration for the DSE loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DseConfig {
-    /// Number of candidate plans kept alive per iteration.
-    ///
-    /// `1` (the default) is the paper's greedy loop — follow the
-    /// frequency map's single advice. Widths above 1 run a beam search over the
-    /// journal: each iteration expands every surviving plan with the
-    /// remedies for its worst paths and keeps the best `beam_width`,
-    /// always including the protected greedy chain, so the result is
-    /// never worse than greedy.
-    pub beam_width: usize,
-}
+/// Search configuration for the DSE loop. It has no fields: the DSE
+/// is the paper's greedy loop, and this type remains only for
+/// [`optimize_with_config`] callers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DseConfig;
 
-impl Default for DseConfig {
-    fn default() -> Self {
-        Self { beam_width: 1 }
-    }
-}
+/// Maximum DSE iterations before declaring the target unreachable.
+const MAX_ITERS: usize = 64;
 
-impl DseConfig {
-    /// The default greedy configuration (`beam_width == 1`).
-    pub fn greedy() -> Self {
-        Self::default()
-    }
-
-    /// A beam of `width` candidate plans (`0` is clamped to `1`).
-    pub fn with_beam_width(width: usize) -> Self {
-        Self {
-            beam_width: width.max(1),
-        }
-    }
-}
+/// Minimum fmax improvement (MHz) an iteration must deliver for the
+/// loop to count it as progress.
+const MIN_PROGRESS_MHZ: f64 = 0.1;
 
 /// Iterates the frequency map until `base` (plus accumulated
 /// transforms) meets `target`.
@@ -286,55 +265,15 @@ pub fn optimize_for(base: &Design, tech: &Tech, target: Mhz) -> Result<Optimized
 /// (and across worker threads) turns the repeated re-timing of common
 /// plan prefixes into table lookups; see [`crate::cache`].
 ///
+/// The loop runs over a [`TransformJournal`]: one working design,
+/// candidates reached by rebase (revert + re-apply of the differing
+/// suffix), zero clones on the candidate hot path.
+///
 /// # Errors
 ///
 /// Returns [`DseError::Unreachable`] if the advice runs out or stops
 /// making progress before the target is met.
 pub fn optimize_for_with(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-) -> Result<Optimized, DseError> {
-    optimize_with_config(base, tech, target, cache, &DseConfig::default())
-}
-
-/// [`optimize_for_with`] under an explicit [`DseConfig`].
-///
-/// `beam_width == 1` runs the journal-backed greedy loop; wider beams
-/// run
-/// [`crate::beam`]'s search, which is never worse than greedy (the
-/// greedy chain is kept alive in the beam).
-///
-/// # Errors
-///
-/// Returns [`DseError::Unreachable`] if no surviving candidate meets
-/// the target.
-pub fn optimize_with_config(
-    base: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-    config: &DseConfig,
-) -> Result<Optimized, DseError> {
-    if config.beam_width <= 1 {
-        optimize_greedy_journal(base, tech, target, cache)
-    } else {
-        crate::beam::optimize_beam(base, tech, target, cache, config.beam_width)
-    }
-}
-
-/// Maximum DSE iterations before declaring the target unreachable.
-pub(crate) const MAX_ITERS: usize = 64;
-
-/// Minimum fmax improvement (MHz) an iteration must deliver for the
-/// loop to count it as progress.
-pub(crate) const MIN_PROGRESS_MHZ: f64 = 0.1;
-
-/// The greedy loop over a [`TransformJournal`]: one working design,
-/// candidates reached by rebase (revert + re-apply of the differing
-/// suffix), zero clones on the candidate hot path.
-fn optimize_greedy_journal(
     base: &Design,
     tech: &Tech,
     target: Mhz,
@@ -397,6 +336,21 @@ fn optimize_greedy_journal(
         }
     }
     Err(DseError::Unreachable { target, best })
+}
+
+/// [`optimize_for_with`]; the [`DseConfig`] selects nothing.
+///
+/// # Errors
+///
+/// As [`optimize_for_with`].
+pub fn optimize_with_config(
+    base: &Design,
+    tech: &Tech,
+    target: Mhz,
+    cache: &StaCache,
+    _config: &DseConfig,
+) -> Result<Optimized, DseError> {
+    optimize_for_with(base, tech, target, cache)
 }
 
 #[cfg(test)]
@@ -534,13 +488,5 @@ mod tests {
             opt.plan.divisions.len() + opt.plan.pipelines.len()
         );
         assert!(actions.iter().any(|a| matches!(a, Action::Divide { .. })));
-    }
-
-    #[test]
-    fn dse_config_defaults_to_greedy() {
-        assert_eq!(DseConfig::default().beam_width, 1);
-        assert_eq!(DseConfig::greedy(), DseConfig::default());
-        assert_eq!(DseConfig::with_beam_width(0).beam_width, 1);
-        assert_eq!(DseConfig::with_beam_width(3).beam_width, 3);
     }
 }

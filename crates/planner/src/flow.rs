@@ -3,7 +3,7 @@
 //! check.
 
 use crate::cache::StaCache;
-use crate::dse::{apply_plan, optimize_with_config, DseConfig, DseError, OptimizationPlan};
+use crate::dse::{apply_plan, optimize_for_with, DseError, OptimizationPlan};
 use crate::spec::Specification;
 use ggpu_fault::ResilienceReport;
 use ggpu_netlist::{Design, EccPolicy};
@@ -309,27 +309,10 @@ impl GpuPlanner {
     /// Returns [`PlanError`] if the specification is invalid, the
     /// frequency is unreachable, or synthesis fails.
     pub fn plan(&self, spec: &Specification) -> Result<PlannedVersion, PlanError> {
-        self.plan_with_config(spec, &DseConfig::default())
-    }
-
-    /// [`GpuPlanner::plan`] under an explicit [`DseConfig`] — the
-    /// default configuration is bit-identical to `plan`; wider beams
-    /// run the journal-backed beam search (never worse than greedy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if the specification is invalid, the
-    /// frequency is unreachable, or synthesis fails.
-    pub fn plan_with_config(
-        &self,
-        spec: &Specification,
-        dse: &DseConfig,
-    ) -> Result<PlannedVersion, PlanError> {
         let config = self.config_for(spec)?;
         let base = generate(&config)?;
         Self::lint_gate(&base)?;
-        let optimized =
-            optimize_with_config(&base, &self.tech, spec.frequency, &self.sta_cache, dse)?;
+        let optimized = optimize_for_with(&base, &self.tech, spec.frequency, &self.sta_cache)?;
         let mut design = optimized.design;
         design.set_name(format!(
             "ggpu_{}cu_{:.0}mhz",

@@ -26,7 +26,6 @@
 //! # }
 //! ```
 
-pub mod beam;
 pub mod cache;
 pub mod datasheet;
 pub mod dse;
@@ -49,7 +48,7 @@ pub use flow::{
     worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate,
 };
 pub use journal::{Checkpoint, TransformJournal};
-pub use map::{advise, advise_candidates, advise_delta, advise_with, Advice};
+pub use map::{advise, advise_delta, advise_with, Advice};
 pub use spec::Specification;
 pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
 pub use supervise::{

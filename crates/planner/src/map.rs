@@ -123,94 +123,6 @@ pub fn advise_delta(
     advise_inner(design, tech, target, cache, Some(dirty))
 }
 
-/// Up to `k` distinct candidate actions toward `target`, best-first.
-///
-/// The beam search's expansion rule. Walks the timing report's paths
-/// in slack order and derives, for each, the remedy the paper's
-/// decision rule would pick for *that* path (divide the launching
-/// macro if it is still divisible, else pipeline the path if deep
-/// enough), deduplicated. The first candidate therefore coincides with
-/// [`advise_delta`]'s single advice whenever the critical path has a
-/// remedy — which is what keeps the protected greedy chain inside the
-/// beam exact.
-///
-/// Returns `vec![Advice::Met { .. }]` when the design already meets
-/// the target and `vec![Advice::Stuck { .. }]` when no walked path has
-/// a remedy.
-///
-/// # Errors
-///
-/// Returns [`StaError`] if timing analysis fails.
-pub fn advise_candidates(
-    design: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-    dirty: Option<&[ModuleId]>,
-    k: usize,
-) -> Result<Vec<Advice>, StaError> {
-    let fmax = match cache.max_frequency(design, tech)? {
-        Some(f) => f,
-        None => return Ok(vec![Advice::Met { fmax: target }]),
-    };
-    if fmax.value() >= target.value() {
-        return Ok(vec![Advice::Met { fmax }]);
-    }
-    let report = match dirty {
-        Some(dirty) => cache.analyze_delta(design, tech, target, dirty)?,
-        None => cache.analyze(design, tech, target)?,
-    };
-    let mut out: Vec<Advice> = Vec::new();
-    let mut seen: std::collections::BTreeSet<(bool, String, String)> =
-        std::collections::BTreeSet::new();
-    for crit in report.paths() {
-        if out.len() >= k.max(1) {
-            break;
-        }
-        let module_id = design
-            .module_by_name(&crit.module)
-            .expect("report module exists");
-        let module = design.module(module_id);
-        if let ggpu_netlist::timing::PathEndpoint::Macro(name) = &crit.start {
-            let can_divide = module
-                .find_macro(name)
-                .map(|m| m.config.words / 2 >= MIN_WORDS && m.config.words % 2 == 0)
-                .unwrap_or(false);
-            if can_divide {
-                if seen.insert((true, crit.module.clone(), name.clone())) {
-                    out.push(Advice::DivideMemory {
-                        module: crit.module.clone(),
-                        macro_name: name.clone(),
-                        fmax,
-                    });
-                }
-                continue;
-            }
-        }
-        let depth = module
-            .paths
-            .iter()
-            .find(|p| p.name == crit.path)
-            .map(|p| p.depth())
-            .unwrap_or(0);
-        if depth >= 2 && seen.insert((false, crit.module.clone(), crit.path.clone())) {
-            out.push(Advice::InsertPipeline {
-                module: crit.module.clone(),
-                path: crit.path.clone(),
-                fmax,
-            });
-        }
-    }
-    if out.is_empty() {
-        let crit = report.paths().first().expect("paths exist");
-        return Ok(vec![Advice::Stuck {
-            fmax,
-            path: format!("{}::{}", crit.module, crit.path),
-        }]);
-    }
-    Ok(out)
-}
-
 fn advise_inner(
     design: &Design,
     tech: &Tech,

@@ -13,9 +13,9 @@
 //!   poisoned spec cannot abort its siblings;
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
-//!   (beam → greedy search, incremental STA → uncached STA, SoA
-//!   backend → scalar reference engine). Every step is recorded in a
-//!   structured [`DegradationReport`] — degraded results are never
+//!   (incremental STA → uncached STA, SoA backend → scalar reference
+//!   engine). Every step is recorded in a structured
+//!   [`DegradationReport`] — degraded results are never
 //!   silent; the design linter surfaces them as `N010` findings
 //!   ([`ggpu_lint::check_supervision`]);
 //! * all outcomes surface as one unified [`FlowError`] carrying the
@@ -29,7 +29,6 @@
 //! There is no stage deadline by default: stages run inline with zero
 //! thread overhead unless [`SupervisorConfig::stage_timeout`] is set.
 
-use crate::dse::DseConfig;
 use crate::flow::{parallel_map, worker_threads, GpuPlanner, ImplementedVersion, PlanError};
 use crate::spec::Specification;
 use ggpu_fault::{
@@ -269,6 +268,8 @@ impl FailurePlan {
     }
 
     /// The (deterministic) injection for one stage attempt, if any.
+    /// Every field may take its full range: the permille thresholds
+    /// saturate, and a delay is drawn from `0..=max_delay_ms`.
     pub fn roll(&self, fingerprint: u64, stage: FlowStage, attempt: u32) -> Option<Injection> {
         if self.is_none() {
             return None;
@@ -278,11 +279,16 @@ impl FailurePlan {
             (stage.index() << 32) | u64::from(attempt),
         );
         let draw = (rng.next_u64() % 1000) as u32;
+        let delay_end = self.panic_permille.saturating_add(self.delay_permille);
         if draw < self.panic_permille {
             Some(Injection::Panic)
-        } else if draw < self.panic_permille + self.delay_permille {
-            Some(Injection::Delay(rng.next_u64() % (self.max_delay_ms + 1)))
-        } else if draw < self.panic_permille + self.delay_permille + self.io_permille {
+        } else if draw < delay_end {
+            let ms = match self.max_delay_ms.checked_add(1) {
+                Some(span) => rng.next_u64() % span,
+                None => rng.next_u64(),
+            };
+            Some(Injection::Delay(ms))
+        } else if draw < delay_end.saturating_add(self.io_permille) {
             Some(Injection::Io)
         } else {
             None
@@ -307,9 +313,6 @@ pub struct SupervisorConfig {
     /// Seed of the backoff jitter (and of any chaos plan keyed off
     /// this supervisor).
     pub seed: u64,
-    /// First-choice DSE search (`beam_width > 1` enables the
-    /// beam → greedy rung).
-    pub dse: DseConfig,
     /// First-choice execution backend of the verify smoke run (the
     /// SoA → scalar rung).
     pub backend: AccelBackend,
@@ -329,7 +332,6 @@ impl Default for SupervisorConfig {
             backoff_base_ms: 0,
             backoff_cap_ms: 1_000,
             seed: 0,
-            dse: DseConfig::default(),
             backend: AccelBackend::Soa,
             campaign_trials: 0,
             chaos: FailurePlan::none(),
@@ -385,8 +387,9 @@ pub fn spec_fingerprint(spec: &Specification) -> u64 {
 enum Rung {
     /// Verify smoke on this backend.
     Backend(AccelBackend),
-    /// Plan with this beam width and STA caching mode.
-    Search { beam_width: usize, cached_sta: bool },
+    /// Plan with the greedy search over incremental (`true`) or
+    /// uncached STA.
+    Search { cached_sta: bool },
     /// Implement (single-rung ladder; retry only).
     Implement,
     /// Campaign (single-rung ladder; retry only).
@@ -394,24 +397,14 @@ enum Rung {
 }
 
 impl Rung {
-    fn name(self) -> String {
+    fn name(self) -> &'static str {
         match self {
-            Rung::Backend(AccelBackend::Scalar) => "scalar backend".into(),
-            Rung::Backend(_) => "SoA backend".into(),
-            Rung::Search {
-                beam_width,
-                cached_sta,
-            } => {
-                let search = if beam_width > 1 { "beam" } else { "greedy" };
-                let sta = if cached_sta {
-                    "incremental STA"
-                } else {
-                    "uncached STA"
-                };
-                format!("{search} search + {sta}")
-            }
-            Rung::Implement => "shelf placer".into(),
-            Rung::Campaign => "fault campaign".into(),
+            Rung::Backend(AccelBackend::Scalar) => "scalar backend",
+            Rung::Backend(_) => "SoA backend",
+            Rung::Search { cached_sta: true } => "greedy search + incremental STA",
+            Rung::Search { cached_sta: false } => "greedy search + uncached STA",
+            Rung::Implement => "shelf placer",
+            Rung::Campaign => "fault campaign",
         }
     }
 }
@@ -483,32 +476,16 @@ impl Supervisor {
             },
         )?;
 
-        // Stage 2: plan (beam → greedy, incremental STA → uncached STA).
-        let mut plan_rungs = Vec::new();
-        let beam = self.config.dse.beam_width;
-        if beam > 1 {
-            plan_rungs.push(Rung::Search {
-                beam_width: beam,
-                cached_sta: true,
-            });
-        }
-        plan_rungs.push(Rung::Search {
-            beam_width: 1,
-            cached_sta: true,
-        });
-        plan_rungs.push(Rung::Search {
-            beam_width: 1,
-            cached_sta: false,
-        });
+        // Stage 2: plan (incremental STA → uncached STA).
+        let plan_rungs = [
+            Rung::Search { cached_sta: true },
+            Rung::Search { cached_sta: false },
+        ];
         let planned = self.ladder(spec, fp, FlowStage::Plan, &plan_rungs, &mut degradations, {
             let planner = self.planner.clone();
             let spec = *spec;
             move |rung| {
-                let Rung::Search {
-                    beam_width,
-                    cached_sta,
-                } = rung
-                else {
+                let Rung::Search { cached_sta } = rung else {
                     unreachable!("plan ladder holds search rungs")
                 };
                 let planner = if cached_sta {
@@ -520,9 +497,7 @@ impl Supervisor {
                         .clone()
                         .with_sta_cache(std::sync::Arc::new(crate::cache::StaCache::passthrough()))
                 };
-                planner
-                    .plan_with_config(&spec, &DseConfig::with_beam_width(beam_width))
-                    .map_err(FlowErrorKind::Plan)
+                planner.plan(&spec).map_err(FlowErrorKind::Plan)
             }
         })?;
 
@@ -615,8 +590,8 @@ impl Supervisor {
                 if let Some(&next) = rungs.get(r + 1) {
                     degradations.steps.push(DegradationStep {
                         stage: stage.as_str().to_string(),
-                        from: rung.name(),
-                        to: next.name(),
+                        from: rung.name().to_string(),
+                        to: next.name().to_string(),
                         reason: last
                             .as_ref()
                             .map(|k| k.to_string())
@@ -900,12 +875,64 @@ mod tests {
     }
 
     #[test]
+    fn full_range_failure_plans_roll_without_panicking() {
+        // Edge values of every field, or a seeded random one.
+        let mut rng = Rng::seeded(0xC4A05);
+        let permille = |rng: &mut Rng| {
+            let edges = [0, 1, 999, 1000, u32::MAX - 1, u32::MAX];
+            edges
+                .get(rng.usize_in(edges.len() + 1))
+                .copied()
+                .unwrap_or_else(|| rng.next_u64() as u32)
+        };
+        let stages = [
+            FlowStage::Verify,
+            FlowStage::Plan,
+            FlowStage::Implement,
+            FlowStage::Campaign,
+        ];
+        let delays = [0, 1, u64::MAX - 1, u64::MAX];
+        for case in 0..512 {
+            let plan = FailurePlan {
+                seed: rng.next_u64(),
+                panic_permille: permille(&mut rng),
+                delay_permille: permille(&mut rng),
+                io_permille: permille(&mut rng),
+                max_delay_ms: delays
+                    .get(rng.usize_in(delays.len() + 1))
+                    .copied()
+                    .unwrap_or_else(|| rng.next_u64()),
+            };
+            let roll = plan.roll(rng.next_u64(), stages[case % 4], rng.next_u64() as u32);
+            if let Some(Injection::Delay(ms)) = roll {
+                assert!(ms <= plan.max_delay_ms, "{plan:?} drew {ms} ms");
+            }
+            // A threshold of 1000 permille or more always fires.
+            if plan.panic_permille >= 1000 {
+                assert_eq!(roll, Some(Injection::Panic), "{plan:?}");
+            }
+            let total = [plan.delay_permille, plan.io_permille]
+                .into_iter()
+                .fold(plan.panic_permille, u32::saturating_add);
+            if total >= 1000 {
+                assert!(roll.is_some(), "{plan:?}");
+            }
+        }
+    }
+
+    #[test]
     fn degradation_report_lints_as_n010() {
+        let (from, to) = (
+            Rung::Search { cached_sta: true }.name(),
+            Rung::Search { cached_sta: false }.name(),
+        );
+        assert_eq!(from, "greedy search + incremental STA");
+        assert_eq!(to, "greedy search + uncached STA");
         let mut report = DegradationReport::default();
         report.steps.push(DegradationStep {
             stage: "plan".into(),
-            from: "beam search + incremental STA".into(),
-            to: "greedy search + incremental STA".into(),
+            from: from.into(),
+            to: to.into(),
             reason: "panicked: boom".into(),
         });
         let lint = report.lint("t", &ggpu_lint::LintConfig::new());

@@ -1,6 +1,6 @@
 //! Simulator configuration: machine geometry and timing parameters.
 
-/// Which execution backend ([`crate::Accelerator`]) runs a launch.
+/// Which execution engine runs a launch.
 ///
 /// Every backend simulates the identical architecture — outputs,
 /// [`crate::RunStats`], memory image and fault semantics are

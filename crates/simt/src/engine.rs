@@ -1,5 +1,4 @@
-//! The generic wavefront scheduler shared by every [`crate::Accelerator`]
-//! backend.
+//! The generic wavefront scheduler shared by both execution backends.
 //!
 //! The scheduler (dispatch, round-robin issue selection, the
 //! event-driven time wheel and the cycle-stepping reference driver,
@@ -19,7 +18,6 @@
 //! fault semantics bit-identical (enforced by
 //! `crates/simt/tests/prop_backend_equiv.rs`).
 
-use crate::accel::{Fork, LaunchRequest};
 use crate::config::SimtConfig;
 use crate::fault::{
     FaultEvent, FaultLog, FaultReport, FaultSite, HardenedRun, Injection, InjectionOutcome,
@@ -279,6 +277,38 @@ struct Snapshot<W> {
     watchdog: WatchdogState,
     pages: PageSnapshot,
 }
+
+/// One fully validated launch, ready for a wave engine. Built by
+/// [`crate::Gpu`] after its geometry checks and parameter staging.
+pub(crate) struct LaunchRequest<'a> {
+    pub(crate) config: SimtConfig,
+    pub(crate) program: &'a [Inst],
+    pub(crate) params: [u32; PARAM_SLOTS],
+    pub(crate) global_size: u32,
+    pub(crate) workgroup_size: u32,
+    pub(crate) memory: &'a mut GlobalMemory,
+    /// Use the cycle-stepping reference driver instead of the
+    /// event-driven time wheel (validation runs).
+    pub(crate) reference: bool,
+    /// Fault-injection / watchdog harness; `None` for plain runs.
+    pub(crate) hard: Option<&'a mut HardenState>,
+    /// Soundness-oracle trace sink; `None` for plain runs.
+    pub(crate) trace: Option<&'a mut ExecTrace>,
+    /// Fork plan of [`crate::Gpu::launch_forked`]; `None` otherwise.
+    pub(crate) fork: Option<Fork<'a>>,
+}
+
+/// What [`crate::Gpu::launch_forked`] asks of the scheduler: the
+/// single-injection runs to fork from the fault-free one, and where to
+/// hand each result.
+pub(crate) struct Fork<'a> {
+    pub(crate) injections: &'a [Injection],
+    pub(crate) visit: &'a mut Visit<'a>,
+}
+
+/// Receives each forked run: the injection's index, its result and the
+/// memory image it leaves.
+pub(crate) type Visit<'a> = dyn FnMut(usize, Result<HardenedRun, SimError>, &[u32]) + 'a;
 
 /// Builds and runs one launch on wave engine `W`: under the fork
 /// driver when the request carries a fork plan, otherwise under the

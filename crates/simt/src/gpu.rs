@@ -9,13 +9,14 @@
 //! active PC each issue — arbitrary control flow is supported and the
 //! serialization cost of divergence emerges naturally.
 
-use crate::accel::{resolve, Accelerator, Fork, LaunchRequest, ScalarAccelerator};
-use crate::config::SimtConfig;
+use crate::config::{AccelBackend, SimtConfig};
+use crate::engine::{run_launch, Fork, LaunchRequest, ScalarWave};
 use crate::fault::{
     FaultLog, FaultReport, HardenedOptions, HardenedRun, Injection, WatchdogConfig,
 };
 use crate::global_mem::GlobalMemory;
 use crate::memsys::MemStats;
+use crate::soa::{SoaWave, MAX_WF};
 use crate::trace::ExecTrace;
 use ggpu_isa::asm::{assemble, AssembleError};
 use ggpu_isa::inst::Inst;
@@ -439,28 +440,7 @@ impl Gpu {
     /// Returns [`SimError`] on invalid launches, memory faults,
     /// control flow leaving the program, or the cycle ceiling.
     pub fn launch(&mut self, kernel: &Kernel, launch: &Launch) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, None, None)
-    }
-
-    /// Runs `kernel` on an explicitly chosen execution backend instead
-    /// of the one [`crate::AccelBackend`] resolution would pick.
-    ///
-    /// Every backend is architecturally bit-identical, so this exists
-    /// for validation (the equivalence suite drives the scalar and SoA
-    /// engines over identical launches), not for functional selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] exactly as [`Gpu::launch`] does, plus
-    /// [`SimError::BadConfig`] when the backend rejects the machine
-    /// geometry (e.g. SoA with `wavefront_size > 64`).
-    pub fn launch_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-    ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), None, None)
+        self.launch_impl(kernel, launch, false, None, None, None)
     }
 
     /// Runs `kernel` while recording a concrete execution trace into
@@ -481,25 +461,7 @@ impl Gpu {
         launch: &Launch,
         trace: &mut ExecTrace,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, None, Some(trace), None)
-    }
-
-    /// [`Gpu::launch_traced`] on an explicitly chosen backend — how the
-    /// soundness property suite drives both engines over identical
-    /// launches and cross-checks their traces.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch_traced`], plus [`SimError::BadConfig`] for
-    /// geometries the backend rejects.
-    pub fn launch_traced_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-        trace: &mut ExecTrace,
-    ) -> Result<RunStats, SimError> {
-        self.launch_impl(kernel, launch, false, None, Some(accel), Some(trace), None)
+        self.launch_impl(kernel, launch, false, None, Some(trace), None)
     }
 
     /// Runs `kernel` under the fault-injection / watchdog harness.
@@ -527,39 +489,7 @@ impl Gpu {
         opts: &HardenedOptions,
     ) -> Result<HardenedRun, SimError> {
         let mut hard = HardenState::new(opts.plan.injections(), opts.watchdog);
-        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, None, None)?;
-        Ok(HardenedRun {
-            stats,
-            log: hard.log,
-        })
-    }
-
-    /// [`Gpu::launch_hardened`] on an explicitly chosen backend — the
-    /// fault-semantics half of the backend-equivalence contract
-    /// (injection outcomes, ECC verdicts, watchdog trips and partial
-    /// memory effects must all match across backends).
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch_hardened`], plus [`SimError::BadConfig`] for
-    /// geometries the backend rejects.
-    pub fn launch_hardened_with(
-        &mut self,
-        accel: &dyn Accelerator,
-        kernel: &Kernel,
-        launch: &Launch,
-        opts: &HardenedOptions,
-    ) -> Result<HardenedRun, SimError> {
-        let mut hard = HardenState::new(opts.plan.injections(), opts.watchdog);
-        let stats = self.launch_impl(
-            kernel,
-            launch,
-            false,
-            Some(&mut hard),
-            Some(accel),
-            None,
-            None,
-        )?;
+        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, None)?;
         Ok(HardenedRun {
             stats,
             log: hard.log,
@@ -614,15 +544,7 @@ impl Gpu {
             injections,
             visit: &mut visit,
         };
-        let stats = self.launch_impl(
-            kernel,
-            launch,
-            false,
-            Some(&mut hard),
-            None,
-            None,
-            Some(fork),
-        )?;
+        let stats = self.launch_impl(kernel, launch, false, Some(&mut hard), None, Some(fork))?;
         Ok(HardenedRun {
             stats,
             log: FaultLog::default(),
@@ -630,7 +552,8 @@ impl Gpu {
     }
 
     /// Runs `kernel` under the cycle-stepping reference scheduler —
-    /// the plain `now += 1` loop that visits every simulated cycle.
+    /// the plain `now += 1` loop that visits every simulated cycle — on
+    /// the scalar engine, whatever [`SimtConfig::backend`] says.
     ///
     /// This is the validation oracle for [`Gpu::launch`]: both
     /// schedulers execute the *same* per-cycle pass, so any change to
@@ -647,25 +570,18 @@ impl Gpu {
         kernel: &Kernel,
         launch: &Launch,
     ) -> Result<RunStats, SimError> {
-        self.launch_impl(
-            kernel,
-            launch,
-            true,
-            None,
-            Some(&ScalarAccelerator),
-            None,
-            None,
-        )
+        self.launch_impl(kernel, launch, true, None, None, None)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Validates the launch and runs it on the engine the configured
+    /// backend selects ([`AccelBackend::Scalar`] for the `reference`
+    /// driver).
     fn launch_impl<'a>(
         &'a mut self,
         kernel: &'a Kernel,
         launch: &Launch,
         reference: bool,
         hard: Option<&'a mut HardenState>,
-        accel: Option<&dyn Accelerator>,
         trace: Option<&'a mut ExecTrace>,
         fork: Option<Fork<'a>>,
     ) -> Result<RunStats, SimError> {
@@ -693,9 +609,13 @@ impl Gpu {
         let mut params = [0u32; PARAM_SLOTS];
         params[..launch.params.len()].copy_from_slice(&launch.params);
 
-        let accel =
-            accel.unwrap_or_else(|| resolve(self.config.backend, self.config.wavefront_size));
-        let mut stats = accel.run(LaunchRequest {
+        let backend = if reference {
+            AccelBackend::Scalar
+        } else {
+            self.config.backend
+        };
+        let wide = self.config.wavefront_size > MAX_WF;
+        let req = LaunchRequest {
             config: self.config,
             program: &kernel.program,
             params,
@@ -706,7 +626,18 @@ impl Gpu {
             hard,
             trace,
             fork,
-        })?;
+        };
+        // `Auto` runs the SoA engine unless the wavefront is wider than
+        // its one exec-mask word; an explicit `Soa` is refused there,
+        // never silently demoted.
+        let mut stats = match (backend, wide) {
+            (AccelBackend::Scalar, _) | (AccelBackend::Auto, true) => run_launch::<ScalarWave>(req),
+            (AccelBackend::Soa, true) => Err(SimError::BadConfig(format!(
+                "SoA backend supports wavefront_size <= {MAX_WF} (one exec-mask word), got {}",
+                self.config.wavefront_size
+            ))),
+            (AccelBackend::Auto | AccelBackend::Soa, false) => run_launch::<SoaWave>(req),
+        }?;
         stats.sim_wall = wall.elapsed();
         Ok(stats)
     }
@@ -1723,5 +1654,56 @@ mod barrier_tests {
         let mut gpu = Gpu::new(SimtConfig::with_cus(1), 1 << 12);
         let stats = gpu.launch(&kernel, &Launch::new(128, 128, vec![])).unwrap();
         assert!(stats.cycles > 0);
+    }
+}
+
+#[cfg(test)]
+mod backend_tests {
+    use super::*;
+
+    /// 128 lanes exceed the SoA engine's one exec-mask word: `Auto`
+    /// runs such a machine on the scalar engine, and an explicit `Soa`
+    /// is refused rather than silently demoted.
+    #[test]
+    fn wide_wavefronts_run_on_the_scalar_engine() {
+        // out[gid] = 3 * (gid % 4) + gid, through a divergent loop.
+        let src = "
+            gid  r1
+            param r2, 0
+            slli r3, r1, 2
+            add  r3, r3, r2
+            andi r4, r1, 3
+            beq  r4, r0, store
+            loop:
+            addi r5, r5, 3
+            addi r4, r4, -1
+            bne  r4, r0, loop
+            store:
+            add  r5, r5, r1
+            sw   r3, r5, 0
+            ret
+        ";
+        let kernel = Kernel::from_asm("wide", src).unwrap();
+        let launch = Launch::new(512, 256, vec![0x400]);
+        let run = |backend: AccelBackend| {
+            let mut cfg = SimtConfig::with_cus(2).with_backend(backend);
+            cfg.wavefront_size = 128;
+            let mut gpu = Gpu::new(cfg, 1 << 12);
+            let stats = gpu.launch(&kernel, &launch);
+            (stats, gpu.read_words(0x400, 512).unwrap())
+        };
+        let (auto, out_auto) = run(AccelBackend::Auto);
+        let (scalar, out_scalar) = run(AccelBackend::Scalar);
+        let auto = auto.unwrap();
+        assert_eq!(auto.wavefronts, 4, "four 128-lane wavefronts");
+        assert_eq!(auto, scalar.unwrap());
+        assert_eq!(out_auto, out_scalar);
+        for (gid, &word) in out_auto.iter().enumerate() {
+            assert_eq!(word as usize, 3 * (gid % 4) + gid, "gid {gid}");
+        }
+        assert!(matches!(
+            run(AccelBackend::Soa).0,
+            Err(SimError::BadConfig(_))
+        ));
     }
 }

@@ -31,7 +31,6 @@
 //! # }
 //! ```
 
-pub mod accel;
 pub mod config;
 mod engine;
 pub mod fault;
@@ -41,7 +40,6 @@ pub mod memsys;
 mod soa;
 pub mod trace;
 
-pub use accel::{Accelerator, LaunchRequest, ScalarAccelerator, SoaAccelerator};
 pub use config::{AccelBackend, CacheConfig, DramConfig, LramModel, SimtConfig};
 pub use fault::{
     FaultEvent, FaultLog, FaultPlan, FaultReport, FaultSite, HardenedOptions, HardenedRun,

@@ -1,5 +1,5 @@
-//! The data-oriented SIMT wave engine: the `Soa` fast path behind
-//! [`crate::Accelerator`].
+//! The data-oriented SIMT wave engine: the fast path that
+//! [`crate::AccelBackend::Soa`] and [`crate::AccelBackend::Auto`] select.
 //!
 //! Layout and iteration strategy (vs. the scalar reference engine):
 //!

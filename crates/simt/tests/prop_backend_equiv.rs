@@ -8,8 +8,8 @@
 use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
-    FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, LramModel, Protection,
-    ScalarAccelerator, SimtConfig, SoaAccelerator, WatchdogConfig,
+    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, LramModel,
+    Protection, SimtConfig, WatchdogConfig,
 };
 
 const MEM_WORDS: usize = 4096;
@@ -23,15 +23,15 @@ fn assert_equiv(
     seed_mem: &[u32],
     opts: Option<&HardenedOptions>,
 ) {
-    let mut scalar_gpu = Gpu::new(config, MEM_WORDS);
-    let mut soa_gpu = Gpu::new(config, MEM_WORDS);
+    let mut scalar_gpu = Gpu::new(config.with_backend(AccelBackend::Scalar), MEM_WORDS);
+    let mut soa_gpu = Gpu::new(config.with_backend(AccelBackend::Soa), MEM_WORDS);
     scalar_gpu.write_words(0, seed_mem).expect("seed scalar");
     soa_gpu.write_words(0, seed_mem).expect("seed soa");
 
     match opts {
         None => {
-            let a = scalar_gpu.launch_with(&ScalarAccelerator, kernel, launch);
-            let b = soa_gpu.launch_with(&SoaAccelerator, kernel, launch);
+            let a = scalar_gpu.launch(kernel, launch);
+            let b = soa_gpu.launch(kernel, launch);
             match (a, b) {
                 (Ok(sa), Ok(sb)) => assert_eq!(sa, sb, "RunStats diverge on {}", kernel.name),
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors diverge on {}", kernel.name),
@@ -39,8 +39,8 @@ fn assert_equiv(
             }
         }
         Some(opts) => {
-            let a = scalar_gpu.launch_hardened_with(&ScalarAccelerator, kernel, launch, opts);
-            let b = soa_gpu.launch_hardened_with(&SoaAccelerator, kernel, launch, opts);
+            let a = scalar_gpu.launch_hardened(kernel, launch, opts);
+            let b = soa_gpu.launch_hardened(kernel, launch, opts);
             match (a, b) {
                 (Ok(ra), Ok(rb)) => {
                     assert_eq!(
@@ -227,15 +227,15 @@ fn banking_shifts_cycles_never_bits() {
         let launch = template_launch(rng, &ideal_config);
         let mem = seed_mem(rng);
 
-        let mut ideal_gpu = Gpu::new(ideal_config, MEM_WORDS);
-        let mut banked_gpu = Gpu::new(banked_config, MEM_WORDS);
+        let mut ideal_gpu = Gpu::new(ideal_config.with_backend(AccelBackend::Scalar), MEM_WORDS);
+        let mut banked_gpu = Gpu::new(banked_config.with_backend(AccelBackend::Scalar), MEM_WORDS);
         ideal_gpu.write_words(0, &mem).expect("seed ideal");
         banked_gpu.write_words(0, &mem).expect("seed banked");
         let ideal = ideal_gpu
-            .launch_with(&ScalarAccelerator, &kernel, &launch)
+            .launch(&kernel, &launch)
             .expect("template kernels complete");
         let banked = banked_gpu
-            .launch_with(&ScalarAccelerator, &kernel, &launch)
+            .launch(&kernel, &launch)
             .expect("template kernels complete");
 
         assert_eq!(ideal.lram_conflict_cycles, 0, "ideal model never stalls");

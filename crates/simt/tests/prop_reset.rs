@@ -8,9 +8,8 @@
 
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
-    Accelerator, FaultEvent, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection,
-    InjectionOutcome, Kernel, Launch, Protection, RunStats, ScalarAccelerator, SimError,
-    SimtConfig, SoaAccelerator, WatchdogConfig,
+    AccelBackend, FaultEvent, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection,
+    InjectionOutcome, Kernel, Launch, Protection, RunStats, SimError, SimtConfig, WatchdogConfig,
 };
 
 /// 16 pages of 4 KiB.
@@ -140,15 +139,13 @@ fn random_case(rng: &mut Rng, config: &SimtConfig) -> Case {
 
 type Outcome = Result<(RunStats, Vec<FaultEvent>), SimError>;
 
-fn run(gpu: &mut Gpu, accel: &dyn Accelerator, kernel: &Kernel, case: &Case) -> Outcome {
+fn run(gpu: &mut Gpu, kernel: &Kernel, case: &Case) -> Outcome {
     let (at, words) = &case.stage;
     gpu.write_words(*at, words).expect("staging fits");
     match &case.hardened {
-        None => gpu
-            .launch_with(accel, kernel, &case.launch)
-            .map(|s| (s, Vec::new())),
+        None => gpu.launch(kernel, &case.launch).map(|s| (s, Vec::new())),
         Some(opts) => gpu
-            .launch_hardened_with(accel, kernel, &case.launch, opts)
+            .launch_hardened(kernel, &case.launch, opts)
             .map(|r| (r.stats, r.log.events)),
     }
 }
@@ -160,15 +157,15 @@ fn image(gpu: &Gpu) -> Vec<u32> {
 #[test]
 fn reset_machine_is_indistinguishable_from_a_new_one() {
     let kernel = Kernel::from_asm("scatter", SCATTER).expect("scatter assembles");
-    let backends: [&dyn Accelerator; 2] = [&ScalarAccelerator, &SoaAccelerator];
     let (mut partial_faults, mut global_upsets) = (0, 0);
     cases(150, |rng| {
         let config = small_config(rng);
         let first = random_case(rng, &config);
         let second = random_case(rng, &config);
-        for accel in backends {
+        for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
+            let config = config.with_backend(backend);
             let mut reused = Gpu::new(config, MEM_WORDS);
-            let outcome = run(&mut reused, accel, &kernel, &first);
+            let outcome = run(&mut reused, &kernel, &first);
             let (at, staged) = &first.stage;
             let mut expect = vec![0; MEM_WORDS];
             expect[*at as usize / 4..][..staged.len()].copy_from_slice(staged);
@@ -184,18 +181,16 @@ fn reset_machine_is_indistinguishable_from_a_new_one() {
             reused.reset();
             assert!(
                 image(&reused).iter().all(|&w| w == 0),
-                "{}: reset left a non-zero word after {outcome:?}",
-                accel.name()
+                "{backend:?}: reset left a non-zero word after {outcome:?}"
             );
 
             let mut fresh = Gpu::new(config, MEM_WORDS);
-            let a = run(&mut reused, accel, &kernel, &second);
-            let b = run(&mut fresh, accel, &kernel, &second);
-            assert_eq!(a, b, "{}: relaunch outcome differs", accel.name());
+            let a = run(&mut reused, &kernel, &second);
+            let b = run(&mut fresh, &kernel, &second);
+            assert_eq!(a, b, "{backend:?}: relaunch outcome differs");
             assert!(
                 image(&reused) == image(&fresh),
-                "{}: relaunch memory image differs",
-                accel.name()
+                "{backend:?}: relaunch memory image differs"
             );
         }
     });

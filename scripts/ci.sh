@@ -49,10 +49,9 @@ cargo run --release --example accelerator_vs_cpu 512
 
 echo "== property suite (transactional transform engine, release) =="
 # The journal claims, re-run under the optimizer: revert fidelity
-# against content snapshots and rebase chains against one-shot replays,
-# plus the beam-vs-greedy acceptance across all 12 Table-I versions.
+# against content snapshots and rebase chains against one-shot replays.
 # (The debug-mode run is part of the workspace tests above.)
-cargo test --release -q -p gpuplanner --test prop_journal_equiv --test beam_vs_greedy
+cargo test --release -q -p gpuplanner --test prop_journal_equiv
 
 echo "== fork property suite (release, raised case count) =="
 # Gpu::launch_forked against fresh single-injection hardened launches
