@@ -28,6 +28,13 @@
 //!
 //! There is no stage deadline by default: stages run inline with zero
 //! thread overhead unless [`SupervisorConfig::stage_timeout`] is set.
+//!
+//! The verify stage checks nothing spec-specific. A supervisor and its
+//! clones share a session memo of the backends whose [`verify_kernels`]
+//! passed, and a spec whose backend is in it skips the stage body; only
+//! concurrent specs that miss together each run it. Chaos injection and
+//! retries still act on every spec's verify stage, and failures are
+//! never recorded.
 
 use crate::flow::{parallel_map, worker_threads, GpuPlanner, ImplementedVersion, PlanError};
 use crate::spec::Specification;
@@ -41,14 +48,15 @@ use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 /// The stages of the supervised pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowStage {
-    /// Shipped-kernel verification plus a backend smoke run.
+    /// Shipped-kernel verification plus a backend smoke run, done once
+    /// per backend per [`Supervisor`] session.
     Verify,
     /// Design-space exploration and logic synthesis.
     Plan,
@@ -409,11 +417,14 @@ impl Rung {
     }
 }
 
-/// The supervised end-to-end flow.
+/// The supervised end-to-end flow. Clones share the planner's STA
+/// cache and the session's record of verified backends.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     planner: GpuPlanner,
     config: SupervisorConfig,
+    /// Backends whose verify body has passed in this session.
+    verified: Arc<Mutex<Vec<AccelBackend>>>,
 }
 
 impl Supervisor {
@@ -423,6 +434,7 @@ impl Supervisor {
         Self {
             planner,
             config: SupervisorConfig::default(),
+            verified: Arc::default(),
         }
     }
 
@@ -448,6 +460,8 @@ impl Supervisor {
     }
 
     /// Runs one spec through verify → plan → implement → campaign.
+    /// The verify stage's body is a no-op for a backend that already
+    /// passed it in this session; chaos rolls and retries still apply.
     ///
     /// # Errors
     ///
@@ -457,7 +471,7 @@ impl Supervisor {
         let fp = spec_fingerprint(spec);
         let mut degradations = DegradationReport::default();
 
-        // Stage 1: verify (SoA → scalar ladder).
+        // Stage 1: verify (SoA → scalar ladder), once per backend.
         let verify_rungs: Vec<Rung> = match self.config.backend {
             AccelBackend::Scalar => vec![Rung::Backend(AccelBackend::Scalar)],
             b => vec![Rung::Backend(b), Rung::Backend(AccelBackend::Scalar)],
@@ -468,11 +482,14 @@ impl Supervisor {
             FlowStage::Verify,
             &verify_rungs,
             &mut degradations,
-            |rung| {
-                let Rung::Backend(backend) = rung else {
-                    unreachable!("verify ladder holds backend rungs")
-                };
-                verify_kernels(backend)
+            {
+                let verified = Arc::clone(&self.verified);
+                move |rung| {
+                    let Rung::Backend(backend) = rung else {
+                        unreachable!("verify ladder holds backend rungs")
+                    };
+                    verify_once(&verified, backend, verify_kernels)
+                }
             },
         )?;
 
@@ -495,7 +512,7 @@ impl Supervisor {
                     // bit-identical results by the cache contract.
                     planner
                         .clone()
-                        .with_sta_cache(std::sync::Arc::new(crate::cache::StaCache::passthrough()))
+                        .with_sta_cache(Arc::new(crate::cache::StaCache::passthrough()))
                 };
                 planner.plan(&spec).map_err(FlowErrorKind::Plan)
             }
@@ -680,9 +697,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// verifier, then smoke-run the copy kernel on `backend` and check the
 /// output against the architectural golden.
 ///
-/// Public so an unsupervised baseline (e.g. perfbench's `gen_flow`)
-/// can run the exact same stage work without the supervision
-/// machinery around it.
+/// Nothing in it depends on the spec, so a [`Supervisor`] session runs
+/// it once per backend: after it has passed on a backend, later specs
+/// on that backend skip it (concurrent specs that miss together each
+/// run it). Public so an unsupervised baseline (e.g. perfbench's
+/// `gen_flow`) can run the exact same stage work without the
+/// supervision machinery around it.
 pub fn verify_kernels(backend: AccelBackend) -> Result<(), FlowErrorKind> {
     for report in ggpu_lint::verify_shipped(&ggpu_lint::LintConfig::new()) {
         if report.denial_count() > 0 {
@@ -715,6 +735,28 @@ pub fn verify_kernels(backend: AccelBackend) -> Result<(), FlowErrorKind> {
     Ok(())
 }
 
+/// Runs `verify` on `backend` unless `verified` already holds it, and
+/// records `backend` only when `verify` passes. Two callers that miss
+/// at once both verify; the record still holds `backend` once.
+fn verify_once(
+    verified: &Mutex<Vec<AccelBackend>>,
+    backend: AccelBackend,
+    verify: impl FnOnce(AccelBackend) -> Result<(), FlowErrorKind>,
+) -> Result<(), FlowErrorKind> {
+    // The only update is one push of a `Copy` value, so a poisoned
+    // lock still guards a valid list.
+    let lock = || verified.lock().unwrap_or_else(PoisonError::into_inner);
+    if lock().contains(&backend) {
+        return Ok(());
+    }
+    verify(backend)?;
+    let mut done = lock();
+    if !done.contains(&backend) {
+        done.push(backend);
+    }
+    Ok(())
+}
+
 /// The campaign stage body: a seeded single-fault campaign over the
 /// optimized netlist's macro map.
 fn run_fault_campaign(
@@ -740,6 +782,10 @@ mod tests {
 
     fn supervisor() -> Supervisor {
         Supervisor::new(GpuPlanner::new(Tech::l65()))
+    }
+
+    fn verified(sup: &Supervisor) -> Vec<AccelBackend> {
+        sup.verified.lock().expect("verify memo").clone()
     }
 
     #[test]
@@ -803,6 +849,96 @@ mod tests {
         // 2 rungs x (1 attempt + 2 retries).
         assert_eq!(err.attempts, 6);
         assert!(err.to_string().contains("injected I/O failure"));
+    }
+
+    #[test]
+    fn a_session_verifies_each_backend_once() {
+        let sup = supervisor();
+        let early_clone = sup.clone();
+        assert!(
+            verified(&sup).is_empty(),
+            "a fresh supervisor records nothing"
+        );
+        sup.run_spec(&Specification::new(1, Mhz::new(500.0)))
+            .unwrap();
+        assert_eq!(verified(&sup), [AccelBackend::Soa]);
+        sup.run_spec(&Specification::new(2, Mhz::new(500.0)))
+            .unwrap();
+        assert_eq!(
+            verified(&sup),
+            [AccelBackend::Soa],
+            "a second spec adds nothing"
+        );
+        // A clone taken before the first run shares the record.
+        assert_eq!(verified(&early_clone), [AccelBackend::Soa]);
+    }
+
+    #[test]
+    fn failed_verify_stages_record_nothing() {
+        let io_every_attempt = SupervisorConfig {
+            chaos: FailurePlan {
+                seed: 7,
+                panic_permille: 0,
+                delay_permille: 0,
+                io_permille: 1000,
+                max_delay_ms: 0,
+            },
+            ..SupervisorConfig::default()
+        };
+        let sup = supervisor().with_config(io_every_attempt);
+        let spec = Specification::new(1, Mhz::new(500.0));
+        let err = sup.run_spec(&spec).unwrap_err();
+        assert_eq!(err.stage, FlowStage::Verify);
+        assert_eq!(err.attempts, 6);
+        assert!(
+            verified(&sup).is_empty(),
+            "an injected failure was recorded"
+        );
+        // The same session without chaos verifies for real.
+        let sup = sup.with_config(SupervisorConfig::default());
+        assert!(sup.run_spec(&spec).unwrap().degradations.is_clean());
+        assert_eq!(verified(&sup), [AccelBackend::Soa]);
+    }
+
+    #[test]
+    fn concurrent_specs_record_a_backend_once() {
+        let sup = supervisor();
+        let specs = [1, 2].map(|cus| Specification::new(cus, Mhz::new(500.0)));
+        // `Supervisor::run` on two workers, whatever `GGPU_THREADS` says.
+        for out in parallel_map(specs.len(), 2, |i| sup.run_spec(&specs[i])) {
+            assert!(out.unwrap().degradations.is_clean());
+        }
+        assert_eq!(verified(&sup), [AccelBackend::Soa]);
+    }
+
+    #[test]
+    fn verify_once_records_only_passes_and_dedups_racing_callers() {
+        let memo = Mutex::new(Vec::new());
+        let fail = |_| Err(FlowErrorKind::Verify("smoke output diverges".into()));
+        assert!(verify_once(&memo, AccelBackend::Soa, fail).is_err());
+        assert!(memo.lock().unwrap().is_empty(), "a failure was recorded");
+        // Both callers miss, then both pass: the record holds SoA once.
+        let both_missed = std::sync::Barrier::new(2);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let passed = verify_once(&memo, AccelBackend::Soa, |_| {
+                        both_missed.wait();
+                        Ok(())
+                    });
+                    assert!(passed.is_ok());
+                });
+            }
+        });
+        assert_eq!(*memo.lock().unwrap(), [AccelBackend::Soa]);
+        // A recorded backend skips `verify`; another backend runs it.
+        let refuse = |_| panic!("verified twice");
+        assert!(verify_once(&memo, AccelBackend::Soa, refuse).is_ok());
+        assert!(verify_once(&memo, AccelBackend::Scalar, |_| Ok(())).is_ok());
+        assert_eq!(
+            *memo.lock().unwrap(),
+            [AccelBackend::Soa, AccelBackend::Scalar]
+        );
     }
 
     #[test]

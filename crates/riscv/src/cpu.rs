@@ -162,14 +162,7 @@ impl Cpu {
     ///
     /// Fails if the range exceeds memory.
     pub fn write_words(&mut self, byte_addr: u32, data: &[u32]) -> Result<(), CpuError> {
-        let start = byte_addr as usize;
-        let end = start + data.len() * 4;
-        if !byte_addr.is_multiple_of(4) {
-            return Err(CpuError::Unaligned { addr: byte_addr });
-        }
-        if end > self.memory.len() {
-            return Err(CpuError::MemFault { addr: end as u32 });
-        }
+        let start = self.words_start(byte_addr, data.len())?;
         for (i, w) in data.iter().enumerate() {
             self.memory[start + i * 4..start + i * 4 + 4].copy_from_slice(&w.to_le_bytes());
         }
@@ -182,14 +175,7 @@ impl Cpu {
     ///
     /// Fails if the range exceeds memory.
     pub fn read_words(&self, byte_addr: u32, len: usize) -> Result<Vec<u32>, CpuError> {
-        if !byte_addr.is_multiple_of(4) {
-            return Err(CpuError::Unaligned { addr: byte_addr });
-        }
-        let start = byte_addr as usize;
-        let end = start + len * 4;
-        if end > self.memory.len() {
-            return Err(CpuError::MemFault { addr: end as u32 });
-        }
+        let start = self.words_start(byte_addr, len)?;
         Ok((0..len)
             .map(|i| {
                 u32::from_le_bytes(
@@ -199,6 +185,25 @@ impl Cpu {
                 )
             })
             .collect())
+    }
+
+    /// The byte offset of `len` words at `byte_addr` once they are
+    /// known to be aligned and in memory. A range past the end faults at
+    /// the byte address one past it, saturated to `u32::MAX`.
+    fn words_start(&self, byte_addr: u32, len: usize) -> Result<usize, CpuError> {
+        if !byte_addr.is_multiple_of(4) {
+            return Err(CpuError::Unaligned { addr: byte_addr });
+        }
+        let start = byte_addr as usize;
+        match len
+            .checked_mul(4)
+            .and_then(|bytes| start.checked_add(bytes))
+        {
+            Some(end) if end <= self.memory.len() => Ok(start),
+            end => Err(CpuError::MemFault {
+                addr: end.and_then(|e| u32::try_from(e).ok()).unwrap_or(u32::MAX),
+            }),
+        }
     }
 
     fn load(&self, func: LoadFunc, addr: u32) -> Result<u32, CpuError> {
@@ -509,6 +514,25 @@ mod tests {
         let program = assemble("li a0, 0x7fffff00\nlw a1, 0(a0)\necall").unwrap();
         let mut cpu = Cpu::new(&program, 4096);
         assert!(matches!(cpu.run(), Err(CpuError::MemFault { .. })));
+    }
+
+    #[test]
+    fn word_staging_past_memory_is_a_mem_fault() {
+        let mut cpu = Cpu::new(&assemble("ecall").unwrap(), 4096);
+        let fault = |addr| CpuError::MemFault { addr };
+        assert_eq!(
+            cpu.read_words(0, usize::MAX / 2).unwrap_err(),
+            fault(u32::MAX)
+        );
+        assert_eq!(cpu.read_words(0, 1 << 62).unwrap_err(), fault(u32::MAX));
+        assert_eq!(cpu.read_words(4092, 2).unwrap_err(), fault(4100));
+        assert_eq!(
+            cpu.write_words(0xFFFF_FFFC, &[1, 2]).unwrap_err(),
+            fault(u32::MAX)
+        );
+        assert_eq!(cpu.write_words(4092, &[1, 2]).unwrap_err(), fault(4100));
+        assert_eq!(cpu.write_words(4092, &[7]), Ok(()));
+        assert_eq!(cpu.read_words(4092, 1), Ok(vec![7]));
     }
 
     #[test]

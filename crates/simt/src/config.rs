@@ -176,9 +176,10 @@ impl SimtConfig {
 
     /// Checks the geometry for structural validity. All fields are
     /// public, so a hand-built configuration can contain zero-sized
-    /// extents that would divide by zero inside the memory system;
-    /// the simulator rejects those with a typed error at launch
-    /// instead of panicking mid-run.
+    /// extents that would divide by zero inside the memory system, or
+    /// extents whose derived sizes (the largest workgroup, the cache's
+    /// bytes) overflow `u32`; the simulator rejects those with a typed
+    /// error at launch instead of panicking mid-run.
     ///
     /// # Errors
     ///
@@ -196,8 +197,24 @@ impl SimtConfig {
         if self.max_wavefronts_per_cu == 0 {
             return Err("zero resident wavefronts per CU".into());
         }
+        if self
+            .wavefront_size
+            .checked_mul(self.max_wavefronts_per_cu)
+            .is_none()
+        {
+            return Err(format!(
+                "{} resident wavefronts of {} work-items overflow a u32 workgroup size",
+                self.max_wavefronts_per_cu, self.wavefront_size
+            ));
+        }
         if self.cache.line_bytes == 0 {
             return Err("zero cache line size".into());
+        }
+        if self.cache.size_kib.checked_mul(1024).is_none() {
+            return Err(format!(
+                "cache of {} KiB overflows a u32 byte count",
+                self.cache.size_kib
+            ));
         }
         if self.cache.lines() == 0 {
             return Err(format!(
@@ -289,6 +306,14 @@ mod tests {
             (|c| c.dram.interfaces = 0, "DRAM interfaces"),
             (|c| c.dram.bytes_per_cycle = 0, "bytes per cycle"),
             (|c| c.lram = LramModel::Banked { banks: 0 }, "LRAM banks"),
+            (
+                |c| {
+                    c.wavefront_size = 1 << 16;
+                    c.max_wavefronts_per_cu = 1 << 16;
+                },
+                "overflow a u32 workgroup size",
+            ),
+            (|c| c.cache.size_kib = 1 << 22, "overflows a u32 byte count"),
         ];
         for (mutate, needle) in cases {
             let mut c = SimtConfig::default();

@@ -385,12 +385,7 @@ impl Gpu {
     /// Fails on unaligned or out-of-bounds addresses.
     pub fn write_words(&mut self, byte_addr: u32, data: &[u32]) -> Result<(), SimError> {
         let start = self.word_index(byte_addr)?;
-        let end = start + data.len();
-        if end > self.memory.len() {
-            return Err(SimError::MemoryOutOfBounds {
-                addr: byte_addr + (data.len() as u32) * 4,
-            });
-        }
+        self.words_end(byte_addr, start, data.len())?;
         self.memory.store_slice(start, data);
         Ok(())
     }
@@ -402,13 +397,24 @@ impl Gpu {
     /// Fails on unaligned or out-of-bounds addresses.
     pub fn read_words(&self, byte_addr: u32, len: usize) -> Result<Vec<u32>, SimError> {
         let start = self.word_index(byte_addr)?;
-        let end = start + len;
-        if end > self.memory.len() {
-            return Err(SimError::MemoryOutOfBounds {
-                addr: byte_addr + (len as u32) * 4,
-            });
-        }
+        let end = self.words_end(byte_addr, start, len)?;
         Ok(self.memory[start..end].to_vec())
+    }
+
+    /// The word index one past `len` words from word `start` (at
+    /// `byte_addr`), or the out-of-bounds error at the byte address one
+    /// past the range, saturated to `u32::MAX`.
+    fn words_end(&self, byte_addr: u32, start: usize, len: usize) -> Result<usize, SimError> {
+        match start.checked_add(len) {
+            Some(end) if end <= self.memory.len() => Ok(end),
+            _ => Err(SimError::MemoryOutOfBounds {
+                addr: u32::try_from(len)
+                    .ok()
+                    .and_then(|len| len.checked_mul(4))
+                    .and_then(|bytes| byte_addr.checked_add(bytes))
+                    .unwrap_or(u32::MAX),
+            }),
+        }
     }
 
     fn word_index(&self, byte_addr: u32) -> Result<usize, SimError> {
@@ -852,6 +858,17 @@ mod tests {
             g.launch(&k2, &Launch::new(1, 1, vec![])),
             Err(SimError::Unaligned { .. })
         ));
+    }
+
+    #[test]
+    fn word_staging_past_memory_is_a_typed_error() {
+        let mut g = Gpu::new(SimtConfig::with_cus(1), 1024);
+        let oob = |addr| SimError::MemoryOutOfBounds { addr };
+        assert_eq!(g.read_words(4, usize::MAX).unwrap_err(), oob(u32::MAX));
+        assert_eq!(g.read_words(0, 1 << 31).unwrap_err(), oob(u32::MAX));
+        assert_eq!(g.read_words(4092, 2).unwrap_err(), oob(4100));
+        assert_eq!(g.write_words(4092, &[1, 2]).unwrap_err(), oob(4100));
+        assert_eq!(g.read_words(4092, 1), Ok(vec![0]));
     }
 
     #[test]

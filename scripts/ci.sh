@@ -67,4 +67,22 @@ echo "== perfbench (unit tests, release) =="
 # Cargo.lock (for example a crate gaining or dropping a dependency).
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench (each workload once, release) =="
+# Every op re-checks its outputs against the first op, and a supervised
+# gen_flow run that degrades fails its op. The last line is the run's
+# JSON record; the step fails unless every op was correct and none
+# failed.
+for workload in paper_repro fault_campaign gen_flow; do
+    last=$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$workload: $last"
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $workload: an op was wrong or failed" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "== ci green =="
