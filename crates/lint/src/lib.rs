@@ -32,7 +32,6 @@
 //! ```
 
 pub mod absint;
-pub mod cache;
 pub mod cfg;
 pub mod design;
 pub mod diag;
@@ -43,7 +42,6 @@ pub mod shipped;
 pub use absint::{
     analyze, AnalysisCtx, CoalescingClass, KernelAnalysis, MemAccessSummary, MemSpace,
 };
-pub use cache::verify_program_cached;
 pub use cfg::Cfg;
 pub use design::{lint_design, lint_resilience};
 pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};

@@ -162,13 +162,6 @@ pub struct ModuleSnapshot {
     fp: OnceLock<u64>,
 }
 
-impl ModuleSnapshot {
-    /// The module slot this snapshot belongs to.
-    pub fn id(&self) -> ModuleId {
-        self.id
-    }
-}
-
 impl Design {
     /// Creates an empty design.
     pub fn new(name: impl Into<String>) -> Self {
@@ -861,7 +854,6 @@ mod tests {
         let fp_before = d.structural_fingerprint(); // warm every slot
         let leaf_fp = d.module_fingerprint(leaf);
         let snap = d.snapshot_module(leaf);
-        assert_eq!(snap.id(), leaf);
 
         d.module_mut(leaf).name = "mutant".into();
         d.module_mut(leaf)

@@ -180,7 +180,7 @@ pub struct Instance {
 /// fingerprint of its full contents; [`crate::Design`] caches one
 /// fingerprint per module and invalidates it on mutable access, which
 /// is what makes design-level fingerprinting (and the incremental STA
-/// engine built on it) O(dirty modules) instead of O(whole design).
+/// engine built on it) O(mutated modules) instead of O(whole design).
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Module {
     /// Module (type) name, unique within a design.

@@ -4,9 +4,8 @@
 //! DSE loop behind each point re-times closely related netlists: the
 //! three frequency targets of one CU count share the baseline design
 //! and every common plan prefix. [`StaCache`] memoizes the STA entry
-//! points — `max_frequency`, `analyze` and the incremental
-//! `analyze_delta` — keyed by a structural fingerprint of the design
-//! (and clock).
+//! points — `max_frequency` and `analyze` — keyed by a structural
+//! fingerprint of the design and technology (and clock).
 //!
 //! Two levels of reuse compose here:
 //!
@@ -18,13 +17,15 @@
 //!    produces a structurally new design — the backing engine still
 //!    reuses the clock-independent timing of every module whose
 //!    content is unchanged, so a transform that touched one module
-//!    re-times one module.
+//!    re-times one module. Nobody tells the cache what changed: a
+//!    mutated module has a new fingerprint, and that is the only
+//!    reuse rule.
 //!
 //! Both result tables are sharded 16 ways behind `RwLock`s, so the
 //! `GGPU_THREADS` sweep workers sharing one cache take read locks on
 //! distinct shards instead of serializing on a global mutex.
 
-use ggpu_netlist::{Design, ModuleId};
+use ggpu_netlist::Design;
 use ggpu_sta::{analyze, max_frequency, EngineStats, IncrementalSta, StaError, TimingReport};
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
@@ -165,37 +166,6 @@ impl StaCache {
         tech: &Tech,
         clock: Mhz,
     ) -> Result<TimingReport, StaError> {
-        self.analyze_inner(design, tech, clock, None)
-    }
-
-    /// Incremental [`analyze`](Self::analyze): `dirty` names the
-    /// modules mutated since the designs this cache last saw. The
-    /// dirty set is advisory — content addressing in the backing
-    /// engine guarantees correctness regardless — and is used to audit
-    /// transform instrumentation (see
-    /// [`ggpu_sta::EngineStats::undeclared_dirty`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StaError`] from the underlying analysis (errors
-    /// are not cached).
-    pub fn analyze_delta(
-        &self,
-        design: &Design,
-        tech: &Tech,
-        clock: Mhz,
-        dirty: &[ModuleId],
-    ) -> Result<TimingReport, StaError> {
-        self.analyze_inner(design, tech, clock, Some(dirty))
-    }
-
-    fn analyze_inner(
-        &self,
-        design: &Design,
-        tech: &Tech,
-        clock: Mhz,
-        dirty: Option<&[ModuleId]>,
-    ) -> Result<TimingReport, StaError> {
         if self.mode == Mode::Passthrough {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return analyze(design, tech, clock);
@@ -208,10 +178,7 @@ impl StaCache {
             return Ok(r.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = match dirty {
-            Some(dirty) => self.engine.analyze_delta(design, tech, clock, dirty)?,
-            None => self.engine.analyze(design, tech, clock)?,
-        };
+        let r = self.engine.analyze(design, tech, clock)?;
         shard
             .write()
             .expect("sta cache poisoned")
@@ -254,6 +221,7 @@ impl StaCache {
 mod tests {
     use super::*;
     use ggpu_rtl::{generate, GgpuConfig};
+    use ggpu_tech::sram::{MemoryCompiler, SramParams};
 
     #[test]
     fn repeated_analyses_hit_the_cache() {
@@ -338,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_delta_matches_analyze() {
+    fn mutated_variant_matches_full_analyze() {
         let tech = Tech::l65();
         let design = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
         let cache = StaCache::new();
@@ -349,12 +317,35 @@ mod tests {
             .find(|&id| !variant.module(id).paths.is_empty())
             .expect("generated design has timing paths");
         variant.module_mut(timed).paths[0].route_delay = ggpu_tech::units::Ns::new(0.05);
-        let delta = cache
-            .analyze_delta(&variant, &tech, Mhz::new(590.0), &[timed])
-            .unwrap();
+        let retimed = cache.analyze(&variant, &tech, Mhz::new(590.0)).unwrap();
         let reference = analyze(&variant, &tech, Mhz::new(590.0)).unwrap();
-        assert_eq!(delta, reference);
-        assert_ne!(delta, full);
-        assert_eq!(cache.engine_stats().undeclared_dirty, 0);
+        assert_eq!(retimed, reference);
+        assert_ne!(retimed, full);
+    }
+
+    #[test]
+    fn two_technologies_never_share_timing() {
+        let design = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
+        let base = Tech::l65();
+        let mut slow_sram = SramParams::l65lp();
+        slow_sram.t_fixed += 0.25;
+        let slow = Tech {
+            memory_compiler: MemoryCompiler::new(slow_sram),
+            ..Tech::l65()
+        };
+        let clock = Mhz::new(590.0);
+        // One table serves both technologies, in both orders, so a
+        // shared key would hand the second query the first's timing.
+        let cache = StaCache::new();
+        let mut seen = Vec::new();
+        for tech in [&base, &slow, &base, &slow] {
+            let report = cache.analyze(&design, tech, clock).unwrap();
+            let fmax = cache.max_frequency(&design, tech).unwrap().unwrap();
+            assert_eq!(report, analyze(&design, tech, clock).unwrap());
+            assert_eq!(fmax, max_frequency(&design, tech).unwrap().unwrap());
+            seen.push((report, fmax));
+        }
+        assert_ne!(seen[0].0, seen[1].0, "the SRAM change must move timing");
+        assert!(seen[1].1 < seen[0].1, "slower macros must lower fmax");
     }
 }

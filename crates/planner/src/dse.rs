@@ -11,9 +11,9 @@
 
 use crate::cache::StaCache;
 use crate::journal::TransformJournal;
-use crate::map::{advise_delta, advise_with, Advice};
+use crate::map::{advise_with, Advice};
 use ggpu_lint::Report;
-use ggpu_netlist::{Design, ModuleId};
+use ggpu_netlist::Design;
 use ggpu_sta::StaError;
 use ggpu_synth::{DivideAxis, TransformError};
 use ggpu_tech::units::Mhz;
@@ -186,21 +186,6 @@ fn original_macro_name(name: &str) -> &str {
 /// timing identically, and the paper's flow divides the structure, not
 /// one bank.
 ///
-/// # Errors
-///
-/// Returns [`DseError`] if a transform fails or a module is missing.
-pub fn apply_plan(base: &Design, plan: &OptimizationPlan) -> Result<Design, DseError> {
-    Ok(apply_plan_dirty(base, plan)?.0)
-}
-
-/// [`apply_plan`], additionally reporting which modules the plan
-/// mutated (in ascending id order, deduplicated).
-///
-/// Module ids are arena indices and stable across [`Design::clone`],
-/// so the returned set is valid against both `base` and the returned
-/// design — it is exactly the advisory dirty set the incremental STA
-/// entry points ([`crate::StaCache::analyze_delta`]) expect.
-///
 /// Implemented as a one-shot [`crate::TransformJournal`]: every action
 /// is a lint-gated transaction, and the returned design shares every
 /// untouched module (and its cached fingerprint) with `base` via
@@ -209,13 +194,10 @@ pub fn apply_plan(base: &Design, plan: &OptimizationPlan) -> Result<Design, DseE
 /// # Errors
 ///
 /// Returns [`DseError`] if a transform fails or a module is missing.
-pub fn apply_plan_dirty(
-    base: &Design,
-    plan: &OptimizationPlan,
-) -> Result<(Design, Vec<ModuleId>), DseError> {
+pub fn apply_plan(base: &Design, plan: &OptimizationPlan) -> Result<Design, DseError> {
     let mut journal = TransformJournal::new(base);
-    let dirty = journal.rebase(plan)?;
-    Ok((journal.into_design(), dirty))
+    journal.rebase(plan)?;
+    Ok(journal.into_design())
 }
 
 /// The result of a successful exploration.
@@ -254,7 +236,9 @@ const MIN_PROGRESS_MHZ: f64 = 0.1;
 /// # Errors
 ///
 /// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
+/// making progress before the target is met, and [`DseError::Sta`] if
+/// timing fails (for example [`StaError::InvalidPeriod`] on a NaN or
+/// negative path delay).
 pub fn optimize_for(base: &Design, tech: &Tech, target: Mhz) -> Result<Optimized, DseError> {
     optimize_for_with(base, tech, target, &StaCache::new())
 }
@@ -267,12 +251,13 @@ pub fn optimize_for(base: &Design, tech: &Tech, target: Mhz) -> Result<Optimized
 ///
 /// The loop runs over a [`TransformJournal`]: one working design,
 /// candidates reached by rebase (revert + re-apply of the differing
-/// suffix), zero clones on the candidate hot path.
+/// suffix), zero clones on the candidate hot path. Every iteration
+/// times the working design through `cache`, which re-times only the
+/// modules whose content it has not seen.
 ///
 /// # Errors
 ///
-/// Returns [`DseError::Unreachable`] if the advice runs out or stops
-/// making progress before the target is met.
+/// As [`optimize_for`].
 pub fn optimize_for_with(
     base: &Design,
     tech: &Tech,
@@ -283,19 +268,9 @@ pub fn optimize_for_with(
     let mut journal = TransformJournal::new(base);
     let mut trace = Vec::new();
     let mut best = Mhz::new(0.0);
-    // Modules mutated by the latest rebase. Empty until the first
-    // transform lands; thereafter every iteration analyzes a design
-    // that differs from already-timed content only in these modules,
-    // so advice flows through the incremental `analyze_delta` path.
-    let mut dirty: Option<Vec<ModuleId>> = None;
 
     for _ in 0..MAX_ITERS {
-        let advice = match &dirty {
-            // First iteration: the baseline is (possibly) cold, so no
-            // dirty-set audit applies.
-            None => advise_with(journal.design(), tech, target, cache)?,
-            Some(d) => advise_delta(journal.design(), tech, target, cache, d)?,
-        };
+        let advice = advise_with(journal.design(), tech, target, cache)?;
         trace.push(advice.to_string());
         match advice {
             Advice::Met { fmax } => {
@@ -317,7 +292,7 @@ pub fn optimize_for_with(
                 best = fmax;
                 let key = (module, original_macro_name(&macro_name).to_string());
                 *plan.divisions.entry(key).or_insert(1) *= 2;
-                dirty = Some(journal.rebase(&plan)?);
+                journal.rebase(&plan)?;
             }
             Advice::InsertPipeline { module, path, fmax } => {
                 if fmax.value() <= best.value() + MIN_PROGRESS_MHZ {
@@ -325,7 +300,7 @@ pub fn optimize_for_with(
                 }
                 best = fmax;
                 plan.pipelines.push((module, path));
-                dirty = Some(journal.rebase(&plan)?);
+                journal.rebase(&plan)?;
             }
             Advice::Stuck { fmax, .. } => {
                 return Err(DseError::Unreachable {

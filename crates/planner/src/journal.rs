@@ -8,7 +8,7 @@
 //!
 //! * [`apply`](TransformJournal::apply) runs one [`Transform`]
 //!   (division or pipeline) and records its [`Undo`] — O(1) module
-//!   snapshots — together with the modules it dirtied.
+//!   snapshots.
 //! * [`revert_last`](TransformJournal::revert_last) /
 //!   [`rollback_to`](TransformJournal::rollback_to) restore those
 //!   snapshots, bit-identically (cached fingerprints included), so a
@@ -25,23 +25,21 @@
 //! violating transform is reverted before the error is returned, so
 //! the journal never holds a design that failed its own gate.
 //!
-//! The dirty sets the journal returns are *advisory*: the incremental
-//! STA engine ([`ggpu_sta::IncrementalSta`]) re-times by content
-//! address and audits the advisory set
-//! ([`ggpu_sta::EngineStats::undeclared_dirty`]), never trusts it.
+//! The journal does not report which modules a transaction touched:
+//! the incremental STA engine ([`ggpu_sta::IncrementalSta`]) re-times
+//! by content address, so a mutated module misses its cache on its
+//! own.
 
 use crate::dse::{Action, DseError, OptimizationPlan};
 use ggpu_lint::{check_division, check_pipeline, FlowSnapshot, LintConfig, Report};
-use ggpu_netlist::{Design, ModuleId};
+use ggpu_netlist::Design;
 use ggpu_synth::{DivideMemory, PipelineInsert, Transform, TransformError, Undo};
 
-/// One committed transaction: the action, its undo record, and the
-/// modules it dirtied.
+/// One committed transaction: the action and its undo record.
 #[derive(Debug)]
 struct Entry {
     action: Action,
     undo: Undo,
-    dirty: Vec<ModuleId>,
 }
 
 /// A named rollback point in a [`TransformJournal`].
@@ -169,14 +167,14 @@ impl TransformJournal {
 
     /// Applies `action` as one transaction: transform, then the
     /// matching flow-invariant lint (N005 for divisions, N006 for
-    /// pipelines). Returns the modules the transaction dirtied.
+    /// pipelines).
     ///
     /// # Errors
     ///
     /// Returns [`DseError`] if the transform fails (design unchanged —
     /// transforms are atomic) or if the lint gate denies the result
     /// (the transaction is reverted before returning).
-    pub fn apply(&mut self, action: &Action) -> Result<Vec<ModuleId>, DseError> {
+    pub fn apply(&mut self, action: &Action) -> Result<(), DseError> {
         let transform = transform_of(action);
         let before = FlowSnapshot::of(&self.design);
         let undo = transform
@@ -197,33 +195,29 @@ impl TransformJournal {
             transform.revert(&mut self.design, undo);
             return Err(DseError::FlowInvariant(invariants));
         }
-        let dirty = undo.dirty_modules();
         self.entries.push(Entry {
             action: action.clone(),
             undo,
-            dirty,
         });
-        Ok(self.entries.last().expect("just pushed").dirty.clone())
+        Ok(())
     }
 
     /// Reverts the most recent transaction, restoring the design
-    /// bit-identically to its pre-apply state. Returns the modules the
-    /// revert restored, or `None` on an empty journal.
-    pub fn revert_last(&mut self) -> Option<Vec<ModuleId>> {
+    /// bit-identically to its pre-apply state. Returns the reverted
+    /// action, or `None` on an empty journal.
+    pub fn revert_last(&mut self) -> Option<Action> {
         let entry = self.entries.pop()?;
         ggpu_synth::revert(&mut self.design, entry.undo);
-        Some(entry.dirty)
+        Some(entry.action)
     }
 
-    /// Reverts every transaction committed after `checkpoint`,
-    /// returning the union of the modules restored (ascending,
-    /// deduplicated).
+    /// Reverts every transaction committed after `checkpoint`.
     ///
     /// # Panics
     ///
     /// Panics if the checkpoint was invalidated by an earlier rollback
     /// past it (its depth exceeds the journal's).
-    pub fn rollback_to(&mut self, checkpoint: &Checkpoint) -> Vec<ModuleId> {
+    pub fn rollback_to(&mut self, checkpoint: &Checkpoint) {
         assert!(
             checkpoint.depth <= self.entries.len(),
             "checkpoint {:?} invalidated: journal depth {} < checkpoint depth {}",
@@ -231,21 +225,14 @@ impl TransformJournal {
             self.entries.len(),
             checkpoint.depth
         );
-        let mut touched = Vec::new();
         while self.entries.len() > checkpoint.depth {
-            touched.extend(self.revert_last().expect("entries remain"));
+            self.revert_last();
         }
-        touched.sort();
-        touched.dedup();
-        touched
     }
 
     /// Moves the working design to exactly `plan`, reverting and
     /// re-applying only the actions beyond the longest common prefix
-    /// of the committed log and `plan.actions()`. Returns the union of
-    /// the modules dirtied by the reverted and re-applied transactions
-    /// (ascending, deduplicated) — the advisory dirty set for
-    /// [`crate::StaCache::analyze_delta`].
+    /// of the committed log and `plan.actions()`.
     ///
     /// The resulting design is bit-identical to replaying the whole
     /// plan onto a fresh clone of the base: reverts restore exact
@@ -257,7 +244,7 @@ impl TransformJournal {
     /// Returns [`DseError`] if a suffix action fails to apply or is
     /// denied by its lint gate. The journal keeps the transactions
     /// that applied cleanly (the failing one is not committed).
-    pub fn rebase(&mut self, plan: &OptimizationPlan) -> Result<Vec<ModuleId>, DseError> {
+    pub fn rebase(&mut self, plan: &OptimizationPlan) -> Result<(), DseError> {
         let target = plan.actions();
         let common = self
             .entries
@@ -265,16 +252,13 @@ impl TransformJournal {
             .zip(&target)
             .take_while(|(entry, want)| entry.action == **want)
             .count();
-        let mut touched = Vec::new();
         while self.entries.len() > common {
-            touched.extend(self.revert_last().expect("entries remain"));
+            self.revert_last();
         }
         for action in &target[common..] {
-            touched.extend(self.apply(action)?);
+            self.apply(action)?;
         }
-        touched.sort();
-        touched.dedup();
-        Ok(touched)
+        Ok(())
     }
 }
 
@@ -303,13 +287,10 @@ mod tests {
         let b = base();
         let fp0 = b.structural_fingerprint();
         let mut j = TransformJournal::new(&b);
-        let dirty = j
-            .apply(&divide("processing_element", "rf_bank", 2))
-            .unwrap();
-        assert_eq!(dirty.len(), 1);
+        let action = divide("processing_element", "rf_bank", 2);
+        j.apply(&action).unwrap();
         assert_ne!(j.design().structural_fingerprint(), fp0);
-        let restored = j.revert_last().unwrap();
-        assert_eq!(restored, dirty);
+        assert_eq!(j.revert_last(), Some(action));
         assert_eq!(j.design().structural_fingerprint(), fp0);
         assert_eq!(j.design(), &b);
         assert!(j.is_empty());
@@ -331,9 +312,9 @@ mod tests {
         })
         .unwrap();
         assert_eq!(j.len(), 2);
-        let touched = j.rollback_to(&mid);
+        j.rollback_to(&mid);
         assert_eq!(j.len(), 1);
-        assert!(!touched.is_empty());
+        assert_ne!(j.design(), &b);
         j.rollback_to(&start);
         assert_eq!(j.design(), &b);
     }
@@ -373,10 +354,9 @@ mod tests {
             .insert(("processing_element".into(), "rf_bank".into()), 4);
         plan.pipelines
             .push(("processing_element".into(), "alu_bypass".into()));
-        let dirty = j.rebase(&plan).unwrap();
+        j.rebase(&plan).unwrap();
         let replay = crate::dse::apply_plan(&b, &plan).unwrap();
         assert_eq!(j.design(), &replay);
-        assert!(!dirty.is_empty());
     }
 
     /// Asserts the working design shares with `base` exactly the

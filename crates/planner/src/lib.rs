@@ -41,14 +41,14 @@ pub mod versions;
 pub use cache::{fingerprint, StaCache};
 pub use datasheet::{datasheet, datasheet_with_supervision};
 pub use dse::{
-    apply_plan, apply_plan_dirty, optimize_for, optimize_for_with, optimize_with_config, Action,
-    DseConfig, DseError, OptimizationPlan, Optimized,
+    apply_plan, optimize_for, optimize_for_with, optimize_with_config, Action, DseConfig, DseError,
+    OptimizationPlan, Optimized,
 };
 pub use flow::{
     worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate,
 };
 pub use journal::{Checkpoint, TransformJournal};
-pub use map::{advise, advise_delta, advise_with, Advice};
+pub use map::{advise, advise_with, Advice};
 pub use spec::Specification;
 pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
 pub use supervise::{

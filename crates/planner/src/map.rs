@@ -6,9 +6,12 @@
 //! to enhance the performance"*, iterated until the target is met.
 //! [`advise`] is that map as a function: it times the design and
 //! returns the next recommended action for a frequency target.
+//! [`advise_with`] does the same through a shared [`StaCache`], which
+//! is how the DSE loop re-times each candidate: the cache re-times only
+//! module content it has not seen, so no caller says what changed.
 
 use crate::cache::StaCache;
-use ggpu_netlist::{Design, ModuleId};
+use ggpu_netlist::Design;
 use ggpu_sta::StaError;
 use ggpu_tech::sram::MIN_WORDS;
 use ggpu_tech::units::Mhz;
@@ -79,7 +82,9 @@ impl fmt::Display for Advice {
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] if timing analysis fails.
+/// Returns [`StaError`] if timing analysis fails, including
+/// [`StaError::InvalidPeriod`] when the critical path has no finite
+/// positive minimum period.
 pub fn advise(design: &Design, tech: &Tech, target: Mhz) -> Result<Advice, StaError> {
     advise_with(design, tech, target, &StaCache::new())
 }
@@ -99,37 +104,6 @@ pub fn advise_with(
     target: Mhz,
     cache: &StaCache,
 ) -> Result<Advice, StaError> {
-    advise_inner(design, tech, target, cache, None)
-}
-
-/// [`advise_with`] for a design derived from one the cache has already
-/// timed: `dirty` names the modules mutated since. The full report
-/// behind the advice is produced by
-/// [`StaCache::analyze_delta`](crate::StaCache::analyze_delta), which
-/// re-times only content the module-level engine has not seen — the
-/// dirty set itself is advisory and audited, never trusted for
-/// correctness.
-///
-/// # Errors
-///
-/// Returns [`StaError`] if timing analysis fails.
-pub fn advise_delta(
-    design: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-    dirty: &[ModuleId],
-) -> Result<Advice, StaError> {
-    advise_inner(design, tech, target, cache, Some(dirty))
-}
-
-fn advise_inner(
-    design: &Design,
-    tech: &Tech,
-    target: Mhz,
-    cache: &StaCache,
-    dirty: Option<&[ModuleId]>,
-) -> Result<Advice, StaError> {
     let fmax = match cache.max_frequency(design, tech)? {
         Some(f) => f,
         None => {
@@ -140,10 +114,7 @@ fn advise_inner(
     if fmax.value() >= target.value() {
         return Ok(Advice::Met { fmax });
     }
-    let report = match dirty {
-        Some(dirty) => cache.analyze_delta(design, tech, target, dirty)?,
-        None => cache.analyze(design, tech, target)?,
-    };
+    let report = cache.analyze(design, tech, target)?;
     let crit = report
         .paths()
         .first()

@@ -16,12 +16,14 @@ use ggpu_netlist::timing::{LogicStage, PathEndpoint, TimingPath};
 use ggpu_netlist::Design;
 use ggpu_prop::{cases, Rng};
 use ggpu_rtl::{generate, GgpuConfig};
-use ggpu_sta::analyze;
+use ggpu_sta::{analyze, StaError};
 use ggpu_tech::sram::MIN_WORDS;
 use ggpu_tech::stdcell::CellClass;
 use ggpu_tech::units::{Mhz, Ns};
 use ggpu_tech::Tech;
-use gpuplanner::{apply_plan_dirty, optimize_for_with, OptimizationPlan, StaCache};
+use gpuplanner::{
+    advise, apply_plan, optimize_for, optimize_for_with, DseError, OptimizationPlan, StaCache,
+};
 
 /// A random plan valid against [`random_design`]'s shape.
 fn random_plan(rng: &mut Rng, design: &Design) -> OptimizationPlan {
@@ -53,16 +55,16 @@ fn random_transform_sequences_are_bit_identical_incremental_vs_full() {
     cases(48, |rng| {
         let base = random_design(rng);
         let plan = random_plan(rng, &base);
-        let (mutated, dirty) = apply_plan_dirty(&base, &plan).expect("plan applies");
+        let mutated = apply_plan(&base, &plan).expect("plan applies");
         let clock = Mhz::new(rng.f64_in(200.0, 900.0));
 
         // Warm the incremental cache on the baseline, then analyze the
-        // mutated design through the delta path.
+        // mutated design, which shares every untouched module with it.
         let cache = StaCache::new();
         cache.analyze(&base, &tech, clock).expect("baseline times");
         let incremental = cache
-            .analyze_delta(&mutated, &tech, clock, &dirty)
-            .expect("delta times");
+            .analyze(&mutated, &tech, clock)
+            .expect("mutated design times");
 
         let full = analyze(&mutated, &tech, clock).expect("full times");
         assert_eq!(incremental, full, "reports diverge");
@@ -75,10 +77,6 @@ fn random_transform_sequences_are_bit_identical_incremental_vs_full() {
                 a.path
             );
         }
-        // The dirty set from apply_plan_dirty must be complete: no
-        // undeclared mutations.
-        assert_eq!(cache.engine_stats().undeclared_dirty, 0);
-
         // fmax agrees bit-for-bit too.
         let f_inc = cache.max_frequency(&mutated, &tech).expect("fmax");
         let f_full = ggpu_sta::max_frequency(&mutated, &tech).expect("fmax");
@@ -154,25 +152,7 @@ fn cache_accounting_is_monotone_and_repeat_sweeps_hit() {
 #[test]
 fn nan_route_delay_never_panics_and_sorts_to_the_tail() {
     let tech = Tech::l65();
-    let mut d = Design::new("nan");
-    let mut m = Module::new("m");
-    m.paths.push(TimingPath::new(
-        "good",
-        PathEndpoint::Register,
-        PathEndpoint::Register,
-        LogicStage::chain(CellClass::Nand2, 6, 2),
-    ));
-    let mut bad = TimingPath::new(
-        "corrupt",
-        PathEndpoint::Register,
-        PathEndpoint::Register,
-        LogicStage::chain(CellClass::Nand2, 4, 2),
-    );
-    bad.route_delay = Ns::new(f64::NAN);
-    m.paths.push(bad);
-    let id = d.add_module(m);
-    d.set_top(id);
-
+    let d = design_with_routes(&[("good", 0.0), ("corrupt", f64::NAN)]);
     let cache = StaCache::new();
     let report = cache.analyze(&d, &tech, Mhz::new(500.0)).expect("no panic");
     assert_eq!(report.paths().len(), 2);
@@ -182,4 +162,67 @@ fn nan_route_delay_never_panics_and_sorts_to_the_tail() {
     assert!(report.paths()[1].slack.value().is_nan());
     // fmax selection must not panic either.
     let _ = cache.max_frequency(&d, &tech).expect("no panic");
+}
+
+/// A one-module design with one register-to-register path per
+/// `(name, route delay in ns)` pair.
+fn design_with_routes(routes: &[(&str, f64)]) -> Design {
+    let mut d = Design::new("routes");
+    let mut m = Module::new("m");
+    for &(name, route) in routes {
+        let mut path = TimingPath::new(
+            name,
+            PathEndpoint::Register,
+            PathEndpoint::Register,
+            LogicStage::chain(CellClass::Nand2, 4, 2),
+        );
+        path.route_delay = Ns::new(route);
+        m.paths.push(path);
+    }
+    let id = d.add_module(m);
+    d.set_top(id);
+    d
+}
+
+#[test]
+fn critical_paths_without_a_positive_period_are_typed_errors() {
+    let tech = Tech::l65();
+    let target = Mhz::new(500.0);
+    // In each design the `corrupt` path is the critical one: alone, or
+    // ahead of a good path because `total_cmp` sorts a sign-set NaN
+    // slack first.
+    let cases: [(&str, &[(&str, f64)]); 4] = [
+        ("NaN route", &[("corrupt", f64::NAN)]),
+        ("-NaN route", &[("good", 0.0), ("corrupt", -f64::NAN)]),
+        ("-100 ns route", &[("corrupt", -100.0)]),
+        ("infinite route", &[("corrupt", f64::INFINITY)]),
+    ];
+    let names_corrupt = |e: &StaError| match e {
+        StaError::InvalidPeriod { module, path, .. } => module == "m" && path == "corrupt",
+        _ => false,
+    };
+    for (case, routes) in cases {
+        let d = design_with_routes(routes);
+        for (engine, fmax) in [
+            ("ggpu_sta", ggpu_sta::max_frequency(&d, &tech)),
+            ("StaCache::new", StaCache::new().max_frequency(&d, &tech)),
+            (
+                "StaCache::passthrough",
+                StaCache::passthrough().max_frequency(&d, &tech),
+            ),
+        ] {
+            match fmax {
+                Err(e) if names_corrupt(&e) => {}
+                other => panic!("{case}, {engine}: expected InvalidPeriod, got {other:?}"),
+            }
+        }
+        match advise(&d, &tech, target) {
+            Err(e) if names_corrupt(&e) => {}
+            other => panic!("{case}, advise: expected InvalidPeriod, got {other:?}"),
+        }
+        match optimize_for(&d, &tech, target) {
+            Err(DseError::Sta(e)) if names_corrupt(&e) => {}
+            other => panic!("{case}, optimize_for: expected DseError::Sta, got {other:?}"),
+        }
+    }
 }

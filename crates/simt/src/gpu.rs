@@ -62,12 +62,10 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`KernelVerifyError::Asm`] on syntax errors and
-    /// [`KernelVerifyError::Lint`] (carrying the full report) when the
-    /// verifier denies the program.
-    /// Verification is memoized on `(program, policy)` via
-    /// [`ggpu_lint::verify_program_cached`], so re-verifying the same
-    /// kernel (benchmark loops, repeated fault campaigns) replays the
-    /// stored report instead of re-running the abstract interpreter.
+    /// [`KernelVerifyError::Lint`] (carrying the full report, whose
+    /// subject is `name`) when the verifier denies the program. Every
+    /// call runs [`ggpu_lint::verify_program`] in full; nothing is
+    /// remembered between calls.
     pub fn from_asm_verified(
         name: impl Into<String>,
         source: &str,
@@ -75,7 +73,7 @@ impl Kernel {
         let name = name.into();
         let program = assemble(source).map_err(KernelVerifyError::Asm)?;
         let config = ggpu_lint::LintConfig::new();
-        let report = ggpu_lint::verify_program_cached(&name, &program, &config);
+        let report = ggpu_lint::verify_program(&name, &program, &config);
         if report.denial_count() > 0 {
             return Err(KernelVerifyError::Lint(report));
         }
@@ -922,6 +920,32 @@ mod tests {
         assert_eq!(stats.workgroups, 2);
         let out = g.read_words(0x8000, 70).unwrap();
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+    }
+
+    #[test]
+    fn verified_construction_gates_on_the_static_verifier() {
+        // Falls through its end: K004 is deny-level. The same source
+        // under two names reports each name.
+        let falls_through = "gid r1\nsw r1, r1, 0";
+        for name in ["falls_through", "renamed"] {
+            match Kernel::from_asm_verified(name, falls_through) {
+                Err(KernelVerifyError::Lint(report)) => {
+                    assert_eq!(report.subject, name);
+                    assert!(report.has(ggpu_lint::Code::K004), "{report}");
+                }
+                other => panic!("{name}: expected a lint rejection, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            Kernel::from_asm_verified("bad_syntax", "gid r1\nfrobnicate r2\nret"),
+            Err(KernelVerifyError::Asm(_))
+        ));
+        let (name, source) = ggpu_lint::SHIPPED_KERNELS
+            .into_iter()
+            .find(|(name, _)| *name == "copy")
+            .expect("copy ships");
+        let kernel = Kernel::from_asm_verified(name, source).expect("copy passes the gate");
+        assert_eq!(kernel, Kernel::from_asm(name, source).unwrap());
     }
 }
 

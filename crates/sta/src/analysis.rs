@@ -19,7 +19,7 @@ pub const CLOCK_UNCERTAINTY: Ns = Ns::new(0.05);
 pub const INPUT_DELAY_BUDGET: Ns = Ns::new(0.30);
 
 /// Problems encountered while timing a design.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StaError {
     /// A timing path references a macro that does not exist in its
     /// module.
@@ -33,6 +33,17 @@ pub enum StaError {
     },
     /// A macro in the design cannot be compiled by the memory compiler.
     Sram(CompileSramError),
+    /// The critical path's minimum period (arrival + setup + clock
+    /// uncertainty) is not a finite positive time, so the design has
+    /// no maximum frequency. A NaN or negative route delay gets here.
+    InvalidPeriod {
+        /// The module owning the critical path.
+        module: String,
+        /// The critical path's name.
+        path: String,
+        /// The offending minimum period.
+        min_period: Ns,
+    },
 }
 
 impl fmt::Display for StaError {
@@ -47,6 +58,15 @@ impl fmt::Display for StaError {
                 "path {path} in module {module} references missing macro {macro_name}"
             ),
             StaError::Sram(e) => write!(f, "memory compiler: {e}"),
+            StaError::InvalidPeriod {
+                module,
+                path,
+                min_period,
+            } => write!(
+                f,
+                "critical path {path} in module {module} has minimum period {min_period}, \
+                 not a finite positive time"
+            ),
         }
     }
 }
@@ -55,7 +75,7 @@ impl Error for StaError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             StaError::Sram(e) => Some(e),
-            StaError::MacroNotFound { .. } => None,
+            StaError::MacroNotFound { .. } | StaError::InvalidPeriod { .. } => None,
         }
     }
 }
@@ -66,9 +86,8 @@ impl From<CompileSramError> for StaError {
     }
 }
 
-/// Resolves a macro's (access time, setup) pair, compiling its
-/// geometry through the process-wide memoized memory-compiler
-/// front-end ([`ggpu_tech::sram::CompiledSramCache`]).
+/// Resolves a macro's (access time, setup) pair by compiling its
+/// geometry with the technology's memory compiler.
 fn macro_access_time(
     design: &Design,
     module: ModuleId,
@@ -84,7 +103,7 @@ fn macro_access_time(
             path: path_name.to_string(),
             macro_name: macro_name.to_string(),
         })?;
-    let compiled = tech.memory_compiler.compile_cached(m.config)?;
+    let compiled = tech.memory_compiler.compile(m.config)?;
     Ok((compiled.access_time, compiled.setup))
 }
 
@@ -140,11 +159,11 @@ pub(crate) fn slack_order(a: &PathTiming, b: &PathTiming) -> std::cmp::Ordering 
 /// Times every representative path of module `id`, producing
 /// clock-independent results in the module's declaration order.
 ///
-/// Each macro endpoint is compiled at most once per path — a
-/// macro-to-macro path through one memory no longer characterizes the
-/// same geometry twice — and compilation itself is memoized
-/// process-wide, so repeated geometries (banks cloned per PE/CU) cost
-/// one table lookup.
+/// Each macro endpoint is compiled at most once per path: a
+/// macro-to-macro path through one memory characterizes its geometry
+/// once. Reuse across analyses is the incremental engine's job
+/// ([`crate::IncrementalSta`] keeps this function's result per module
+/// content).
 ///
 /// # Errors
 ///
@@ -269,9 +288,21 @@ pub(crate) fn select_critical(paths: impl Iterator<Item = PathTiming>) -> Option
 
 /// Frequency at which `crit` (the critical path of some design) has
 /// exactly zero slack.
-pub(crate) fn fmax_of_critical(crit: &PathTiming) -> Mhz {
+///
+/// # Errors
+///
+/// Returns [`StaError::InvalidPeriod`] when that path's minimum period
+/// is not finite and positive.
+pub(crate) fn fmax_of_critical(crit: &PathTiming) -> Result<Mhz, StaError> {
     let min_period = crit.arrival + crit.setup + CLOCK_UNCERTAINTY;
-    min_period.frequency()
+    if !(min_period.is_finite() && min_period.value() > 0.0) {
+        return Err(StaError::InvalidPeriod {
+            module: crit.module.clone(),
+            path: crit.path.clone(),
+            min_period,
+        });
+    }
+    Ok(min_period.frequency())
 }
 
 /// Computes the maximum clock frequency the design supports: the
@@ -283,8 +314,10 @@ pub(crate) fn fmax_of_critical(crit: &PathTiming) -> Mhz {
 ///
 /// # Errors
 ///
-/// Same conditions as [`analyze`]. Returns `None` inside `Ok` if the
-/// design declares no timing paths.
+/// Same conditions as [`analyze`], plus [`StaError::InvalidPeriod`]
+/// when the critical path's minimum period is not finite and positive
+/// (a NaN or negative delay). Returns `None` inside `Ok` if the design
+/// declares no timing paths.
 pub fn max_frequency(design: &Design, tech: &Tech) -> Result<Option<Mhz>, StaError> {
     let period = FMAX_PROBE.period();
     let mut crit: Option<PathTiming> = None;
@@ -300,7 +333,7 @@ pub fn max_frequency(design: &Design, tech: &Tech) -> Result<Option<Mhz>, StaErr
             }
         }
     }
-    Ok(crit.as_ref().map(fmax_of_critical))
+    crit.as_ref().map(fmax_of_critical).transpose()
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! changes its fingerprint and the stale entry is simply never looked
 //! up again. Entries are clock-independent, so an `analyze` at a new
 //! clock is a pure cache hit — only slack is re-derived, with the exact
-//! floating-point expression the full engine uses.
+//! floating-point expression the full engine uses. Callers never say
+//! which modules changed: the fingerprint is the only reuse rule.
 //!
 //! The table is sharded 16 ways, each shard behind its own `RwLock`,
 //! so `GGPU_THREADS` design-space-exploration workers probing mostly
@@ -51,15 +52,10 @@ pub struct EngineStats {
     pub module_hits: u64,
     /// Module timings computed (and inserted) on demand.
     pub module_misses: u64,
-    /// `analyze` / `analyze_delta` calls.
+    /// `analyze` calls.
     pub analyze_calls: u64,
     /// `max_frequency` calls.
     pub fmax_calls: u64,
-    /// Modules that an `analyze_delta` caller declared clean but which
-    /// missed the cache anyway — nonzero means a transform mutated a
-    /// module without reporting it dirty (harmless for correctness,
-    /// since content addressing recomputes it, but worth surfacing).
-    pub undeclared_dirty: u64,
 }
 
 impl EngineStats {
@@ -87,7 +83,6 @@ pub struct IncrementalSta {
     module_misses: AtomicU64,
     analyze_calls: AtomicU64,
     fmax_calls: AtomicU64,
-    undeclared_dirty: AtomicU64,
 }
 
 impl Default for IncrementalSta {
@@ -105,7 +100,6 @@ impl IncrementalSta {
             module_misses: AtomicU64::new(0),
             analyze_calls: AtomicU64::new(0),
             fmax_calls: AtomicU64::new(0),
-            undeclared_dirty: AtomicU64::new(0),
         }
     }
 
@@ -120,15 +114,14 @@ impl IncrementalSta {
     }
 
     /// Looks up (or computes and inserts) the clock-independent timing
-    /// of module `id`. Returns whether the lookup hit alongside the
-    /// result so `analyze_delta` can validate its dirty set.
+    /// of module `id`.
     fn timed_module(
         &self,
         design: &Design,
         id: ModuleId,
         tech: &Tech,
         tech_fp: u64,
-    ) -> Result<(Arc<Vec<UnclockedPath>>, bool), StaError> {
+    ) -> Result<Arc<Vec<UnclockedPath>>, StaError> {
         let key = Self::key(design, id, tech_fp);
         let shard = &self.shards[(key as usize) & (SHARDS - 1)];
         if let Some(hit) = shard
@@ -137,7 +130,7 @@ impl IncrementalSta {
             .get(&key)
         {
             self.module_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(hit), true));
+            return Ok(Arc::clone(hit));
         }
         // Compute outside the lock; a racing duplicate compute is
         // benign (results are content-derived and identical).
@@ -145,12 +138,15 @@ impl IncrementalSta {
         self.module_misses.fetch_add(1, Ordering::Relaxed);
         let mut w = shard.write().unwrap_or_else(PoisonError::into_inner);
         let entry = w.entry(key).or_insert_with(|| Arc::clone(&timed));
-        Ok((Arc::clone(entry), false))
+        Ok(Arc::clone(entry))
     }
 
     /// Full analysis through the cache: byte-identical to
     /// [`crate::analyze`], but each module whose content was timed
-    /// before (under this technology) is a table lookup.
+    /// before (under this technology) is a table lookup. Per-module
+    /// results are assembled in arena order, slack is derived per path,
+    /// then one global sort runs — the exact pipeline of the full
+    /// engine, so tie ordering matches.
     ///
     /// # Errors
     ///
@@ -162,50 +158,11 @@ impl IncrementalSta {
         clock: Mhz,
     ) -> Result<TimingReport, StaError> {
         self.analyze_calls.fetch_add(1, Ordering::Relaxed);
-        self.assemble(design, tech, clock, None)
-    }
-
-    /// Incremental analysis after a transform: `dirty` names the
-    /// modules the caller just mutated. Content addressing makes the
-    /// dirty set *advisory* — correctness never depends on it — but the
-    /// engine uses it to validate transform instrumentation: a module
-    /// not in `dirty` that nevertheless misses the cache bumps
-    /// [`EngineStats::undeclared_dirty`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::analyze`].
-    pub fn analyze_delta(
-        &self,
-        design: &Design,
-        tech: &Tech,
-        clock: Mhz,
-        dirty: &[ModuleId],
-    ) -> Result<TimingReport, StaError> {
-        self.analyze_calls.fetch_add(1, Ordering::Relaxed);
-        self.assemble(design, tech, clock, Some(dirty))
-    }
-
-    /// Shared assembly: per-module results in arena order, slack
-    /// derived per path, then one global sort — the exact pipeline of
-    /// the full engine, so tie ordering matches.
-    fn assemble(
-        &self,
-        design: &Design,
-        tech: &Tech,
-        clock: Mhz,
-        dirty: Option<&[ModuleId]>,
-    ) -> Result<TimingReport, StaError> {
         let period = clock.period();
         let tech_fp = tech.structural_fingerprint();
         let mut paths = Vec::new();
         for id in design.module_ids() {
-            let (timed, hit) = self.timed_module(design, id, tech, tech_fp)?;
-            if let Some(dirty) = dirty {
-                if !hit && !dirty.contains(&id) {
-                    self.undeclared_dirty.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let timed = self.timed_module(design, id, tech, tech_fp)?;
             paths.extend(timed.iter().map(|up| up.at_period(period)));
         }
         paths.sort_by(slack_order);
@@ -225,7 +182,7 @@ impl IncrementalSta {
         let tech_fp = tech.structural_fingerprint();
         let mut crit: Option<PathTiming> = None;
         for id in design.module_ids() {
-            let (timed, _) = self.timed_module(design, id, tech, tech_fp)?;
+            let timed = self.timed_module(design, id, tech, tech_fp)?;
             let module_crit = select_critical(timed.iter().map(|up| up.at_period(period)));
             if let Some(p) = module_crit {
                 let better = match &crit {
@@ -237,7 +194,7 @@ impl IncrementalSta {
                 }
             }
         }
-        Ok(crit.as_ref().map(fmax_of_critical))
+        crit.as_ref().map(fmax_of_critical).transpose()
     }
 
     /// Snapshot of the cumulative counters.
@@ -247,7 +204,6 @@ impl IncrementalSta {
             module_misses: self.module_misses.load(Ordering::Relaxed),
             analyze_calls: self.analyze_calls.load(Ordering::Relaxed),
             fmax_calls: self.fmax_calls.load(Ordering::Relaxed),
-            undeclared_dirty: self.undeclared_dirty.load(Ordering::Relaxed),
         }
     }
 
@@ -360,34 +316,13 @@ mod tests {
         engine.analyze(&d, &tech, Mhz::new(500.0)).unwrap();
         let top = d.top();
         d.module_mut(top).paths[0].route_delay = Ns::new(0.2);
-        let report = engine
-            .analyze_delta(&d, &tech, Mhz::new(500.0), &[top])
-            .unwrap();
+        let report = engine.analyze(&d, &tech, Mhz::new(500.0)).unwrap();
         let full = analyze(&d, &tech, Mhz::new(500.0)).unwrap();
         assert_eq!(report, full);
         let stats = engine.stats();
-        // pe hit, cu (mutated) missed; dirty set was accurate.
+        // pe hit, cu (mutated) missed.
         assert_eq!(stats.module_misses, 3);
         assert_eq!(stats.module_hits, 1);
-        assert_eq!(stats.undeclared_dirty, 0);
-    }
-
-    #[test]
-    fn undeclared_mutation_is_counted_not_wrong() {
-        let mut d = demo_design();
-        let tech = Tech::l65();
-        let engine = IncrementalSta::new();
-        engine.analyze(&d, &tech, Mhz::new(500.0)).unwrap();
-        let top = d.top();
-        d.module_mut(top).paths[0].route_delay = Ns::new(0.2);
-        // Caller claims nothing is dirty; content addressing still
-        // recomputes the mutated module and the result stays exact.
-        let report = engine
-            .analyze_delta(&d, &tech, Mhz::new(500.0), &[])
-            .unwrap();
-        let full = analyze(&d, &tech, Mhz::new(500.0)).unwrap();
-        assert_eq!(report, full);
-        assert_eq!(engine.stats().undeclared_dirty, 1);
     }
 
     #[test]

@@ -34,17 +34,6 @@ pub struct Undo {
     snapshots: Vec<ModuleSnapshot>,
 }
 
-impl Undo {
-    /// The modules this record restores (application order,
-    /// deduplicated).
-    pub fn dirty_modules(&self) -> Vec<ModuleId> {
-        let mut out: Vec<ModuleId> = self.snapshots.iter().map(|s| s.id()).collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-}
-
 /// Restores every module captured in `undo` to its pre-apply state.
 ///
 /// Reverting is O(touched modules): each restore swaps an `Arc` and a
@@ -74,18 +63,11 @@ pub fn revert(design: &mut Design, undo: Undo) {
 ///   and restore on failure).
 /// * [`revert`](Transform::revert) after a successful `apply` restores
 ///   the design bit-identically (fingerprints included).
-/// * [`dirty_modules`](Transform::dirty_modules) names every module
-///   `apply` may mutate, resolved against the current design — the
-///   advisory dirty set the incremental STA engine audits.
+///
+/// Callers never need to know which modules an edit touched: a mutated
+/// module gets a new structural fingerprint, so every content-addressed
+/// timing cache re-times it and only it.
 pub trait Transform: fmt::Display {
-    /// Modules this transform will mutate, resolved against `design`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransformError::ModuleNotFound`] if the owning module
-    /// does not exist.
-    fn dirty_modules(&self, design: &Design) -> Result<Vec<ModuleId>, TransformError>;
-
     /// Applies the edit, returning the undo record. Atomic: on error
     /// the design is unchanged.
     ///
@@ -145,10 +127,6 @@ fn resolve_module(design: &Design, name: &str) -> Result<ModuleId, TransformErro
 }
 
 impl Transform for DivideMemory {
-    fn dirty_modules(&self, design: &Design) -> Result<Vec<ModuleId>, TransformError> {
-        Ok(vec![resolve_module(design, &self.module)?])
-    }
-
     fn apply(&self, design: &mut Design) -> Result<Undo, TransformError> {
         let id = resolve_module(design, &self.module)?;
         let target = design
@@ -192,10 +170,6 @@ impl fmt::Display for PipelineInsert {
 }
 
 impl Transform for PipelineInsert {
-    fn dirty_modules(&self, design: &Design) -> Result<Vec<ModuleId>, TransformError> {
-        Ok(vec![resolve_module(design, &self.module)?])
-    }
-
     fn apply(&self, design: &mut Design) -> Result<Undo, TransformError> {
         let id = resolve_module(design, &self.module)?;
         let snapshot = design.snapshot_module(id);
@@ -642,7 +616,6 @@ mod tests {
             axis: DivideAxis::Words,
         };
         let undo = t.apply(&mut d).unwrap();
-        assert_eq!(undo.dirty_modules(), vec![id]);
         assert_ne!(fingerprint(&d), fp0, "division must change the design");
         t.revert(&mut d, undo);
         assert_eq!(fingerprint(&d), fp0);
@@ -783,10 +756,6 @@ mod tests {
             module: "ghost".into(),
             path: "p".into(),
         };
-        assert!(matches!(
-            t.dirty_modules(&d),
-            Err(TransformError::ModuleNotFound { .. })
-        ));
         assert!(matches!(
             t.apply(&mut d),
             Err(TransformError::ModuleNotFound { .. })

@@ -28,13 +28,9 @@
 //! ```
 
 use crate::units::{FemtoFarads, Ns, PicoJoules, Um, Um2};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Number of read/write ports of a macro.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -363,8 +359,9 @@ pub struct SramParams {
 }
 
 /// Structural hash over the bit patterns of every model constant, so
-/// two compilers key the same [`CompiledSramCache`] entries iff their
-/// technology constants are bit-identical.
+/// [`crate::Tech::structural_fingerprint`] (and every timing cache
+/// keyed on it) tells two technologies apart iff their compiler
+/// constants differ in any bit.
 impl Hash for SramParams {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for v in [
@@ -416,21 +413,12 @@ impl SramParams {
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct MemoryCompiler {
     params: SramParams,
-    /// Structural fingerprint of `params`, precomputed once so that
-    /// every [`CompiledSramCache`] probe keys on a single `u64` instead
-    /// of re-hashing fifteen model constants.
-    params_key: u64,
 }
 
 impl MemoryCompiler {
     /// Compiler with explicit technology constants.
     pub fn new(params: SramParams) -> Self {
-        let mut h = DefaultHasher::new();
-        params.hash(&mut h);
-        Self {
-            params,
-            params_key: h.finish(),
-        }
+        Self { params }
     }
 
     /// The synthetic 65 nm low-power compiler used throughout the
@@ -503,113 +491,11 @@ impl MemoryCompiler {
             input_cap: FemtoFarads::new(6.0),
         })
     }
-
-    /// Memoized [`MemoryCompiler::compile`] through the process-wide
-    /// [`CompiledSramCache`].
-    ///
-    /// Identical geometries are the common case in a G-GPU netlist —
-    /// register-file banks are cloned per PE, CRAM banks per CU — so
-    /// each distinct `(technology constants, geometry)` pair is
-    /// characterized once per process and every further request is a
-    /// table lookup. Results (including deterministic range errors)
-    /// are bit-identical to the raw path: the cache stores exactly
-    /// what [`MemoryCompiler::compile`] returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileSramError`] under the same conditions as
-    /// [`MemoryCompiler::compile`] (errors are memoized too — the
-    /// compiler is a pure function of its constants and the geometry).
-    pub fn compile_cached(&self, config: SramConfig) -> Result<SramMacro, CompileSramError> {
-        CompiledSramCache::global().get_or_compile(self, config)
-    }
 }
 
 impl Default for MemoryCompiler {
     fn default() -> Self {
         Self::l65lp()
-    }
-}
-
-/// Process-wide memo table for compiled SRAM macros, keyed by
-/// `(technology-constants fingerprint, geometry)`.
-///
-/// The STA inner loop compiles the launching/capturing macro of every
-/// memory path on every analysis; before memoization a single
-/// `optimize_for` run re-characterized the same handful of geometries
-/// thousands of times. The table is shared by all threads (reads take
-/// a shared `RwLock` guard) and lives for the process, matching the
-/// lifetime a real memory compiler's on-disk characterization database
-/// would have.
-#[derive(Debug)]
-pub struct CompiledSramCache {
-    table: RwLock<HashMap<(u64, SramConfig), Result<SramMacro, CompileSramError>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CompiledSramCache {
-    fn new() -> Self {
-        Self {
-            table: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The process-wide instance used by
-    /// [`MemoryCompiler::compile_cached`].
-    pub fn global() -> &'static CompiledSramCache {
-        static GLOBAL: OnceLock<CompiledSramCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompiledSramCache::new)
-    }
-
-    /// Looks up `(compiler, config)`, compiling and memoizing on miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`CompileSramError`] from the
-    /// underlying compile.
-    pub fn get_or_compile(
-        &self,
-        compiler: &MemoryCompiler,
-        config: SramConfig,
-    ) -> Result<SramMacro, CompileSramError> {
-        let key = (compiler.params_key, config);
-        if let Some(r) = self
-            .table
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *r;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = compiler.compile(config);
-        self.table
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, r);
-        r
-    }
-
-    /// Lookups answered from the table.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that ran the characterization model.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of memoized geometries.
-    pub fn entries(&self) -> usize {
-        self.table
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
     }
 }
 
@@ -729,49 +615,6 @@ mod tests {
             "bbox {bbox} vs area {}",
             m.area
         );
-    }
-
-    #[test]
-    fn cached_compile_is_bit_identical_to_raw() {
-        let c = compiler();
-        // A table of this test's own, so the counts are exact.
-        let cache = CompiledSramCache::new();
-        let cfg = SramConfig::dual(8192, 72);
-        let raw = c.compile(cfg).unwrap();
-        let first = cache.get_or_compile(&c, cfg).unwrap();
-        let second = cache.get_or_compile(&c, cfg).unwrap();
-        assert_eq!(first, raw);
-        assert_eq!(second, raw);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn cached_compile_memoizes_errors() {
-        let c = compiler();
-        let bad = SramConfig::dual(7, 3); // unique out-of-range key
-        assert_eq!(
-            c.compile_cached(bad).unwrap_err(),
-            CompileSramError::WordsOutOfRange(7)
-        );
-        assert_eq!(
-            c.compile_cached(bad).unwrap_err(),
-            CompileSramError::WordsOutOfRange(7)
-        );
-    }
-
-    #[test]
-    fn different_params_key_different_cache_entries() {
-        let a = MemoryCompiler::l65lp();
-        let mut params = SramParams::l65lp();
-        params.t_fixed = 0.5;
-        let b = MemoryCompiler::new(params);
-        let cfg = SramConfig::single(4096, 130); // unique to this test
-        let ma = a.compile_cached(cfg).unwrap();
-        let mb = b.compile_cached(cfg).unwrap();
-        assert!(mb.access_time > ma.access_time, "t_fixed raise must show");
-        assert_eq!(ma, a.compile(cfg).unwrap());
-        assert_eq!(mb, b.compile(cfg).unwrap());
     }
 
     #[test]

@@ -13,6 +13,15 @@ cargo fmt --all -- --check
 echo "== clippy (-D warnings, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== no process-global state in library sources =="
+# A `static` item or a `thread_local!` in a library outlives every
+# session that fills it, so its contents and counters depend on what
+# else ran in the process. Sessions own their caches instead.
+if grep -rnE '\bstatic\s+(mut\s+)?[A-Z_][A-Z0-9_]*\s*:|thread_local!' crates/*/src src/; then
+    echo "process-global state declared above; keep it in a session-owned value" >&2
+    exit 1
+fi
+
 echo "== docs (rustdoc, warnings are errors) =="
 # Catches intra-doc links to private, renamed or deleted items.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
