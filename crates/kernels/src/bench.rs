@@ -9,8 +9,6 @@ use ggpu_riscv::{assemble as rv_assemble, AssembleRvError, Cpu, CpuError, CpuSta
 use ggpu_simt::{Gpu, Kernel, Launch, RunStats, SimError, SimtConfig};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 /// Which benchmark.
@@ -341,12 +339,12 @@ impl Bench {
     }
 }
 
-/// Number of worker threads for a suite of `jobs` kernels: the
-/// `GGPU_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`], clamped to the
-/// job count. This is the workspace's one reader of `GGPU_THREADS`:
-/// the planner's parallel phases and the fault campaigns size
-/// themselves through it too.
+/// Number of worker threads for a parallel phase with `jobs` units of
+/// work: the `GGPU_THREADS` environment variable if set to a positive
+/// integer, otherwise [`std::thread::available_parallelism`], clamped
+/// to the job count. This is the workspace's one reader of
+/// `GGPU_THREADS`: the planner's parallel phases and the fault
+/// campaigns size themselves through it.
 pub fn suite_threads(jobs: usize) -> usize {
     let configured = std::env::var("GGPU_THREADS")
         .ok()
@@ -355,74 +353,6 @@ pub fn suite_threads(jobs: usize) -> usize {
     let threads =
         configured.unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()));
     threads.min(jobs.max(1))
-}
-
-/// Runs every benchmark at size `n` on `cus` compute units, verifying
-/// each against its golden reference, and returns `(name, stats)` in
-/// input order.
-///
-/// Each simulation owns its GPU instance, so the kernels run
-/// concurrently on [`suite_threads`] scoped worker threads (override
-/// with the `GGPU_THREADS` environment variable; `GGPU_THREADS=1`
-/// forces a sequential sweep with identical results).
-///
-/// # Errors
-///
-/// Returns the first [`BenchError`] in input order if any kernel
-/// faults or miscomputes.
-pub fn run_gpu_suite(
-    benches: &[Bench],
-    n: u32,
-    cus: u32,
-) -> Result<Vec<(&'static str, RunStats)>, BenchError> {
-    run_gpu_suite_with_threads(benches, n, cus, suite_threads(benches.len()))
-}
-
-/// [`run_gpu_suite`] on an explicit number of worker threads (`1`
-/// forces the sequential reference behavior).
-///
-/// # Errors
-///
-/// Returns the first [`BenchError`] in input order if any kernel
-/// faults or miscomputes.
-pub fn run_gpu_suite_with_threads(
-    benches: &[Bench],
-    n: u32,
-    cus: u32,
-    threads: usize,
-) -> Result<Vec<(&'static str, RunStats)>, BenchError> {
-    let jobs = benches.len();
-    let mut outcomes: Vec<(usize, Result<RunStats, BenchError>)> = if threads <= 1 || jobs <= 1 {
-        benches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (i, b.run_gpu(n, cus)))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(Vec::with_capacity(jobs));
-        thread::scope(|scope| {
-            for _ in 0..threads.min(jobs) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    let out = benches[i].run_gpu(n, cus);
-                    results
-                        .lock()
-                        .expect("suite worker poisoned")
-                        .push((i, out));
-                });
-            }
-        });
-        results.into_inner().expect("suite worker poisoned")
-    };
-    outcomes.sort_by_key(|(i, _)| *i);
-    outcomes
-        .into_iter()
-        .map(|(i, out)| out.map(|stats| (benches[i].name, stats)))
-        .collect()
 }
 
 /// Computes the paper's pessimistic speed-up: RISC-V cycles scaled by
@@ -439,6 +369,15 @@ mod tests {
     // Functional verification runs at reduced sizes so `cargo test`
     // stays fast; the paper-size runs live in the bench harness.
     const TEST_N: u32 = 96;
+
+    #[test]
+    fn suite_threads_clamps_to_jobs() {
+        // Whatever the machine/env supplies, a single job never gets
+        // more than one worker, and zero jobs still get one.
+        assert_eq!(suite_threads(1), 1);
+        assert_eq!(suite_threads(0), 1);
+        assert!(suite_threads(1_000_000) >= 1);
+    }
 
     #[test]
     fn every_kernel_is_correct_on_both_targets() {

@@ -22,7 +22,4 @@ pub mod bench;
 pub mod kernels;
 pub mod layout;
 
-pub use bench::{
-    all, run_gpu_suite, run_gpu_suite_with_threads, scaled_speedup, suite_threads, Bench,
-    BenchError, Kind,
-};
+pub use bench::{all, scaled_speedup, suite_threads, Bench, BenchError, Kind};

@@ -11,7 +11,7 @@
 //! The same suite pins each kernel's LRAM bank-conflict profile under
 //! the ideal, 4-bank and 8-bank local-memory models.
 
-use ggpu_kernels::bench::{all, mat_mul_local, run_gpu_suite_with_threads, Bench};
+use ggpu_kernels::bench::{all, mat_mul_local, Bench};
 use ggpu_simt::{LramModel, RunStats, SimtConfig};
 
 fn both(bench: &Bench, n: u32, cus: u32) -> (RunStats, RunStats) {
@@ -81,18 +81,6 @@ fn event_core_never_does_more_scheduler_work() {
                 reference.sched_iterations
             );
         }
-    }
-}
-
-#[test]
-fn threaded_suite_matches_sequential_suite() {
-    let benches = all();
-    let seq = run_gpu_suite_with_threads(&benches, 256, 2, 1).expect("sequential sweep");
-    let par = run_gpu_suite_with_threads(&benches, 256, 2, 4).expect("threaded sweep");
-    assert_eq!(seq.len(), benches.len());
-    for ((sn, ss), (pn, ps)) in seq.iter().zip(&par) {
-        assert_eq!(sn, pn, "suite order must be input order");
-        assert_eq!(ss, ps, "{sn}: threaded stats diverge from sequential");
     }
 }
 

@@ -153,8 +153,8 @@ impl Error for ValidateDesignError {}
 /// ([`Design::restore_module`]) is O(1) — it reinstates the original
 /// `Arc` (and the fingerprint that was cached for it), so a
 /// snapshot/mutate/restore round-trip is *bit-identical*, shared
-/// pointers and all. This is the primitive the transactional transform
-/// journal builds `revert` on.
+/// pointers and all. This is the primitive the planner's transform
+/// journal builds its apply and revert on.
 #[derive(Debug, Clone)]
 pub struct ModuleSnapshot {
     id: ModuleId,

@@ -182,7 +182,7 @@ fn original_macro_name(name: &str) -> &str {
 ///
 /// A division names one macro (the one on the representative timing
 /// path), but is applied to *every* sibling bank of the same structure
-/// (same name stem and geometry) — all banks of a divided memory fail
+/// (same bank group and geometry) — all banks of a divided memory fail
 /// timing identically, and the paper's flow divides the structure, not
 /// one bank.
 ///

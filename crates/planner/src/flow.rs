@@ -6,6 +6,7 @@ use crate::cache::StaCache;
 use crate::dse::{apply_plan, optimize_for_with, DseError, OptimizationPlan};
 use crate::spec::Specification;
 use ggpu_fault::ResilienceReport;
+use ggpu_kernels::suite_threads;
 use ggpu_netlist::{Design, EccPolicy};
 use ggpu_pnr::{place_and_route, Layout, PnrError};
 use ggpu_rtl::{generate, ConfigError, GgpuConfig};
@@ -18,16 +19,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-
-/// Number of worker threads for a parallel phase with `jobs` units of
-/// work: the `GGPU_THREADS` environment variable if set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`], clamped
-/// to the job count.
-pub fn worker_threads(jobs: usize) -> usize {
-    // One knob for the whole flow, parsed in one place: the same
-    // function sizes the kernel suite and the fault campaigns.
-    ggpu_kernels::suite_threads(jobs)
-}
 
 /// Maps `job(0..jobs)` across `threads` scoped workers, returning the
 /// results in job order (as if mapped sequentially).
@@ -384,11 +375,11 @@ impl GpuPlanner {
     /// order.
     ///
     /// Versions are independent, so they are planned on
-    /// [`worker_threads`] scoped threads (override with the
+    /// [`suite_threads`] scoped threads (override with the
     /// `GGPU_THREADS` environment variable); all workers share this
     /// planner's [`StaCache`].
     pub fn run(&self, specs: &[Specification]) -> Vec<Result<ImplementedVersion, PlanError>> {
-        self.run_with_threads(specs, worker_threads(specs.len()))
+        self.run_with_threads(specs, suite_threads(specs.len()))
     }
 
     /// [`GpuPlanner::run`] on an explicit number of worker threads
@@ -412,7 +403,7 @@ impl GpuPlanner {
     /// skipped, not errors.
     ///
     /// The 24 design points are independent, so they are planned on
-    /// [`worker_threads`] scoped threads (override with the
+    /// [`suite_threads`] scoped threads (override with the
     /// `GGPU_THREADS` environment variable) sharing this planner's
     /// [`StaCache`]; the winner is then selected by a deterministic
     /// sequential reduction in `(CUs, frequency)` order, so the result
@@ -428,7 +419,7 @@ impl GpuPlanner {
         max_power_w: f64,
     ) -> Result<Option<PlannedVersion>, PlanError> {
         let points = Self::sweep_points();
-        let threads = worker_threads(points.len());
+        let threads = suite_threads(points.len());
         self.best_within_with_threads(max_area_mm2, max_power_w, threads)
     }
 
@@ -450,10 +441,10 @@ impl GpuPlanner {
     /// winner does not depend on `threads`.
     ///
     /// Delegates to the sweep-campaign engine
-    /// ([`GpuPlanner::sweep`]) with no checkpoint and no candidate
-    /// budget, which is bit-identical to the pre-campaign reduction;
-    /// use [`crate::sweep::SweepConfig`] directly for crash-safe
-    /// resumable or wall-clock-budgeted sweeps.
+    /// ([`GpuPlanner::sweep`]) with no checkpoint, which is
+    /// bit-identical to the pre-campaign reduction; use
+    /// [`crate::sweep::SweepConfig`] directly for crash-safe resumable
+    /// sweeps.
     ///
     /// # Errors
     ///
@@ -687,15 +678,6 @@ mod parallel_tests {
         // Degenerate thread counts fall back to a sequential map.
         assert_eq!(parallel_map(5, 0, |i| i), vec![0, 1, 2, 3, 4]);
         assert_eq!(parallel_map(0, 8, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn worker_threads_clamps_to_jobs() {
-        // Whatever the machine/env supplies, a single job never gets
-        // more than one worker, and zero jobs still get one.
-        assert_eq!(worker_threads(1), 1);
-        assert_eq!(worker_threads(0), 1);
-        assert!(worker_threads(1_000_000) >= 1);
     }
 
     #[test]

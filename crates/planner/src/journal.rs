@@ -6,13 +6,13 @@
 //! scratch; [`TransformJournal`] replaces that with a transaction log
 //! over one copy-on-write working design:
 //!
-//! * [`apply`](TransformJournal::apply) runs one [`Transform`]
-//!   (division or pipeline) and records its [`Undo`] — O(1) module
-//!   snapshots.
-//! * [`revert_last`](TransformJournal::revert_last) /
-//!   [`rollback_to`](TransformJournal::rollback_to) restore those
-//!   snapshots, bit-identically (cached fingerprints included), so a
-//!   rejected candidate costs pointer swaps, not a re-clone.
+//! * [`apply`](TransformJournal::apply) performs one [`Action`] (a
+//!   memory division or a pipeline insertion) on the module it names,
+//!   after taking an O(1) [`ModuleSnapshot`] of that module.
+//! * [`revert_last`](TransformJournal::revert_last) restores that
+//!   snapshot, bit-identically (cached fingerprint and copy-on-write
+//!   sharing included), so undoing a transaction costs a pointer swap,
+//!   not a re-clone.
 //! * [`rebase`](TransformJournal::rebase) moves the working design to
 //!   an arbitrary [`OptimizationPlan`] by reverting/re-applying only
 //!   the suffix that differs (longest common prefix of the canonical
@@ -21,9 +21,10 @@
 //!
 //! Every transaction is lint-gated: the flow invariants N005 (memory
 //! division preserves total macro bits) and N006 (pipeline insertion
-//! preserves macro timing endpoints) are checked per-transform, and a
-//! violating transform is reverted before the error is returned, so
-//! the journal never holds a design that failed its own gate.
+//! preserves macro timing endpoints) are checked per action, and a
+//! failed or denied action restores its snapshot before the error is
+//! returned, so the journal never holds a design that failed its own
+//! gate.
 //!
 //! The journal does not report which modules a transaction touched:
 //! the incremental STA engine ([`ggpu_sta::IncrementalSta`]) re-times
@@ -32,59 +33,15 @@
 
 use crate::dse::{Action, DseError, OptimizationPlan};
 use ggpu_lint::{check_division, check_pipeline, FlowSnapshot, LintConfig, Report};
-use ggpu_netlist::Design;
-use ggpu_synth::{DivideMemory, PipelineInsert, Transform, TransformError, Undo};
+use ggpu_netlist::{Design, ModuleId, ModuleSnapshot};
+use ggpu_synth::{divide_macro, insert_pipeline, TransformError};
 
-/// One committed transaction: the action and its undo record.
+/// One committed transaction: the action and the pre-apply state of
+/// the one module it edited.
 #[derive(Debug)]
 struct Entry {
     action: Action,
-    undo: Undo,
-}
-
-/// A named rollback point in a [`TransformJournal`].
-///
-/// Obtained from [`TransformJournal::checkpoint`]; passing it to
-/// [`TransformJournal::rollback_to`] reverts every transaction
-/// committed after it. Checkpoints are invalidated by rolling back
-/// past them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    name: String,
-    depth: usize,
-}
-
-impl Checkpoint {
-    /// The label given at creation.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of transactions committed when the checkpoint was taken.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-}
-
-/// Converts an [`Action`] into the [`Transform`] that performs it.
-fn transform_of(action: &Action) -> Box<dyn Transform> {
-    match action {
-        Action::Divide {
-            module,
-            macro_name,
-            factor,
-            axis,
-        } => Box::new(DivideMemory {
-            module: module.clone(),
-            macro_name: macro_name.clone(),
-            factor: *factor,
-            axis: *axis,
-        }),
-        Action::Pipeline { module, path } => Box::new(PipelineInsert {
-            module: module.clone(),
-            path: path.clone(),
-        }),
-    }
+    snapshot: ModuleSnapshot,
 }
 
 /// The lint label for an action, matching the pre-journal flow's
@@ -98,13 +55,6 @@ fn lint_label(action: &Action) -> String {
             ..
         } => format!("{module}/{macro_name} x{factor}"),
         Action::Pipeline { module, path } => format!("{module}/{path}"),
-    }
-}
-
-fn map_transform_err(e: TransformError) -> DseError {
-    match e {
-        TransformError::ModuleNotFound { name } => DseError::UnknownModule(name),
-        other => DseError::Transform(other),
     }
 }
 
@@ -157,48 +107,82 @@ impl TransformJournal {
         self.entries.iter().map(|e| e.action.clone()).collect()
     }
 
-    /// Takes a named rollback point at the current depth.
-    pub fn checkpoint(&self, name: impl Into<String>) -> Checkpoint {
-        Checkpoint {
-            name: name.into(),
-            depth: self.entries.len(),
-        }
-    }
-
-    /// Applies `action` as one transaction: transform, then the
-    /// matching flow-invariant lint (N005 for divisions, N006 for
-    /// pipelines).
+    /// Applies `action` as one transaction: snapshot the named module,
+    /// edit it, then run the matching flow-invariant lint (N005 for
+    /// divisions, N006 for pipelines).
+    ///
+    /// A division names one macro but divides the *structure*: every
+    /// sibling of the same logical memory
+    /// ([`ggpu_netlist::module::Module::sibling_macro_names`]: same
+    /// [`ggpu_netlist::BankGroupId`], same geometry) fails timing
+    /// identically, so each is divided by the same factor.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError`] if the transform fails (design unchanged —
-    /// transforms are atomic) or if the lint gate denies the result
-    /// (the transaction is reverted before returning).
+    /// Returns [`DseError::UnknownModule`] if the action names a module
+    /// the design lacks, [`DseError::Transform`] if the edit fails and
+    /// [`DseError::FlowInvariant`] if the lint gate denies the result.
+    /// In every case the design is left exactly as it was, copy-on-write
+    /// sharing included.
     pub fn apply(&mut self, action: &Action) -> Result<(), DseError> {
-        let transform = transform_of(action);
+        let (Action::Divide { module, .. } | Action::Pipeline { module, .. }) = action;
+        let id = self
+            .design
+            .module_by_name(module)
+            .ok_or_else(|| DseError::UnknownModule(module.clone()))?;
+        let snapshot = self.design.snapshot_module(id);
+        match self.edit(id, action) {
+            Ok(()) => {
+                self.entries.push(Entry {
+                    action: action.clone(),
+                    snapshot,
+                });
+                Ok(())
+            }
+            Err(e) => {
+                self.design.restore_module(snapshot);
+                Err(e)
+            }
+        }
+    }
+
+    /// Performs `action` on module `id` and lints the result. May leave
+    /// the module partly edited on error; [`apply`](Self::apply)
+    /// restores it.
+    fn edit(&mut self, id: ModuleId, action: &Action) -> Result<(), DseError> {
         let before = FlowSnapshot::of(&self.design);
-        let undo = transform
-            .apply(&mut self.design)
-            .map_err(map_transform_err)?;
-        let after = FlowSnapshot::of(&self.design);
-        let mut invariants = Report::new(self.design.name());
         let label = lint_label(action);
+        let mut invariants = Report::new(self.design.name());
         match action {
-            Action::Divide { .. } => {
+            Action::Divide {
+                module,
+                macro_name,
+                factor,
+                axis,
+            } => {
+                let target = self
+                    .design
+                    .module(id)
+                    .find_macro(macro_name)
+                    .ok_or_else(|| TransformError::MacroNotFound {
+                        module: module.clone(),
+                        name: macro_name.clone(),
+                    })?;
+                for name in self.design.module(id).sibling_macro_names(target) {
+                    divide_macro(&mut self.design, id, &name, *factor, *axis)?;
+                }
+                let after = FlowSnapshot::of(&self.design);
                 check_division(before, after, &label, &self.lint_config, &mut invariants);
             }
-            Action::Pipeline { .. } => {
+            Action::Pipeline { path, .. } => {
+                insert_pipeline(&mut self.design, id, path)?;
+                let after = FlowSnapshot::of(&self.design);
                 check_pipeline(before, after, &label, &self.lint_config, &mut invariants);
             }
         }
         if invariants.denial_count() > 0 {
-            transform.revert(&mut self.design, undo);
             return Err(DseError::FlowInvariant(invariants));
         }
-        self.entries.push(Entry {
-            action: action.clone(),
-            undo,
-        });
         Ok(())
     }
 
@@ -207,27 +191,8 @@ impl TransformJournal {
     /// action, or `None` on an empty journal.
     pub fn revert_last(&mut self) -> Option<Action> {
         let entry = self.entries.pop()?;
-        ggpu_synth::revert(&mut self.design, entry.undo);
+        self.design.restore_module(entry.snapshot);
         Some(entry.action)
-    }
-
-    /// Reverts every transaction committed after `checkpoint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint was invalidated by an earlier rollback
-    /// past it (its depth exceeds the journal's).
-    pub fn rollback_to(&mut self, checkpoint: &Checkpoint) {
-        assert!(
-            checkpoint.depth <= self.entries.len(),
-            "checkpoint {:?} invalidated: journal depth {} < checkpoint depth {}",
-            checkpoint.name,
-            self.entries.len(),
-            checkpoint.depth
-        );
-        while self.entries.len() > checkpoint.depth {
-            self.revert_last();
-        }
     }
 
     /// Moves the working design to exactly `plan`, reverting and
@@ -265,12 +230,42 @@ impl TransformJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ggpu_netlist::module::{MacroInst, MemoryRole, Module};
+    use ggpu_netlist::BankGroupId;
     use ggpu_rtl::{generate, GgpuConfig};
     use ggpu_synth::DivideAxis;
+    use ggpu_tech::sram::SramConfig;
     use std::collections::BTreeSet;
 
     fn base() -> Design {
         generate(&GgpuConfig::with_cus(1).unwrap()).unwrap()
+    }
+
+    /// A one-module design `m` holding `macros`.
+    fn small_design(macros: Vec<MacroInst>) -> Design {
+        let mut d = Design::new("t");
+        let mut m = Module::new("m");
+        m.macros = macros;
+        let id = d.add_module(m);
+        d.set_top(id);
+        d
+    }
+
+    fn ram() -> MacroInst {
+        MacroInst::new(
+            "ram",
+            SramConfig::dual(2048, 32),
+            MemoryRole::CacheData,
+            0.8,
+        )
+    }
+
+    fn bank(name: &str, words: u32, group: Option<u32>) -> MacroInst {
+        let m = MacroInst::new(name, SramConfig::dual(words, 32), MemoryRole::Fifo, 0.5);
+        match group {
+            Some(g) => m.with_bank_group(BankGroupId(g)),
+            None => m,
+        }
     }
 
     fn divide(module: &str, mac: &str, factor: u32) -> Action {
@@ -282,53 +277,125 @@ mod tests {
         }
     }
 
+    fn pipeline(module: &str, path: &str) -> Action {
+        Action::Pipeline {
+            module: module.into(),
+            path: path.into(),
+        }
+    }
+
+    fn module_fps(d: &Design) -> Vec<u64> {
+        d.module_ids().map(|id| d.module_fingerprint(id)).collect()
+    }
+
     #[test]
     fn apply_revert_restores_bit_identically() {
         let b = base();
         let fp0 = b.structural_fingerprint();
         let mut j = TransformJournal::new(&b);
-        let action = divide("processing_element", "rf_bank", 2);
-        j.apply(&action).unwrap();
-        assert_ne!(j.design().structural_fingerprint(), fp0);
-        assert_eq!(j.revert_last(), Some(action));
-        assert_eq!(j.design().structural_fingerprint(), fp0);
-        assert_eq!(j.design(), &b);
-        assert!(j.is_empty());
+        for action in [
+            divide("processing_element", "rf_bank", 2),
+            pipeline("processing_element", "alu_bypass"),
+        ] {
+            j.apply(&action).unwrap();
+            assert_ne!(j.design().structural_fingerprint(), fp0, "{action}");
+            assert_eq!(j.revert_last(), Some(action));
+            assert_eq!(j.design().structural_fingerprint(), fp0);
+            assert_eq!(module_fps(j.design()), module_fps(&b));
+            assert_eq!(j.design(), &b);
+            assert!(j.is_empty());
+        }
     }
 
     #[test]
-    fn checkpoints_roll_back_named_ranges() {
-        let b = base();
-        let mut j = TransformJournal::new(&b);
-        let start = j.checkpoint("start");
-        assert_eq!(start.name(), "start");
-        assert_eq!(start.depth(), 0);
-        j.apply(&divide("processing_element", "rf_bank", 2))
-            .unwrap();
-        let mid = j.checkpoint("after-rf");
-        j.apply(&Action::Pipeline {
-            module: "processing_element".into(),
-            path: "alu_bypass".into(),
-        })
-        .unwrap();
-        assert_eq!(j.len(), 2);
-        j.rollback_to(&mid);
-        assert_eq!(j.len(), 1);
-        assert_ne!(j.design(), &b);
-        j.rollback_to(&start);
-        assert_eq!(j.design(), &b);
+    fn divide_memory_expands_sibling_banks() {
+        let mut macros: Vec<MacroInst> = (0..4)
+            .map(|i| bank(&format!("bank{i}"), 1024, Some(0)))
+            .collect();
+        // Same group id but different geometry: not a sibling, must
+        // stay untouched.
+        macros.push(bank("bankx", 2048, Some(0)));
+        let mut j = TransformJournal::new(&small_design(macros));
+        j.apply(&divide("m", "bank0", 2)).unwrap();
+        let m = j.design().module(j.design().top());
+        // 4 banks x 2 parts + the untouched odd one out.
+        assert_eq!(m.macros.len(), 9);
+        for i in 0..4 {
+            assert!(m.find_macro(&format!("bank{i}_d0")).is_some());
+            assert!(m.find_macro(&format!("bank{i}")).is_none());
+        }
+        assert!(m.find_macro("bankx").is_some());
+        // The parts remain members of the original logical memory.
+        assert_eq!(
+            m.bank_group_of("bank0_d0"),
+            Some(BankGroupId(0)),
+            "division parts must inherit the structural group"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "invalidated")]
-    fn rolling_back_past_a_checkpoint_invalidates_it() {
-        let b = base();
+    fn user_macro_with_bank_like_name_is_never_misgrouped() {
+        // Regression for the retired `bank_base()` stem matching: a
+        // user macro named `lsu_b12` has the same stem (`lsu_b`) and
+        // geometry as the real sibling banks `lsu_b0`/`lsu_b1`, so the
+        // old code divided it along with the structure. Structural
+        // group ids make membership explicit: the lone macro is
+        // untouched.
+        let macros = vec![
+            bank("lsu_b0", 1024, Some(7)),
+            bank("lsu_b1", 1024, Some(7)),
+            bank("lsu_b12", 1024, None),
+        ];
+        let mut j = TransformJournal::new(&small_design(macros));
+        j.apply(&divide("m", "lsu_b0", 2)).unwrap();
+        let m = j.design().module(j.design().top());
+        assert!(m.find_macro("lsu_b0_d0").is_some());
+        assert!(m.find_macro("lsu_b1_d0").is_some());
+        assert!(
+            m.find_macro("lsu_b12").is_some() && m.find_macro("lsu_b12_d0").is_none(),
+            "macro outside the bank group must not be divided"
+        );
+    }
+
+    #[test]
+    fn failed_apply_leaves_design_untouched() {
+        // `insert_pipeline` copies the module before it finds the path
+        // missing, so only the journal's restore keeps the working
+        // design sharing every module with the base.
+        let b = small_design(vec![ram()]);
         let mut j = TransformJournal::new(&b);
-        j.apply(&divide("processing_element", "rf_bank", 2))
-            .unwrap();
-        let cp = j.checkpoint("deep");
-        j.revert_last();
-        j.rollback_to(&cp);
+        let untouched = |j: &TransformJournal, why: &str| {
+            assert_eq!(
+                j.design().shared_modules_with(&b),
+                b.module_count(),
+                "{why}"
+            );
+            assert_eq!(module_fps(j.design()), module_fps(&b), "{why}");
+            assert_eq!(j.design(), &b, "{why}");
+            assert!(j.is_empty(), "{why}");
+        };
+        assert!(matches!(
+            j.apply(&pipeline("m", "ghost")),
+            Err(DseError::Transform(TransformError::PathNotFound { .. }))
+        ));
+        untouched(&j, "missing path");
+        assert!(matches!(
+            j.apply(&divide("m", "ram", 3)),
+            Err(DseError::Transform(TransformError::Sram(_)))
+        ));
+        untouched(&j, "division by 3");
+        assert!(matches!(
+            j.apply(&divide("ghost", "ram", 2)),
+            Err(DseError::UnknownModule(_))
+        ));
+        untouched(&j, "unknown module");
+    }
+
+    #[test]
+    fn unknown_module_is_reported() {
+        let mut j = TransformJournal::new(&small_design(vec![ram()]));
+        let err = j.apply(&pipeline("ghost", "p")).unwrap_err();
+        assert_eq!(err, DseError::UnknownModule("ghost".into()));
     }
 
     #[test]
@@ -409,18 +476,26 @@ mod tests {
 
     #[test]
     fn lint_gate_reverts_denied_transactions() {
-        // A division of an unknown macro fails atomically.
+        // A factor-1 "division" renames each register-file bank but
+        // adds no macro: N005 denies it after the edit, and the
+        // snapshot undoes the renames.
         let b = base();
         let mut j = TransformJournal::new(&b);
         let err = j
-            .apply(&divide("processing_element", "ghost", 2))
+            .apply(&divide("processing_element", "rf_bank", 1))
             .unwrap_err();
-        assert!(matches!(err, DseError::Transform(_)));
+        assert!(matches!(err, DseError::FlowInvariant(_)), "{err}");
         assert_eq!(j.design(), &b);
+        assert_eq!(j.design().shared_modules_with(&b), b.module_count());
         assert!(j.is_empty());
 
-        let err = j.apply(&divide("ghost_module", "x", 2)).unwrap_err();
-        assert!(matches!(err, DseError::UnknownModule(_)));
+        let err = j
+            .apply(&divide("processing_element", "ghost", 2))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            DseError::Transform(TransformError::MacroNotFound { .. })
+        ));
         assert_eq!(j.design(), &b);
     }
 }

@@ -44,10 +44,8 @@ pub use dse::{
     apply_plan, optimize_for, optimize_for_with, optimize_with_config, Action, DseConfig, DseError,
     OptimizationPlan, Optimized,
 };
-pub use flow::{
-    worker_threads, GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate,
-};
-pub use journal::{Checkpoint, TransformJournal};
+pub use flow::{GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEstimate};
+pub use journal::TransformJournal;
 pub use map::{advise, advise_with, Advice};
 pub use spec::Specification;
 pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
@@ -55,5 +53,5 @@ pub use supervise::{
     spec_fingerprint, verify_kernels, DegradationReport, FailurePlan, FlowError, FlowErrorKind,
     FlowStage, Injection, SupervisedVersion, Supervisor, SupervisorConfig,
 };
-pub use sweep::{SweepConfig, SweepError, SweepReport, SweepSkip};
+pub use sweep::{SweepConfig, SweepError, SweepReport};
 pub use versions::{paper_versions, physical_versions};

@@ -36,11 +36,12 @@
 //! retries still act on every spec's verify stage, and failures are
 //! never recorded.
 
-use crate::flow::{parallel_map, worker_threads, GpuPlanner, ImplementedVersion, PlanError};
+use crate::flow::{parallel_map, GpuPlanner, ImplementedVersion, PlanError};
 use crate::spec::Specification;
 use ggpu_fault::{
     run_campaign, CampaignConfig, CampaignError, CampaignReport, MacroMap, Rng, Workload,
 };
+use ggpu_kernels::suite_threads;
 use ggpu_lint::DegradationStep;
 use ggpu_simt::{AccelBackend, SimtConfig};
 use std::collections::hash_map::DefaultHasher;
@@ -450,11 +451,11 @@ impl Supervisor {
     }
 
     /// Runs every spec through the supervised pipeline, in parallel on
-    /// [`worker_threads`] scoped workers, each spec an isolated unit:
+    /// [`suite_threads`] scoped workers, each spec an isolated unit:
     /// a panic, deadline overrun or hard error in one spec never
     /// affects its siblings. Results come back in spec order.
     pub fn run(&self, specs: &[Specification]) -> Vec<Result<SupervisedVersion, FlowError>> {
-        parallel_map(specs.len(), worker_threads(specs.len()), |i| {
+        parallel_map(specs.len(), suite_threads(specs.len()), |i| {
             self.run_spec(&specs[i])
         })
     }

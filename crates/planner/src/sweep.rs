@@ -9,7 +9,7 @@
 //!
 //! * every finished grid point appends **one journal line** carrying
 //!   its status and — for planned points — the full optimization
-//!   recipe and advice trace, fsynced by default;
+//!   recipe and advice trace, fsynced;
 //! * `kill -9` at *any* byte offset leaves either a whole record
 //!   (the point is never re-run) or a torn tail (repaired on open; the
 //!   point re-runs). Resumed sweeps reconstruct each recorded
@@ -20,16 +20,13 @@
 //!   snapshot (tmp sibling + fsync + atomic rename), deduplicated and
 //!   sorted by point index.
 //!
-//! A per-candidate wall-clock budget ([`SweepConfig::candidate_budget`])
-//! turns pathological points into structured, journaled skips
-//! ([`SweepSkip`]) instead of unbounded stalls. With no checkpoint and
-//! no budget the sweep is bit-identical to the legacy
-//! [`GpuPlanner::best_within_with_threads`] — which now delegates
-//! here.
+//! [`GpuPlanner::best_within_with_threads`] is this sweep with no
+//! checkpoint.
 
 use crate::dse::OptimizationPlan;
-use crate::flow::{parallel_map, worker_threads, GpuPlanner, PlanError, PlannedVersion};
+use crate::flow::{parallel_map, GpuPlanner, PlanError, PlannedVersion};
 use crate::spec::Specification;
+use ggpu_kernels::suite_threads;
 use ggpu_synth::synthesize;
 use ggpu_tech::units::Mhz;
 use ggpu_wal::{Journal, WalError, WalOp};
@@ -39,7 +36,6 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Sweep campaign policy.
 #[derive(Debug, Clone)]
@@ -48,31 +44,22 @@ pub struct SweepConfig {
     pub max_area_mm2: f64,
     /// Total-power ceiling, W.
     pub max_power_w: f64,
-    /// Worker threads; `0` picks [`worker_threads`].
+    /// Worker threads; `0` picks [`suite_threads`].
     pub threads: usize,
     /// Optional journal path: set to make the campaign resumable.
+    /// Every record is fsynced.
     pub checkpoint: Option<PathBuf>,
-    /// Per-candidate wall-clock budget: a grid point whose planning
-    /// exceeds it is recorded as a structured skip instead of a
-    /// candidate. `None` (the default) never skips.
-    pub candidate_budget: Option<Duration>,
-    /// `fsync` each journal record (the default). Disable to trade
-    /// power-loss durability for throughput (`kill -9` still loses
-    /// nothing either way).
-    pub sync: bool,
 }
 
 impl SweepConfig {
     /// A sweep under the given PPA ceilings, with defaults everywhere
-    /// else (auto threads, no checkpoint, no budget, fsync on).
+    /// else (auto threads, no checkpoint).
     pub fn budgets(max_area_mm2: f64, max_power_w: f64) -> Self {
         Self {
             max_area_mm2,
             max_power_w,
             threads: 0,
             checkpoint: None,
-            candidate_budget: None,
-            sync: true,
         }
     }
 
@@ -88,25 +75,9 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the per-candidate wall-clock budget.
-    pub fn with_candidate_budget(mut self, budget: Duration) -> Self {
-        self.candidate_budget = Some(budget);
-        self
-    }
-
-    /// Toggles per-record fsync.
-    pub fn with_sync(mut self, sync: bool) -> Self {
-        self.sync = sync;
-        self
-    }
-
     fn header(&self, points: usize) -> String {
-        let budget = match self.candidate_budget {
-            Some(d) => format!("{}", d.as_millis()),
-            None => "none".to_string(),
-        };
         format!(
-            "ggpu-sweep v1 area={:016x} power={:016x} points={points} budget={budget}",
+            "ggpu-sweep v2 area={:016x} power={:016x} points={points}",
             self.max_area_mm2.to_bits(),
             self.max_power_w.to_bits(),
         )
@@ -123,7 +94,7 @@ pub enum SweepError {
     /// Journal I/O failed; carries the offending path and operation.
     Io(WalError),
     /// The journal does not belong to this campaign, or a record is
-    /// corrupt.
+    /// corrupt (including a recorded recipe that no longer replays).
     Checkpoint(String),
 }
 
@@ -165,19 +136,6 @@ impl From<PlanError> for SweepError {
     }
 }
 
-/// One budget-exceeded grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSkip {
-    /// CU count of the skipped point.
-    pub compute_units: u32,
-    /// Frequency of the skipped point, MHz.
-    pub frequency_mhz: f64,
-    /// Wall-clock the point consumed before being cut, ms (informative
-    /// only; excluded from [`SweepReport::render`] so reports stay
-    /// byte-stable across runs).
-    pub elapsed_ms: u64,
-}
-
 /// The outcome of a sweep campaign.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
@@ -190,14 +148,12 @@ pub struct SweepReport {
     pub resumed: usize,
     /// Grid points whose target frequency is unreachable.
     pub unreachable: usize,
-    /// Budget-exceeded points, in grid order.
-    pub skips: Vec<SweepSkip>,
 }
 
 impl SweepReport {
-    /// A deterministic text summary. Skip wall-clocks and the
-    /// evaluated/resumed split are omitted so an uninterrupted run and
-    /// a resume from **any** kill point render byte-identically.
+    /// A deterministic text summary. The evaluated/resumed split is
+    /// omitted so an uninterrupted run and a resume from **any** kill
+    /// point render byte-identically.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let total = self.evaluated + self.resumed;
@@ -211,10 +167,6 @@ impl SweepReport {
                 .unwrap_or_else(|| "none".into())
         );
         let _ = writeln!(out, "unreachable : {}", self.unreachable);
-        let _ = writeln!(out, "budget skips: {}", self.skips.len());
-        for s in &self.skips {
-            let _ = writeln!(out, "  {}cu@{:.0}MHz", s.compute_units, s.frequency_mhz);
-        }
         out
     }
 }
@@ -227,9 +179,6 @@ enum PointOutcome {
         trace: Vec<String>,
     },
     Unreachable,
-    Budget {
-        elapsed_ms: u64,
-    },
 }
 
 /// One freshly-planned grid point: index, journal-record status, and
@@ -237,16 +186,16 @@ enum PointOutcome {
 type FreshPoint = (usize, PointOutcome, Option<PlannedVersion>);
 
 impl GpuPlanner {
-    /// Runs a (optionally resumable, optionally budgeted) sweep
-    /// campaign over [`GpuPlanner::sweep_points`] and reduces it to
-    /// the best version within the configured ceilings.
+    /// Runs a (optionally resumable) sweep campaign over
+    /// [`GpuPlanner::sweep_points`] and reduces it to the best version
+    /// within the configured ceilings.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Plan`] on structural planning failures
-    /// (never for unreachable frequencies or budget skips), and
+    /// (never for unreachable frequencies), and
     /// [`SweepError::Io`]/[`SweepError::Checkpoint`] for journal
-    /// problems.
+    /// problems, including a recorded recipe that does not replay.
     pub fn sweep(&self, config: &SweepConfig) -> Result<SweepReport, SweepError> {
         let points = Self::sweep_points();
         let spec_for = |i: usize| {
@@ -272,7 +221,7 @@ impl GpuPlanner {
                     }
                     done.insert(i, outcome);
                 }
-                Some(Mutex::new(journal.with_sync(config.sync)))
+                Some(Mutex::new(journal))
             }
             None => None,
         };
@@ -285,33 +234,21 @@ impl GpuPlanner {
             .filter(|i| !done.contains_key(i))
             .collect();
         let threads = if config.threads == 0 {
-            worker_threads(missing.len())
+            suite_threads(missing.len())
         } else {
             config.threads
         };
         let fresh: Vec<Result<FreshPoint, SweepError>> =
             parallel_map(missing.len(), threads, |k| {
                 let i = missing[k];
-                let started = Instant::now();
                 let (outcome, version) = match self.plan(&spec_for(i)) {
-                    Ok(v) => {
-                        let elapsed = started.elapsed();
-                        match config.candidate_budget {
-                            Some(budget) if elapsed > budget => (
-                                PointOutcome::Budget {
-                                    elapsed_ms: elapsed.as_millis() as u64,
-                                },
-                                None,
-                            ),
-                            _ => (
-                                PointOutcome::Planned {
-                                    plan: v.plan.clone(),
-                                    trace: v.trace.clone(),
-                                },
-                                Some(v),
-                            ),
-                        }
-                    }
+                    Ok(v) => (
+                        PointOutcome::Planned {
+                            plan: v.plan.clone(),
+                            trace: v.trace.clone(),
+                        },
+                        Some(v),
+                    ),
                     Err(PlanError::Dse(_)) => (PointOutcome::Unreachable, None),
                     Err(e) => return Err(SweepError::Plan(e)),
                 };
@@ -338,7 +275,6 @@ impl GpuPlanner {
         // throughput (ties broken by smaller area).
         let mut best: Option<(f64, PlannedVersion)> = None;
         let mut unreachable = 0usize;
-        let mut skips = Vec::new();
         for (i, &(cus, mhz)) in points.iter().enumerate() {
             let Some((outcome, version)) = outcomes.remove(&i) else {
                 continue;
@@ -348,17 +284,9 @@ impl GpuPlanner {
                     unreachable += 1;
                     continue;
                 }
-                (PointOutcome::Budget { elapsed_ms }, _) => {
-                    skips.push(SweepSkip {
-                        compute_units: cus,
-                        frequency_mhz: mhz,
-                        elapsed_ms,
-                    });
-                    continue;
-                }
                 (PointOutcome::Planned { .. }, Some(v)) => v,
                 (PointOutcome::Planned { plan, trace }, None) => {
-                    self.rebuild_planned(&spec_for(i), plan, trace)?
+                    self.rebuild_planned(i, &spec_for(i), plan, trace)?
                 }
             };
             let area = planned.synthesis.stats.total_area().to_mm2();
@@ -406,22 +334,29 @@ impl GpuPlanner {
             evaluated,
             resumed,
             unreachable,
-            skips,
         })
     }
 
-    /// Deterministically reconstructs a [`PlannedVersion`] from its
-    /// journaled recipe: regenerate the baseline, replay the plan,
-    /// re-synthesize. Bit-identical to the original `plan` result
-    /// (`rebuild_replays_the_recipe` pins the netlist identity).
+    /// Deterministically reconstructs grid point `i`'s
+    /// [`PlannedVersion`] from its journaled recipe: regenerate the
+    /// baseline, replay the plan, re-synthesize. Bit-identical to the
+    /// original `plan` result (`rebuild_replays_the_recipe` pins the
+    /// netlist identity). A recipe that does not replay was not
+    /// written by a run of this flow, so it is a corrupt checkpoint.
     fn rebuild_planned(
         &self,
+        i: usize,
         spec: &Specification,
         plan: OptimizationPlan,
         trace: Vec<String>,
     ) -> Result<PlannedVersion, SweepError> {
         let config = self.config_for(spec)?;
-        let mut design = self.rebuild(spec, &plan)?;
+        let mut design = self.rebuild(spec, &plan).map_err(|e| match e {
+            PlanError::Dse(e) => {
+                SweepError::Checkpoint(format!("the recipe of point {i} does not replay: {e}"))
+            }
+            other => SweepError::Plan(other),
+        })?;
         design.set_name(format!(
             "ggpu_{}cu_{:.0}mhz",
             spec.compute_units,
@@ -510,7 +445,11 @@ fn decode_plan(s: &str) -> Result<OptimizationPlan, SweepError> {
         let fields: Vec<&str> = item.split(',').collect();
         match fields.as_slice() {
             ["d", module, mac, factor] => {
-                let factor = factor.parse::<u32>().map_err(|_| bad(item))?;
+                let factor = factor
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|f| *f >= 2 && f.is_power_of_two())
+                    .ok_or_else(|| bad(item))?;
                 plan.divisions.insert((unesc(module)?, unesc(mac)?), factor);
             }
             ["l", module, path] => plan.pipelines.push((unesc(module)?, unesc(path)?)),
@@ -541,7 +480,6 @@ fn encode_record(i: usize, outcome: &PointOutcome) -> String {
             format!("p {i} ok {} t={}", encode_plan(plan), encode_trace(trace))
         }
         PointOutcome::Unreachable => format!("p {i} dse"),
-        PointOutcome::Budget { elapsed_ms } => format!("p {i} budget {elapsed_ms}"),
     }
 }
 
@@ -563,12 +501,6 @@ fn parse_record(line: &str) -> Result<(usize, PointOutcome), SweepError> {
             PointOutcome::Planned { plan, trace }
         }
         Some("dse") => PointOutcome::Unreachable,
-        Some("budget") => PointOutcome::Budget {
-            elapsed_ms: fields
-                .next()
-                .and_then(|f| f.parse::<u64>().ok())
-                .ok_or_else(bad)?,
-        },
         _ => return Err(bad()),
     };
     if fields.next().is_some() {
@@ -592,7 +524,6 @@ mod tests {
                 trace: vec!["divide cu 0/reg;file x4".into(), "100% done".into()],
             },
             PointOutcome::Unreachable,
-            PointOutcome::Budget { elapsed_ms: 912 },
             PointOutcome::Planned {
                 plan: OptimizationPlan::default(),
                 trace: Vec::new(),
@@ -614,8 +545,11 @@ mod tests {
             "p x ok - t=-",
             "p 0 nonsense",
             "p 0 ok - t=- extra",
-            "p 0 budget notanumber",
+            "p 0 budget 912",
             "p 0 ok d,only,three t=-",
+            "p 0 ok d,compute_unit,cram0,0 t=-",
+            "p 0 ok d,compute_unit,cram0,1 t=-",
+            "p 0 ok d,compute_unit,cram0,3 t=-",
             "p 0 ok b,compute_unit,lram0,2 t=-",
             "p 0 ok - t=%zz",
         ] {

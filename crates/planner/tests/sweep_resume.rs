@@ -8,7 +8,6 @@ use ggpu_fault::Rng;
 use ggpu_tech::Tech;
 use gpuplanner::{GpuPlanner, SweepConfig, SweepError};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -91,29 +90,43 @@ fn sweep_resumes_byte_identically_from_any_truncation_offset() {
 }
 
 #[test]
-fn zero_budget_sweeps_record_structured_skips_and_resume_without_rework() {
+fn resumed_recipes_that_do_not_replay_are_corrupt_checkpoints() {
     let planner = GpuPlanner::new(Tech::l65());
-    let path = scratch("budget");
+    let path = scratch("replay");
     let _ = std::fs::remove_file(&path);
-    let cfg = SweepConfig::budgets(100.0, 100.0)
+    let cfg = SweepConfig::budgets(5.0, 100.0)
         .with_threads(2)
-        .with_checkpoint(&path)
-        .with_candidate_budget(Duration::ZERO);
-    let first = planner.sweep(&cfg).expect("budgeted sweep");
-    // Every reachable point overruns a zero budget: no winner, 24
-    // structured skips, all journaled.
-    assert!(first.winner.is_none());
-    assert_eq!(first.skips.len() + first.unreachable, 24);
-    assert!(!first.skips.is_empty());
-    assert!(first.render().contains("budget skips:"));
+        .with_checkpoint(&path);
+    planner.sweep(&cfg).expect("seed sweep");
+    let journal = std::fs::read_to_string(&path).expect("journal");
 
-    // Resume replays the recorded skips — nothing is re-planned, and
-    // the recorded wall-clocks survive verbatim.
-    let resumed = planner.sweep(&cfg).expect("budget resume");
-    assert_eq!(resumed.evaluated, 0);
-    assert_eq!(resumed.resumed, 24);
-    assert_eq!(resumed.skips, first.skips);
-    assert_eq!(resumed.render(), first.render());
+    // Swap point 1's recipe (`p 1 ok {plan} t={trace}`) for one that
+    // names a missing module, macro or path, or a factor no run of the
+    // flow can record.
+    for (plan, refusal) in [
+        ("d,ghost,ram,2", "point 1"),
+        ("d,compute_unit,ghost,2", "point 1"),
+        ("l,compute_unit,ghost", "point 1"),
+        ("d,compute_unit,cram0,0", "malformed"),
+        ("d,compute_unit,cram0,1", "malformed"),
+        ("d,compute_unit,cram0,3", "malformed"),
+    ] {
+        let edited: Vec<String> = journal
+            .lines()
+            .map(|line| {
+                let mut fields: Vec<&str> = line.split(' ').collect();
+                if line.starts_with("p 1 ok ") {
+                    fields[3] = plan;
+                }
+                fields.join(" ")
+            })
+            .collect();
+        std::fs::write(&path, edited.join("\n") + "\n").expect("write edited journal");
+        match planner.sweep(&cfg) {
+            Err(SweepError::Checkpoint(msg)) => assert!(msg.contains(refusal), "{plan}: {msg}"),
+            other => panic!("{plan}: expected a corrupt-checkpoint refusal, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -148,11 +161,23 @@ fn foreign_headers_and_corrupt_records_are_refused() {
         other => panic!("expected a checkpoint mismatch, got {other:?}"),
     }
 
-    // A matching header followed by garbage is refused too.
-    std::fs::write(&path, format!("{header_a}\ntotal garbage\n")).expect("write corrupt journal");
+    // So is the same campaign's header in the retired v1 format, whose
+    // journals could hold wall-clock budget records.
+    let v1 = format!(
+        "{} budget=none",
+        header_a.replace("ggpu-sweep v2", "ggpu-sweep v1")
+    );
+    std::fs::write(&path, format!("{v1}\n")).expect("write v1 journal");
     let same = SweepConfig::budgets(5.0, 100.0)
         .with_threads(2)
         .with_checkpoint(&path);
+    assert!(
+        matches!(planner.sweep(&same), Err(SweepError::Checkpoint(_))),
+        "a v1 journal must be refused"
+    );
+
+    // A matching header followed by garbage is refused too.
+    std::fs::write(&path, format!("{header_a}\ntotal garbage\n")).expect("write corrupt journal");
     match planner.sweep(&same) {
         Err(SweepError::Checkpoint(msg)) => {
             assert!(msg.contains("malformed"), "{msg}")

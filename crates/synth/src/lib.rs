@@ -5,10 +5,10 @@
 //! timing closure). [`divide_macro`] and [`insert_pipeline`] are the
 //! two optimizations GPUPlanner applies while exploring the design
 //! space: memory division when the critical path starts at a memory
-//! block, pipeline insertion otherwise. Both are unified behind the
-//! [`Transform`] trait ([`DivideMemory`], [`PipelineInsert`]), whose
-//! [`Undo`] records let the planner's transaction journal apply,
-//! measure and revert candidates in O(touched modules).
+//! block, pipeline insertion otherwise. Each edits one module in
+//! place; the planner's transform journal snapshots that module first,
+//! divides every structural sibling of a divided macro, and restores
+//! the snapshot to undo the edit.
 //!
 //! # Example
 //!
@@ -33,6 +33,5 @@ pub mod transform;
 pub use report::SynthesisReport;
 pub use synthesis::{synthesize, SynthesisError};
 pub use transform::{
-    divide_macro, insert_pipeline, revert, DivideAxis, DivideMemory, DivideOutcome, PipelineInsert,
-    Transform, TransformError, Undo, PIPELINE_WIDTH_BITS,
+    divide_macro, insert_pipeline, DivideAxis, DivideOutcome, TransformError, PIPELINE_WIDTH_BITS,
 };

@@ -13,175 +13,13 @@
 
 use ggpu_netlist::module::{CellGroup, MacroInst};
 use ggpu_netlist::timing::{LogicStage, PathEndpoint};
-use ggpu_netlist::{Design, ModuleId, ModuleSnapshot};
+use ggpu_netlist::{Design, ModuleId};
 #[cfg(test)]
 use ggpu_tech::sram::PortKind;
 use ggpu_tech::sram::{CompileSramError, SramConfig};
 use ggpu_tech::stdcell::CellClass;
 use std::error::Error;
 use std::fmt;
-
-/// An undo record: O(1) pre-apply snapshots of every module a
-/// [`Transform`] touched, in application order.
-///
-/// Snapshots are [`ModuleSnapshot`]s — an `Arc` bump plus the module's
-/// cached fingerprint slot — so holding an `Undo` costs a pointer per
-/// touched module and [`revert`] restores the design *bit-identically*,
-/// including the warm fingerprint cache the incremental STA engine
-/// keys on.
-#[derive(Debug)]
-pub struct Undo {
-    snapshots: Vec<ModuleSnapshot>,
-}
-
-/// Restores every module captured in `undo` to its pre-apply state.
-///
-/// Reverting is O(touched modules): each restore swaps an `Arc` and a
-/// fingerprint slot back into the design arena. The result is
-/// bit-identical to the pre-apply design — same structural fingerprint,
-/// same per-module fingerprints, same Verilog export.
-pub fn revert(design: &mut Design, undo: Undo) {
-    // Reverse order, so overlapping snapshots of the same module
-    // resolve to the earliest (pre-apply) state.
-    for snap in undo.snapshots.into_iter().rev() {
-        design.restore_module(snap);
-    }
-}
-
-/// A reversible netlist edit: GPUPlanner's unified transform interface.
-///
-/// Both optimizations the paper's §III loop applies — memory division
-/// ([`DivideMemory`]) and pipeline insertion ([`PipelineInsert`]) —
-/// implement this trait, so the planner's transaction journal can
-/// apply, measure and revert candidates without knowing which kind of
-/// edit it holds.
-///
-/// # Contract
-///
-/// * [`apply`](Transform::apply) is **atomic**: on `Err` the design is
-///   left exactly as it was (implementations snapshot before mutating
-///   and restore on failure).
-/// * [`revert`](Transform::revert) after a successful `apply` restores
-///   the design bit-identically (fingerprints included).
-///
-/// Callers never need to know which modules an edit touched: a mutated
-/// module gets a new structural fingerprint, so every content-addressed
-/// timing cache re-times it and only it.
-pub trait Transform: fmt::Display {
-    /// Applies the edit, returning the undo record. Atomic: on error
-    /// the design is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransformError`] if the edit cannot apply; the design
-    /// is left untouched.
-    fn apply(&self, design: &mut Design) -> Result<Undo, TransformError>;
-
-    /// Restores the design to its pre-[`apply`](Transform::apply)
-    /// state. The default implementation replays the snapshots in
-    /// `undo`; transforms with extra bookkeeping may override.
-    fn revert(&self, design: &mut Design, undo: Undo) {
-        revert(design, undo);
-    }
-}
-
-/// Memory division as a [`Transform`]: divides the named macro — and
-/// every structural sibling of the same logical memory (same
-/// [`ggpu_netlist::BankGroupId`], same geometry) — into `factor` parts
-/// along `axis`.
-///
-/// A division names one macro (the one on the representative timing
-/// path) but the flow divides the *structure*: every sibling bank
-/// fails timing identically. Sibling membership is the structural
-/// group id assigned by the RTL generator, never the instance name —
-/// the retired name-stem matching (`bank_base`) misgrouped user macros
-/// whose names merely looked like sibling banks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DivideMemory {
-    /// Owning module name.
-    pub module: String,
-    /// The macro to divide (any bank of the structure).
-    pub macro_name: String,
-    /// Division factor (power of two ≥ 2).
-    pub factor: u32,
-    /// Division axis.
-    pub axis: DivideAxis,
-}
-
-impl fmt::Display for DivideMemory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "divide {}/{} x{} ({})",
-            self.module, self.macro_name, self.factor, self.axis
-        )
-    }
-}
-
-fn resolve_module(design: &Design, name: &str) -> Result<ModuleId, TransformError> {
-    design
-        .module_by_name(name)
-        .ok_or_else(|| TransformError::ModuleNotFound {
-            name: name.to_string(),
-        })
-}
-
-impl Transform for DivideMemory {
-    fn apply(&self, design: &mut Design) -> Result<Undo, TransformError> {
-        let id = resolve_module(design, &self.module)?;
-        let target = design
-            .module(id)
-            .find_macro(&self.macro_name)
-            .cloned()
-            .ok_or_else(|| TransformError::MacroNotFound {
-                module: self.module.clone(),
-                name: self.macro_name.clone(),
-            })?;
-        let siblings = design.module(id).sibling_macro_names(&target);
-        let snapshot = design.snapshot_module(id);
-        for name in siblings {
-            if let Err(e) = divide_macro(design, id, &name, self.factor, self.axis) {
-                // Atomic rollback: a failed sibling undoes the whole
-                // structure division.
-                design.restore_module(snapshot);
-                return Err(e);
-            }
-        }
-        Ok(Undo {
-            snapshots: vec![snapshot],
-        })
-    }
-}
-
-/// Pipeline insertion as a [`Transform`]: registers the midpoint of
-/// the named path (see [`insert_pipeline`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineInsert {
-    /// Owning module name.
-    pub module: String,
-    /// The path to split.
-    pub path: String,
-}
-
-impl fmt::Display for PipelineInsert {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pipeline {}/{}", self.module, self.path)
-    }
-}
-
-impl Transform for PipelineInsert {
-    fn apply(&self, design: &mut Design) -> Result<Undo, TransformError> {
-        let id = resolve_module(design, &self.module)?;
-        let snapshot = design.snapshot_module(id);
-        if let Err(e) = insert_pipeline(design, id, &self.path) {
-            design.restore_module(snapshot);
-            return Err(e);
-        }
-        Ok(Undo {
-            snapshots: vec![snapshot],
-        })
-    }
-}
 
 /// Which extent of the macro a division splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,11 +56,6 @@ pub struct DivideOutcome {
 /// Problems applying a transform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransformError {
-    /// The named module does not exist in the design.
-    ModuleNotFound {
-        /// Requested module name.
-        name: String,
-    },
     /// The named macro does not exist in the module.
     MacroNotFound {
         /// Owning module name.
@@ -253,9 +86,6 @@ pub enum TransformError {
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransformError::ModuleNotFound { name } => {
-                write!(f, "module {name} not found in design")
-            }
             TransformError::MacroNotFound { module, name } => {
                 write!(f, "macro {name} not found in module {module}")
             }
@@ -296,7 +126,8 @@ impl From<CompileSramError> for TransformError {
 /// # Errors
 ///
 /// Returns [`TransformError`] if the macro does not exist or the
-/// divided geometry is outside the compiler range.
+/// divided geometry is outside the compiler range; the module is then
+/// unchanged.
 pub fn divide_macro(
     design: &mut Design,
     module: ModuleId,
@@ -409,7 +240,10 @@ pub const PIPELINE_WIDTH_BITS: u64 = 256;
 /// # Errors
 ///
 /// Returns [`TransformError`] if the path does not exist or has fewer
-/// than two combinational stages.
+/// than two combinational stages. The module's content is then
+/// unchanged, but it has already been copied out of any shared `Arc`
+/// (and its fingerprint slot cleared); a caller that keeps
+/// copy-on-write sharing restores a [`ggpu_netlist::ModuleSnapshot`].
 pub fn insert_pipeline(
     design: &mut Design,
     module: ModuleId,
@@ -449,7 +283,6 @@ mod tests {
     use super::*;
     use ggpu_netlist::module::{MemoryRole, Module};
     use ggpu_netlist::timing::TimingPath;
-    use ggpu_netlist::BankGroupId;
     use ggpu_sta::max_frequency;
     use ggpu_tech::Tech;
 
@@ -598,184 +431,6 @@ mod tests {
         assert_eq!(ffs_after - ffs_before, PIPELINE_WIDTH_BITS);
         // The path count grew by one (split into two halves).
         assert_eq!(d.module(id).paths.len(), 4);
-    }
-
-    fn fingerprint(d: &Design) -> u64 {
-        d.structural_fingerprint()
-    }
-
-    #[test]
-    fn transform_apply_revert_round_trips_bit_identically() {
-        let (mut d, id) = test_design();
-        let fp0 = fingerprint(&d);
-        let mfp0 = d.module_fingerprint(id);
-        let t = DivideMemory {
-            module: "m".into(),
-            macro_name: "ram".into(),
-            factor: 4,
-            axis: DivideAxis::Words,
-        };
-        let undo = t.apply(&mut d).unwrap();
-        assert_ne!(fingerprint(&d), fp0, "division must change the design");
-        t.revert(&mut d, undo);
-        assert_eq!(fingerprint(&d), fp0);
-        assert_eq!(d.module_fingerprint(id), mfp0);
-
-        let p = PipelineInsert {
-            module: "m".into(),
-            path: "deep_logic".into(),
-        };
-        let undo = p.apply(&mut d).unwrap();
-        assert_ne!(fingerprint(&d), fp0);
-        p.revert(&mut d, undo);
-        assert_eq!(fingerprint(&d), fp0);
-    }
-
-    #[test]
-    fn divide_memory_expands_sibling_banks() {
-        let mut d = Design::new("t");
-        let mut m = Module::new("m");
-        for i in 0..4 {
-            m.macros.push(
-                MacroInst::new(
-                    format!("bank{i}"),
-                    SramConfig::dual(1024, 32),
-                    MemoryRole::RegisterFile,
-                    0.5,
-                )
-                .with_bank_group(BankGroupId(0)),
-            );
-        }
-        // Same group id but different geometry: not a sibling, must
-        // stay untouched.
-        m.macros.push(
-            MacroInst::new("bankx", SramConfig::dual(2048, 32), MemoryRole::Other, 0.5)
-                .with_bank_group(BankGroupId(0)),
-        );
-        let id = d.add_module(m);
-        d.set_top(id);
-        let t = DivideMemory {
-            module: "m".into(),
-            macro_name: "bank0".into(),
-            factor: 2,
-            axis: DivideAxis::Words,
-        };
-        t.apply(&mut d).unwrap();
-        let m = d.module(id);
-        // 4 banks x 2 parts + the untouched odd one out.
-        assert_eq!(m.macros.len(), 9);
-        for i in 0..4 {
-            assert!(m.find_macro(&format!("bank{i}_d0")).is_some());
-            assert!(m.find_macro(&format!("bank{i}")).is_none());
-        }
-        assert!(m.find_macro("bankx").is_some());
-        // The parts remain members of the original logical memory.
-        assert_eq!(
-            m.bank_group_of("bank0_d0"),
-            Some(BankGroupId(0)),
-            "division parts must inherit the structural group"
-        );
-    }
-
-    #[test]
-    fn user_macro_with_bank_like_name_is_never_misgrouped() {
-        // Regression for the retired `bank_base()` stem matching: a
-        // user macro named `lsu_b12` has the same stem (`lsu_b`) and
-        // geometry as the real sibling banks `lsu_b0`/`lsu_b1`, so the
-        // old code divided it along with the structure. Structural
-        // group ids make membership explicit: the lone macro is
-        // untouched.
-        let mut d = Design::new("t");
-        let mut m = Module::new("m");
-        for i in 0..2 {
-            m.macros.push(
-                MacroInst::new(
-                    format!("lsu_b{i}"),
-                    SramConfig::dual(1024, 32),
-                    MemoryRole::Fifo,
-                    0.5,
-                )
-                .with_bank_group(BankGroupId(7)),
-            );
-        }
-        m.macros.push(MacroInst::new(
-            "lsu_b12",
-            SramConfig::dual(1024, 32),
-            MemoryRole::Other,
-            0.5,
-        ));
-        let id = d.add_module(m);
-        d.set_top(id);
-        let t = DivideMemory {
-            module: "m".into(),
-            macro_name: "lsu_b0".into(),
-            factor: 2,
-            axis: DivideAxis::Words,
-        };
-        t.apply(&mut d).unwrap();
-        let m = d.module(id);
-        assert!(m.find_macro("lsu_b0_d0").is_some());
-        assert!(m.find_macro("lsu_b1_d0").is_some());
-        assert!(
-            m.find_macro("lsu_b12").is_some() && m.find_macro("lsu_b12_d0").is_none(),
-            "macro outside the bank group must not be divided"
-        );
-    }
-
-    #[test]
-    fn failed_apply_leaves_design_untouched() {
-        let (mut d, id) = test_design();
-        let fp0 = fingerprint(&d);
-        // Factor 3 fails inside divide_macro (uneven split) after the
-        // snapshot is taken: the rollback must restore everything.
-        let t = DivideMemory {
-            module: "m".into(),
-            macro_name: "ram".into(),
-            factor: 3,
-            axis: DivideAxis::Words,
-        };
-        assert!(matches!(t.apply(&mut d), Err(TransformError::Sram(_))));
-        assert_eq!(fingerprint(&d), fp0);
-        assert_eq!(d.module(id).macros.len(), 1);
-
-        let t = PipelineInsert {
-            module: "m".into(),
-            path: "ghost".into(),
-        };
-        assert!(matches!(
-            t.apply(&mut d),
-            Err(TransformError::PathNotFound { .. })
-        ));
-        assert_eq!(fingerprint(&d), fp0);
-    }
-
-    #[test]
-    fn unknown_module_is_reported() {
-        let (mut d, _) = test_design();
-        let t = PipelineInsert {
-            module: "ghost".into(),
-            path: "p".into(),
-        };
-        assert!(matches!(
-            t.apply(&mut d),
-            Err(TransformError::ModuleNotFound { .. })
-        ));
-    }
-
-    #[test]
-    fn transform_display_names_the_edit() {
-        let t = DivideMemory {
-            module: "pe".into(),
-            macro_name: "rf".into(),
-            factor: 2,
-            axis: DivideAxis::Words,
-        };
-        assert_eq!(t.to_string(), "divide pe/rf x2 (words)");
-        let p = PipelineInsert {
-            module: "pe".into(),
-            path: "sched".into(),
-        };
-        assert_eq!(p.to_string(), "pipeline pe/sched");
     }
 
     #[test]

@@ -57,9 +57,10 @@ echo "== smoke (event-driven simulator, ~2 s) =="
 cargo run --release --example accelerator_vs_cpu 512
 
 echo "== property suite (transactional transform engine, release) =="
-# The journal claims, re-run under the optimizer: revert fidelity
-# against content snapshots and rebase chains against one-shot replays.
-# (The debug-mode run is part of the workspace tests above.)
+# The journal claims, re-run under the optimizer: random apply/revert
+# walks against content snapshots (a full unwind also restores the
+# base's copy-on-write sharing) and rebase chains against one-shot
+# replays. (The debug-mode run is part of the workspace tests above.)
 cargo test --release -q -p gpuplanner --test prop_journal_equiv
 
 echo "== fork property suite (release, raised case count) =="
