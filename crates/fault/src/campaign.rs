@@ -244,7 +244,7 @@ pub fn run_campaign(
     let journal = match &cfg.checkpoint {
         Some(path) => {
             let header = checkpoint_header(cfg, workload, map);
-            let (journal, lines, _) = Journal::open(path, &header)?;
+            let (journal, lines) = Journal::open(path, &header)?;
             for (no, line) in lines.iter().enumerate() {
                 let rec = parse_record(line, no, &plans)?;
                 if done.insert(rec.trial, rec).is_some() {

@@ -7,18 +7,23 @@
 //! campaign over the shared write-ahead journal (`ggpu-wal`, the same
 //! machinery behind the fault crate's resumable campaigns):
 //!
+//! * the header fingerprints the campaign — both ceilings, the grid
+//!   size, the technology and the planner's ECC override — so a
+//!   journal written under any other campaign is refused, never
+//!   answered from;
 //! * every finished grid point appends **one journal line** carrying
 //!   its status and — for planned points — the full optimization
-//!   recipe and advice trace, fsynced;
+//!   recipe and advice trace, fsynced, in completion order;
 //! * `kill -9` at *any* byte offset leaves either a whole record
 //!   (the point is never re-run) or a torn tail (repaired on open; the
 //!   point re-runs). Resumed sweeps reconstruct each recorded
 //!   [`PlannedVersion`] deterministically — regenerate the baseline,
 //!   replay the recipe, re-synthesize — so the final winner is
-//!   byte-identical to an uninterrupted run;
-//! * on completion the journal is **compacted** into a canonical
-//!   snapshot (tmp sibling + fsync + atomic rename), deduplicated and
-//!   sorted by point index.
+//!   byte-identical to an uninterrupted run.
+//!
+//! The journal as written is the campaign's record: after its last
+//! append a sweep writes nothing more, and a resume that plans nothing
+//! leaves the file untouched.
 //!
 //! [`GpuPlanner::best_within_with_threads`] is this sweep with no
 //! checkpoint.
@@ -27,6 +32,7 @@ use crate::dse::OptimizationPlan;
 use crate::flow::{parallel_map, GpuPlanner, PlanError, PlannedVersion};
 use crate::spec::Specification;
 use ggpu_kernels::suite_threads;
+use ggpu_netlist::EccPolicy;
 use ggpu_synth::synthesize;
 use ggpu_tech::units::Mhz;
 use ggpu_wal::{Journal, WalError, WalOp};
@@ -75,11 +81,15 @@ impl SweepConfig {
         self
     }
 
-    fn header(&self, points: usize) -> String {
+    /// The journal header: everything a recorded point depends on.
+    /// `tech` is [`ggpu_tech::Tech::structural_fingerprint`] and `ecc`
+    /// the planner's ECC override, if any.
+    fn header(&self, points: usize, tech: u64, ecc: Option<EccPolicy>) -> String {
         format!(
-            "ggpu-sweep v2 area={:016x} power={:016x} points={points}",
+            "ggpu-sweep v3 area={:016x} power={:016x} points={points} tech={tech:016x} ecc={}",
             self.max_area_mm2.to_bits(),
             self.max_power_w.to_bits(),
+            ecc.map_or_else(|| "none".into(), |p| p.to_string()),
         )
     }
 }
@@ -93,8 +103,9 @@ pub enum SweepError {
     Plan(PlanError),
     /// Journal I/O failed; carries the offending path and operation.
     Io(WalError),
-    /// The journal does not belong to this campaign, or a record is
-    /// corrupt (including a recorded recipe that no longer replays).
+    /// The journal does not belong to this campaign (other ceilings,
+    /// technology or ECC override), or a record is corrupt (including
+    /// a point recorded twice and a recipe that no longer replays).
     Checkpoint(String),
 }
 
@@ -195,7 +206,8 @@ impl GpuPlanner {
     /// Returns [`SweepError::Plan`] on structural planning failures
     /// (never for unreachable frequencies), and
     /// [`SweepError::Io`]/[`SweepError::Checkpoint`] for journal
-    /// problems, including a recorded recipe that does not replay.
+    /// problems, including a journal from another campaign, a point
+    /// recorded twice and a recorded recipe that does not replay.
     pub fn sweep(&self, config: &SweepConfig) -> Result<SweepReport, SweepError> {
         let points = Self::sweep_points();
         let spec_for = |i: usize| {
@@ -205,13 +217,20 @@ impl GpuPlanner {
                 .with_max_power_w(config.max_power_w)
         };
 
-        // Load whatever a previous invocation journaled (last record
-        // per point wins, tolerating a pre-compaction duplicate).
+        // Load whatever a previous invocation journaled. A run plans
+        // only its missing points, so each point is recorded once.
         let mut done: BTreeMap<usize, PointOutcome> = BTreeMap::new();
         let journal = match &config.checkpoint {
             Some(path) => {
-                let (journal, lines, _) = Journal::open(path, &config.header(points.len()))?;
-                for line in &lines {
+                // Sweep specs carry no resilience of their own, so the
+                // policy is the planner's override.
+                let header = config.header(
+                    points.len(),
+                    self.tech().structural_fingerprint(),
+                    self.resilience_policy(&spec_for(0)),
+                );
+                let (journal, lines) = Journal::open(path, &header)?;
+                for (no, line) in lines.iter().enumerate() {
                     let (i, outcome) = parse_record(line)?;
                     if i >= points.len() {
                         return Err(SweepError::Checkpoint(format!(
@@ -219,7 +238,12 @@ impl GpuPlanner {
                             points.len()
                         )));
                     }
-                    done.insert(i, outcome);
+                    if done.insert(i, outcome).is_some() {
+                        return Err(SweepError::Checkpoint(format!(
+                            "point {i} recorded twice (line {})",
+                            no + 2
+                        )));
+                    }
                 }
                 Some(Mutex::new(journal))
             }
@@ -305,28 +329,6 @@ impl GpuPlanner {
             if better {
                 best = Some((throughput, planned));
             }
-        }
-
-        // The grid is complete: compact the journal into a canonical
-        // snapshot (deduplicated, sorted, atomically renamed into
-        // place).
-        if let (Some(_), Some(path)) = (&journal, &config.checkpoint) {
-            let mut contents = config.header(points.len());
-            contents.push('\n');
-            // Re-read through a fresh open to fold this run's appends
-            // and any pre-existing duplicates into one record per
-            // point.
-            let (_, lines, _) = Journal::open(path, &config.header(points.len()))?;
-            let mut canonical: BTreeMap<usize, String> = BTreeMap::new();
-            for line in &lines {
-                let (i, outcome) = parse_record(line)?;
-                canonical.insert(i, encode_record(i, &outcome));
-            }
-            for record in canonical.values() {
-                contents.push_str(record);
-                contents.push('\n');
-            }
-            ggpu_wal::write_snapshot(path, &contents)?;
         }
 
         Ok(SweepReport {

@@ -1,10 +1,15 @@
 //! Kill-point resume properties of the sweep campaign: a checkpointed
 //! `best_within` sweep whose journal is cut at *any* byte offset —
 //! simulating `kill -9` or power loss mid-write — resumes to the same
-//! winner byte for byte, never double-runs a recorded point, and
-//! compacts its journal into a canonical snapshot on completion.
+//! winner byte for byte and never double-runs a recorded point. The
+//! journal as written (one record per point, in completion order) is
+//! the record: a resume that plans nothing leaves the file untouched,
+//! and a journal from another campaign — other ceilings, technology or
+//! ECC override — or with a point recorded twice is refused.
 
 use ggpu_fault::Rng;
+use ggpu_netlist::EccPolicy;
+use ggpu_tech::sram::{MemoryCompiler, SramParams};
 use ggpu_tech::Tech;
 use gpuplanner::{GpuPlanner, SweepConfig, SweepError};
 use std::path::PathBuf;
@@ -14,6 +19,15 @@ fn scratch(tag: &str) -> PathBuf {
         "ggpu_sweep_resume_{}_{tag}.txt",
         std::process::id()
     ))
+}
+
+/// The journal file's identity: replacing it (tmp file + rename)
+/// changes the inode, and rewriting it in place the modification time.
+#[cfg(unix)]
+fn file_identity(path: &std::path::Path) -> (u64, std::time::SystemTime) {
+    use std::os::unix::fs::MetadataExt as _;
+    let meta = std::fs::metadata(path).expect("journal metadata");
+    (meta.ino(), meta.modified().expect("journal mtime"))
 }
 
 /// Complete journal lines in a byte prefix (excluding the header):
@@ -44,22 +58,47 @@ fn sweep_resumes_byte_identically_from_any_truncation_offset() {
     let winner = full.winner.as_ref().expect("same ceilings, same winner");
     assert_eq!(winner, &plain, "journaling must not change the winner");
 
-    // Completion compacted the journal: header + one canonical record
-    // per point, sorted.
+    // The journal is the header plus one record per point, in
+    // whatever order the workers finished them.
     let journal = std::fs::read(&path).expect("journal bytes");
     let text = String::from_utf8(journal.clone()).expect("utf8 journal");
-    let records: Vec<&str> = text.lines().skip(1).collect();
-    assert_eq!(records.len(), 24, "one record per grid point:\n{text}");
-    for (i, line) in records.iter().enumerate() {
-        assert!(line.starts_with(&format!("p {i} ")), "sorted: `{line}`");
-    }
+    let mut indices: Vec<usize> = text
+        .lines()
+        .skip(1)
+        .map(|line| {
+            line.split(' ')
+                .nth(1)
+                .and_then(|i| i.parse().ok())
+                .expect("point index")
+        })
+        .collect();
+    indices.sort_unstable();
+    assert_eq!(
+        indices,
+        (0..24).collect::<Vec<_>>(),
+        "each grid point recorded once:\n{text}"
+    );
 
-    // A resume of the completed campaign re-plans nothing.
+    // A resume of the completed campaign re-plans nothing and writes
+    // nothing: same bytes, same file.
+    #[cfg(unix)]
+    let identity = file_identity(&path);
     let warm = planner.sweep(&cfg).expect("warm resume");
     assert_eq!(warm.evaluated, 0);
     assert_eq!(warm.resumed, 24);
     assert_eq!(warm.winner.as_ref(), Some(winner));
     assert_eq!(warm.render(), full.render());
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        journal,
+        "a resume that plans nothing must not rewrite the journal"
+    );
+    #[cfg(unix)]
+    assert_eq!(
+        file_identity(&path),
+        identity,
+        "a resume that plans nothing must not replace or rewrite the journal"
+    );
 
     // Kill points across the whole byte range: inside the header, on
     // record boundaries, mid-record. Every resume must (a) answer the
@@ -87,6 +126,47 @@ fn sweep_resumes_byte_identically_from_any_truncation_offset() {
         assert_eq!(resumed.render(), full.render(), "offset {off}");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resumes_under_another_technology_or_ecc_policy_are_refused() {
+    // Slower SRAM needs deeper recipes: the l65 recipes replayed under
+    // it would miss their own targets. The ECC override decides the
+    // recorded trace and the rebuilt resilience report.
+    let mut slow = Tech::l65();
+    let p = *slow.memory_compiler.params();
+    slow.memory_compiler = MemoryCompiler::new(SramParams {
+        t_fixed: p.t_fixed + 0.25,
+        ..p
+    });
+    let policy = EccPolicy::parse("default=none,register-file=secded").expect("policy");
+    let l65 = || GpuPlanner::new(Tech::l65());
+    for (tag, journaled, resumed) in [
+        ("tech", l65(), GpuPlanner::new(slow)),
+        ("ecc", l65().with_ecc_policy(policy), l65()),
+    ] {
+        let path = scratch(tag);
+        let _ = std::fs::remove_file(&path);
+        let cfg = SweepConfig::budgets(30.0, 100.0)
+            .with_threads(2)
+            .with_checkpoint(&path);
+        assert_eq!(
+            journaled.sweep(&cfg).expect("journaled sweep").evaluated,
+            24
+        );
+        let journal = std::fs::read(&path).expect("journal bytes");
+        match resumed.sweep(&cfg) {
+            Err(SweepError::Checkpoint(msg)) => assert!(msg.contains("header"), "{tag}: {msg}"),
+            Err(e) => panic!("{tag}: expected a checkpoint mismatch, got {e}"),
+            Ok(report) => panic!("{tag}: the resume was answered:\n{}", report.render()),
+        }
+        assert_eq!(
+            std::fs::read(&path).expect("journal bytes"),
+            journal,
+            "{tag}: a refused resume must leave the journal as it was"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
@@ -134,18 +214,19 @@ fn resumed_recipes_that_do_not_replay_are_corrupt_checkpoints() {
 fn foreign_headers_and_corrupt_records_are_refused() {
     let planner = GpuPlanner::new(Tech::l65());
     let cfg_a = SweepConfig::budgets(5.0, 100.0).with_threads(2);
-    let header_a = {
-        // Render the exact header by writing an empty campaign file
-        // through a fresh journal open.
+    // A complete journal of campaign A, to take its header and
+    // records from.
+    let journal_a = {
         let path = scratch("header");
         let _ = std::fs::remove_file(&path);
-        let mismatched = cfg_a.clone().with_checkpoint(&path);
-        // Complete sweep to materialize the header...
-        planner.sweep(&mismatched).expect("seed sweep");
+        planner
+            .sweep(&cfg_a.clone().with_checkpoint(&path))
+            .expect("seed sweep");
         let text = std::fs::read_to_string(&path).expect("journal");
         let _ = std::fs::remove_file(&path);
-        text.lines().next().expect("header").to_string()
+        text
     };
+    let header_a = journal_a.lines().next().expect("header");
 
     // A complete header from different ceilings is a checkpoint
     // mismatch, not an I/O error and not a silent restart.
@@ -161,20 +242,25 @@ fn foreign_headers_and_corrupt_records_are_refused() {
         other => panic!("expected a checkpoint mismatch, got {other:?}"),
     }
 
-    // So is the same campaign's header in the retired v1 format, whose
-    // journals could hold wall-clock budget records.
+    // So is the same campaign's header in a retired format: v1, whose
+    // journals could hold wall-clock budget records, and v2, which did
+    // not fingerprint the technology or the ECC override.
+    let (v3_prefix, _) = header_a
+        .split_once(" tech=")
+        .expect("a v3 header names the technology");
+    let v2 = v3_prefix.replace("ggpu-sweep v3", "ggpu-sweep v2");
     let v1 = format!(
         "{} budget=none",
-        header_a.replace("ggpu-sweep v2", "ggpu-sweep v1")
+        v3_prefix.replace("ggpu-sweep v3", "ggpu-sweep v1")
     );
-    std::fs::write(&path, format!("{v1}\n")).expect("write v1 journal");
-    let same = SweepConfig::budgets(5.0, 100.0)
-        .with_threads(2)
-        .with_checkpoint(&path);
-    assert!(
-        matches!(planner.sweep(&same), Err(SweepError::Checkpoint(_))),
-        "a v1 journal must be refused"
-    );
+    let same = cfg_a.with_checkpoint(&path);
+    for retired in [v1, v2] {
+        std::fs::write(&path, format!("{retired}\n")).expect("write retired journal");
+        assert!(
+            matches!(planner.sweep(&same), Err(SweepError::Checkpoint(_))),
+            "`{retired}` must be refused"
+        );
+    }
 
     // A matching header followed by garbage is refused too.
     std::fs::write(&path, format!("{header_a}\ntotal garbage\n")).expect("write corrupt journal");
@@ -183,6 +269,19 @@ fn foreign_headers_and_corrupt_records_are_refused() {
             assert!(msg.contains("malformed"), "{msg}")
         }
         other => panic!("expected a corrupt-record refusal, got {other:?}"),
+    }
+
+    // So is a point recorded twice: no run of the flow writes one.
+    let point_0 = journal_a
+        .lines()
+        .find(|line| line.starts_with("p 0 "))
+        .expect("point 0 recorded");
+    std::fs::write(&path, format!("{journal_a}{point_0}\n")).expect("write duplicate record");
+    match planner.sweep(&same) {
+        Err(SweepError::Checkpoint(msg)) => {
+            assert!(msg.contains("point 0 recorded twice (line 26)"), "{msg}")
+        }
+        other => panic!("expected a duplicate-record refusal, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -1,23 +1,18 @@
-//! Crash-safe persistence primitives for resumable campaigns.
+//! Crash-safe persistence for resumable campaigns.
 //!
-//! Extracted from the fault crate's checkpoint runner (PR 5) and
-//! generalized so every long-running flow — SEU campaigns, DSE sweep
-//! campaigns, future service state — shares one audited implementation
-//! of the two patterns that make `kill -9` recoverable:
-//!
-//! * [`Journal`] — an append-only *write-ahead* line file. The first
-//!   line is a caller-supplied header that fingerprints the campaign;
-//!   every completed unit of work appends exactly one `\n`-terminated
-//!   record line (synced with `fsync` by default). Opening an existing
-//!   journal validates the header, returns every *complete* record
-//!   line, and **repairs a torn tail**: a final line without a
-//!   trailing newline is the signature of a process killed mid-write,
-//!   so it is truncated away (the unit of work it described simply
-//!   re-runs) instead of corrupting subsequent appends.
-//! * [`write_snapshot`] — atomic whole-state replacement: write to a
-//!   `.tmp` sibling, `fsync`, then `rename` over the target. A reader
-//!   (or a crash at any byte) sees either the old state or the new
-//!   state, never a mix.
+//! Extracted from the fault crate's checkpoint runner so the
+//! long-running flows — SEU campaigns and DSE sweep campaigns — share
+//! one audited implementation of the pattern that makes `kill -9`
+//! recoverable: [`Journal`], an append-only *write-ahead* line file.
+//! The first line is a caller-supplied header that fingerprints the
+//! campaign; every completed unit of work appends exactly one
+//! `\n`-terminated record line (synced with `fsync` by default).
+//! Opening an existing journal validates the header, returns every
+//! *complete* record line, and **repairs a torn tail**: a final line
+//! without a trailing newline is the signature of a process killed
+//! mid-write, so it is truncated away (the unit of work it described
+//! simply re-runs) instead of corrupting subsequent appends. The
+//! journal as written is the campaign's record; nothing rewrites it.
 //!
 //! Every failure carries the path and the operation that failed
 //! ([`WalError`]), so campaign-level errors can report *which* file
@@ -27,10 +22,10 @@
 //!
 //! The guarantees target the POSIX crash model the property suites
 //! simulate by truncating files at arbitrary byte offsets: appends may
-//! tear mid-line (repaired on open), a header may tear before its
+//! tear mid-line (repaired on open), and a header may tear before its
 //! newline (the journal restarts empty — nothing after a torn header
 //! can exist, since records are only appended after the header is
-//! synced), and snapshots are all-or-nothing via `rename`.
+//! synced).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -54,10 +49,6 @@ pub enum WalOp {
     Sync,
     /// Truncating a torn tail during open-time repair.
     Repair,
-    /// Renaming a snapshot's temporary file over the target.
-    Rename,
-    /// Removing a file.
-    Remove,
 }
 
 impl WalOp {
@@ -70,8 +61,6 @@ impl WalOp {
             WalOp::Append => "append",
             WalOp::Sync => "sync",
             WalOp::Repair => "repair",
-            WalOp::Rename => "rename",
-            WalOp::Remove => "remove",
         }
     }
 }
@@ -82,7 +71,7 @@ impl fmt::Display for WalOp {
     }
 }
 
-/// A failed journal/snapshot operation, carrying the offending path
+/// A failed journal operation, carrying the offending path
 /// and the operation so campaign errors stay actionable.
 #[derive(Debug)]
 pub struct WalError {
@@ -122,17 +111,6 @@ impl std::error::Error for WalError {
     }
 }
 
-/// What [`Journal::open`] found on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalState {
-    /// The file did not exist (or held only a torn header); a fresh
-    /// header was written.
-    Fresh,
-    /// The file existed with a matching header; records were
-    /// recovered.
-    Resumed,
-}
-
 /// An append-only write-ahead line journal with a validated header.
 #[derive(Debug)]
 pub struct Journal {
@@ -145,12 +123,11 @@ impl Journal {
     /// Opens (or creates) the journal at `path` with the given
     /// campaign `header` line (no trailing newline).
     ///
-    /// Returns the journal, the complete record lines recovered from
-    /// an existing file (empty for a fresh one) and whether the open
-    /// was fresh or a resume. A torn final record line is truncated
-    /// away; a torn header (a file with no newline at all) is treated
-    /// as a fresh journal, because records are only ever appended
-    /// after the header line was synced.
+    /// Returns the journal and the complete record lines recovered
+    /// from an existing file (empty for a fresh one). A torn final
+    /// record line is truncated away; a torn header (a file with no
+    /// newline at all) is treated as a fresh journal, because records
+    /// are only ever appended after the header line was synced.
     ///
     /// # Errors
     ///
@@ -159,15 +136,15 @@ impl Journal {
     /// carries a *complete* header for a different campaign — that is
     /// a caller mistake, not a crash artifact, so it is never silently
     /// overwritten.
-    pub fn open(path: &Path, header: &str) -> Result<(Self, Vec<String>, JournalState), WalError> {
+    pub fn open(path: &Path, header: &str) -> Result<(Self, Vec<String>), WalError> {
         if !path.exists() {
-            return Ok((Self::create(path, header)?, Vec::new(), JournalState::Fresh));
+            return Ok((Self::create(path, header)?, Vec::new()));
         }
         let bytes = std::fs::read(path).map_err(|e| WalError::new(path, WalOp::Read, e))?;
         // A torn header: no newline anywhere. Nothing can follow it,
         // so restart the journal from scratch.
         let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-            return Ok((Self::create(path, header)?, Vec::new(), JournalState::Fresh));
+            return Ok((Self::create(path, header)?, Vec::new()));
         };
         let found = String::from_utf8_lossy(&bytes[..header_end]);
         if found != header {
@@ -206,7 +183,6 @@ impl Journal {
                 sync: true,
             },
             records,
-            JournalState::Resumed,
         ))
     }
 
@@ -220,12 +196,6 @@ impl Journal {
         writeln!(file, "{header}").map_err(|e| WalError::new(path, WalOp::Append, e))?;
         file.sync_data()
             .map_err(|e| WalError::new(path, WalOp::Sync, e))?;
-        // Reopen in append mode so every future write lands at the
-        // file's end regardless of truncations (`reset_to_header`).
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| WalError::new(path, WalOp::Open, e))?;
         Ok(Self {
             path: path.to_path_buf(),
             file,
@@ -240,11 +210,6 @@ impl Journal {
     pub fn with_sync(mut self, sync: bool) -> Self {
         self.sync = sync;
         self
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one record line (must not contain `\n`) and syncs it.
@@ -262,70 +227,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Truncates the journal back to just its header (used after its
-    /// records were folded into a snapshot). The truncation is synced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError`] on I/O failure.
-    pub fn reset_to_header(&mut self, header: &str) -> Result<(), WalError> {
-        let len = header.len() as u64 + 1;
-        self.file
-            .set_len(len)
-            .map_err(|e| WalError::new(&self.path, WalOp::Repair, e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| WalError::new(&self.path, WalOp::Sync, e))?;
-        Ok(())
-    }
-}
-
-/// Atomically replaces `path` with `contents`: the bytes are written
-/// to a `.tmp` sibling, synced, and renamed over the target. A crash
-/// at any point leaves either the previous snapshot or the new one.
-///
-/// # Errors
-///
-/// Returns [`WalError`] on I/O failure.
-pub fn write_snapshot(path: &Path, contents: &str) -> Result<(), WalError> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| WalError::new(&tmp, WalOp::Create, e))?;
-        file.write_all(contents.as_bytes())
-            .map_err(|e| WalError::new(&tmp, WalOp::Append, e))?;
-        file.sync_data()
-            .map_err(|e| WalError::new(&tmp, WalOp::Sync, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| WalError::new(path, WalOp::Rename, e))
-}
-
-/// Reads a snapshot written by [`write_snapshot`]. Returns `None` when
-/// no snapshot exists (including when only a torn `.tmp` survives — a
-/// crash before the rename means the snapshot never happened).
-///
-/// # Errors
-///
-/// Returns [`WalError`] if the snapshot exists but cannot be read.
-pub fn read_snapshot(path: &Path) -> Result<Option<String>, WalError> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    std::fs::read_to_string(path)
-        .map(Some)
-        .map_err(|e| WalError::new(path, WalOp::Read, e))
-}
-
-/// The temporary sibling `write_snapshot` stages into.
-pub fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".tmp");
-    PathBuf::from(name)
 }
 
 #[cfg(test)]
@@ -341,14 +242,12 @@ mod tests {
     #[test]
     fn fresh_journal_writes_header_and_records() {
         let path = scratch("fresh");
-        let (mut j, records, state) = Journal::open(&path, "hdr v1 seed=7").unwrap();
-        assert_eq!(state, JournalState::Fresh);
+        let (mut j, records) = Journal::open(&path, "hdr v1 seed=7").unwrap();
         assert!(records.is_empty());
         j.append("r 1").unwrap();
         j.append("r 2").unwrap();
         drop(j);
-        let (_, records, state) = Journal::open(&path, "hdr v1 seed=7").unwrap();
-        assert_eq!(state, JournalState::Resumed);
+        let (_, records) = Journal::open(&path, "hdr v1 seed=7").unwrap();
         assert_eq!(records, vec!["r 1", "r 2"]);
         let _ = std::fs::remove_file(&path);
     }
@@ -357,7 +256,7 @@ mod tests {
     fn torn_tail_is_repaired_and_appends_stay_whole() {
         let path = scratch("torn");
         {
-            let (mut j, _, _) = Journal::open(&path, "hdr").unwrap();
+            let (mut j, _) = Journal::open(&path, "hdr").unwrap();
             j.append("complete 1").unwrap();
             j.append("complete 2").unwrap();
         }
@@ -365,12 +264,11 @@ mod tests {
         // line.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        let (mut j, records, state) = Journal::open(&path, "hdr").unwrap();
-        assert_eq!(state, JournalState::Resumed);
+        let (mut j, records) = Journal::open(&path, "hdr").unwrap();
         assert_eq!(records, vec!["complete 1"], "torn line dropped");
         j.append("complete 2 again").unwrap();
         drop(j);
-        let (_, records, _) = Journal::open(&path, "hdr").unwrap();
+        let (_, records) = Journal::open(&path, "hdr").unwrap();
         assert_eq!(records, vec!["complete 1", "complete 2 again"]);
         let _ = std::fs::remove_file(&path);
     }
@@ -379,8 +277,7 @@ mod tests {
     fn torn_header_restarts_fresh() {
         let path = scratch("torn_header");
         std::fs::write(&path, "hdr v1 se").unwrap();
-        let (_, records, state) = Journal::open(&path, "hdr v1 seed=9").unwrap();
-        assert_eq!(state, JournalState::Fresh);
+        let (_, records) = Journal::open(&path, "hdr v1 seed=9").unwrap();
         assert!(records.is_empty());
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "hdr v1 seed=9\n");
@@ -395,37 +292,6 @@ mod tests {
         assert_eq!(err.op, WalOp::Open);
         assert_eq!(err.path, path);
         assert!(err.to_string().contains("does not match"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_ignores_torn_tmp() {
-        let path = scratch("snap");
-        assert_eq!(read_snapshot(&path).unwrap(), None);
-        write_snapshot(&path, "state A\n").unwrap();
-        assert_eq!(read_snapshot(&path).unwrap().as_deref(), Some("state A\n"));
-        write_snapshot(&path, "state B\n").unwrap();
-        assert_eq!(read_snapshot(&path).unwrap().as_deref(), Some("state B\n"));
-        // A crash mid-snapshot leaves only a .tmp; the real path still
-        // reads the previous state.
-        std::fs::write(tmp_sibling(&path), "torn").unwrap();
-        assert_eq!(read_snapshot(&path).unwrap().as_deref(), Some("state B\n"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(tmp_sibling(&path));
-    }
-
-    #[test]
-    fn reset_to_header_drops_records() {
-        let path = scratch("reset");
-        let header = "hdr compact";
-        let (mut j, _, _) = Journal::open(&path, header).unwrap();
-        j.append("old 1").unwrap();
-        j.append("old 2").unwrap();
-        j.reset_to_header(header).unwrap();
-        j.append("new 1").unwrap();
-        drop(j);
-        let (_, records, _) = Journal::open(&path, header).unwrap();
-        assert_eq!(records, vec!["new 1"]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,6 +9,8 @@ cd "$(dirname "$0")/.."
 
 echo "== fmt (check) =="
 cargo fmt --all -- --check
+# perfbench is a workspace of its own, so `--all` never reaches it.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "== clippy (-D warnings, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
