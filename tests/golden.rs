@@ -1,7 +1,8 @@
 //! Golden outputs of the 12 Table-I versions, the 1-CU@667 MHz
-//! frequency map, the benchmark's SEU campaign set and the Table-III
-//! simulation statistics, regenerated on every run and compared byte
-//! for byte against the files checked in under `tests/golden/`.
+//! frequency map, the benchmark's SEU campaign set (at seed 1, and its
+//! whole op at held-out seed 7) and the Table-III simulation
+//! statistics, regenerated on every run and compared byte for byte
+//! against the files checked in under `tests/golden/`.
 //!
 //! Each version file pins the datasheet (recipe, PPA, per-layer
 //! wirelength, route delays), the DSE trace, the synthesis fmax as an
@@ -78,12 +79,12 @@ fn generate_all() -> Vec<(String, String)> {
 
 /// The 12 campaign reports of perfbench's `fault_campaign` set, one
 /// JSON block each: mat_mul, copy, vec_mul and fir at n = 256 on the
-/// 1-CU design, under no protection, parity and SEC-DED, 32 trials per
-/// campaign at a fixed seed. Trials time out at 4× the golden cycles,
-/// as in the benchmark. `threads = 0` leaves the worker count to
-/// `GGPU_THREADS`, so running this file under several thread counts
+/// 1-CU design, under no protection, parity and SEC-DED, `trials` per
+/// campaign at campaign seed `seed`. Trials time out at 4× the golden
+/// cycles, as in the benchmark. `threads = 0` leaves the worker count
+/// to `GGPU_THREADS`, so running this file under several thread counts
 /// checks that no report depends on which worker ran which trial.
-fn fault_campaigns() -> String {
+fn fault_campaigns(seed: u64, trials: u32) -> String {
     let design = generate(&GgpuConfig::with_cus(1).expect("1 CU is valid")).expect("1-CU design");
     let maps: Vec<MacroMap> = [
         EccPolicy::unprotected(),
@@ -96,7 +97,7 @@ fn fault_campaigns() -> String {
     let mut out = String::new();
     for bench in &g_gpu::kernels::all()[..4] {
         let w = Workload::from_bench(bench, 256).expect("campaign kernel prepares");
-        let mut cfg = CampaignConfig::new(1, 32);
+        let mut cfg = CampaignConfig::new(seed, trials);
         let golden = w.run_golden(cfg.sim).expect("golden run");
         cfg.sim.max_cycles = 4 * golden.cycles;
         for map in &maps {
@@ -226,7 +227,24 @@ fn table1_versions_and_frequency_map_match_goldens() {
 fn fault_campaigns_match_golden() {
     assert_goldens(
         "fault",
-        vec![("fault_campaigns.txt".into(), fault_campaigns())],
+        vec![("fault_campaigns.txt".into(), fault_campaigns(1, 32))],
+    );
+}
+
+/// Campaign seed of perfbench's held-out benchmark seed 7: SplitMix64
+/// of 7, perfbench's `fault_campaign::mix(7)`.
+const HELD_OUT_CAMPAIGN_SEED: u64 = 0x63cb_e1e4_5932_0dd7;
+
+/// perfbench's whole `fault_campaign` op at its held-out seed 7:
+/// 256 trials per campaign, 3,072 in all.
+#[test]
+fn held_out_seed_fault_campaigns_match_golden() {
+    assert_goldens(
+        "fault_seed7",
+        vec![(
+            "fault_campaigns_seed7.txt".into(),
+            fault_campaigns(HELD_OUT_CAMPAIGN_SEED, 256),
+        )],
     );
 }
 
