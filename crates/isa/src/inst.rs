@@ -301,6 +301,41 @@ impl Inst {
     pub fn is_control(self) -> bool {
         matches!(self, Inst::Branch { .. } | Inst::Jmp { .. } | Inst::Ret)
     }
+
+    /// The registers the instruction reads, in operand order. With
+    /// [`Inst::def`] this is the one register-access table: the kernel
+    /// verifier's dataflow and the simulator's fault fork both read it.
+    pub fn uses(self) -> impl Iterator<Item = Reg> {
+        let regs: [Option<Reg>; 2] = match self {
+            Inst::Alu { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+            Inst::AluImm { rs1, .. } => [Some(rs1), None],
+            Inst::Lui { .. } | Inst::ReadId { .. } | Inst::Param { .. } => [None, None],
+            Inst::Lw { rs1, .. } | Inst::Lwl { rs1, .. } => [Some(rs1), None],
+            Inst::Sw { rs1, rs2, .. } | Inst::Swl { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+            Inst::Branch { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+            Inst::Jmp { .. } | Inst::Bar | Inst::Ret => [None, None],
+        };
+        regs.into_iter().flatten()
+    }
+
+    /// The register the instruction writes, if any.
+    pub fn def(self) -> Option<Reg> {
+        match self {
+            Inst::Alu { rd, .. }
+            | Inst::AluImm { rd, .. }
+            | Inst::Lui { rd, .. }
+            | Inst::ReadId { rd, .. }
+            | Inst::Param { rd, .. }
+            | Inst::Lw { rd, .. }
+            | Inst::Lwl { rd, .. } => Some(rd),
+            Inst::Sw { .. }
+            | Inst::Swl { .. }
+            | Inst::Branch { .. }
+            | Inst::Jmp { .. }
+            | Inst::Bar
+            | Inst::Ret => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -353,5 +388,114 @@ mod tests {
         assert!(Inst::Ret.is_control());
         assert!(AluOp::Divu.is_long_latency());
         assert!(!AluOp::Add.is_long_latency());
+    }
+
+    #[test]
+    fn register_table_covers_every_variant() {
+        let (d, a, b) = (Reg::new(3), Reg::new(7), Reg::new(31));
+        let op = AluOp::Add;
+        let cases: [(Inst, &[Reg], Option<Reg>); 13] = [
+            (
+                Inst::Alu {
+                    op,
+                    rd: d,
+                    rs1: a,
+                    rs2: b,
+                },
+                &[a, b],
+                Some(d),
+            ),
+            (
+                Inst::AluImm {
+                    op,
+                    rd: d,
+                    rs1: a,
+                    imm: -1,
+                },
+                &[a],
+                Some(d),
+            ),
+            (Inst::Lui { rd: d, imm: 1 }, &[], Some(d)),
+            (
+                Inst::ReadId {
+                    rd: d,
+                    src: IdSource::GlobalId,
+                },
+                &[],
+                Some(d),
+            ),
+            (Inst::Param { rd: d, idx: 2 }, &[], Some(d)),
+            (
+                Inst::Lw {
+                    rd: d,
+                    rs1: a,
+                    imm: 4,
+                },
+                &[a],
+                Some(d),
+            ),
+            (
+                Inst::Sw {
+                    rs1: a,
+                    rs2: b,
+                    imm: 4,
+                },
+                &[a, b],
+                None,
+            ),
+            (
+                Inst::Lwl {
+                    rd: d,
+                    rs1: a,
+                    imm: 4,
+                },
+                &[a],
+                Some(d),
+            ),
+            (
+                Inst::Swl {
+                    rs1: a,
+                    rs2: b,
+                    imm: 4,
+                },
+                &[a, b],
+                None,
+            ),
+            (
+                Inst::Branch {
+                    cond: BranchCond::Ne,
+                    rs1: a,
+                    rs2: b,
+                    target: 0,
+                },
+                &[a, b],
+                None,
+            ),
+            (Inst::Jmp { target: 0 }, &[], None),
+            (Inst::Bar, &[], None),
+            (Inst::Ret, &[], None),
+        ];
+        // The match has no wildcard, so a new variant fails to compile
+        // here until it gets a case above.
+        let variant = |inst: Inst| match inst {
+            Inst::Alu { .. } => 0,
+            Inst::AluImm { .. } => 1,
+            Inst::Lui { .. } => 2,
+            Inst::ReadId { .. } => 3,
+            Inst::Param { .. } => 4,
+            Inst::Lw { .. } => 5,
+            Inst::Sw { .. } => 6,
+            Inst::Lwl { .. } => 7,
+            Inst::Swl { .. } => 8,
+            Inst::Branch { .. } => 9,
+            Inst::Jmp { .. } => 10,
+            Inst::Bar => 11,
+            Inst::Ret => 12,
+        };
+        for (i, (inst, uses, def)) in cases.into_iter().enumerate() {
+            assert_eq!(variant(inst), i, "{inst:?}: one case per variant, in order");
+            assert_eq!(inst.uses().collect::<Vec<_>>(), uses, "{inst:?} reads");
+            assert_eq!(inst.def(), def, "{inst:?} writes");
+        }
     }
 }

@@ -41,34 +41,6 @@ use ggpu_isa::inst::{IdSource, Inst, Reg};
 /// paper kernels peak at 5.
 pub const DIVERGENCE_DEPTH_LIMIT: u32 = 8;
 
-/// Registers an instruction reads.
-fn uses(inst: &Inst) -> impl Iterator<Item = Reg> {
-    let regs: [Option<Reg>; 2] = match *inst {
-        Inst::Alu { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
-        Inst::AluImm { rs1, .. } => [Some(rs1), None],
-        Inst::Lui { .. } | Inst::ReadId { .. } | Inst::Param { .. } => [None, None],
-        Inst::Lw { rs1, .. } | Inst::Lwl { rs1, .. } => [Some(rs1), None],
-        Inst::Sw { rs1, rs2, .. } | Inst::Swl { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
-        Inst::Branch { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
-        Inst::Jmp { .. } | Inst::Bar | Inst::Ret => [None, None],
-    };
-    regs.into_iter().flatten()
-}
-
-/// The register an instruction writes, if any.
-fn def(inst: &Inst) -> Option<Reg> {
-    match *inst {
-        Inst::Alu { rd, .. }
-        | Inst::AluImm { rd, .. }
-        | Inst::Lui { rd, .. }
-        | Inst::ReadId { rd, .. }
-        | Inst::Param { rd, .. }
-        | Inst::Lw { rd, .. }
-        | Inst::Lwl { rd, .. } => Some(rd),
-        _ => None,
-    }
-}
-
 /// `true` if the instruction's only effect is its register write, so a
 /// dead destination makes the whole instruction dead. Loads are
 /// excluded: they can fault and they perturb the memory system.
@@ -104,7 +76,7 @@ fn lane_varying(program: &[Inst]) -> u32 {
                 _ => false,
             };
             if out {
-                if let Some(rd) = def(inst) {
+                if let Some(rd) = inst.def() {
                     varying |= 1 << rd.index();
                 }
             }
@@ -246,7 +218,7 @@ fn check_uninitialized_reads(
                 continue;
             }
             let mut out = input[i].clone();
-            if let Some(rd) = def(&program[i]) {
+            if let Some(rd) = program[i].def() {
                 out.insert(rd.index());
             }
             for &s in &cfg.succs[i] {
@@ -261,7 +233,7 @@ fn check_uninitialized_reads(
         if !reachable.contains(i) {
             continue;
         }
-        for r in uses(inst) {
+        for r in inst.uses() {
             if r.index() != 0 && !input[i].contains(r.index()) {
                 report.push(
                     config,
@@ -297,10 +269,10 @@ fn check_dead_stores(
             for &s in &cfg.succs[i] {
                 out.union_with(&live_in[s]);
             }
-            if let Some(rd) = def(&program[i]) {
+            if let Some(rd) = program[i].def() {
                 out.remove(rd.index());
             }
-            for r in uses(&program[i]) {
+            for r in program[i].uses() {
                 out.insert(r.index());
             }
             if out != live_in[i] {
@@ -313,7 +285,7 @@ fn check_dead_stores(
         if !reachable.contains(i) || !is_pure_def(inst) {
             continue;
         }
-        let Some(rd) = def(inst) else { continue };
+        let Some(rd) = inst.def() else { continue };
         if rd.index() == 0 {
             continue; // `nop` assembles to a write of r0
         }

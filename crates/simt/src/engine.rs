@@ -23,7 +23,7 @@ use crate::fault::{
     FaultEvent, FaultLog, FaultReport, FaultSite, HardenedRun, Injection, InjectionOutcome,
     Protection,
 };
-use crate::global_mem::{GlobalMemory, PageSnapshot};
+use crate::global_mem::{GlobalMemory, PageSnapshot, PAGE_SHIFT};
 use crate::gpu::{HardenState, RunStats, SimError, WatchdogState, LOCAL_WORDS, PARAM_SLOTS};
 use crate::memsys::{Dram, SharedCache};
 use crate::trace::ExecTrace;
@@ -32,6 +32,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Read-only launch context threaded through every issue.
+#[derive(Clone, Copy)]
 pub(crate) struct IssueEnv<'a> {
     pub config: SimtConfig,
     pub program: &'a [Inst],
@@ -278,6 +279,40 @@ struct Snapshot<W> {
     pages: PageSnapshot,
 }
 
+/// The sites where a landing upset changes nothing the rest of the
+/// launch reads ([`Sched::untouched`]).
+struct Untouched {
+    /// Bit `r` set: register `r`, in every lane.
+    regs: u32,
+    /// Every LRAM word.
+    lram: bool,
+    /// Per 4 KiB page of global memory, whether the fault-free run
+    /// filled a cache line of it; `None` when no page is known.
+    filled: Option<Vec<bool>>,
+}
+
+impl Untouched {
+    const NOTHING: Self = Self {
+        regs: 0,
+        lram: false,
+        filled: None,
+    };
+
+    fn covers(&self, site: FaultSite) -> bool {
+        match site {
+            FaultSite::Register { reg, .. } => self.regs >> (reg & 31) & 1 == 1,
+            FaultSite::LocalWord { .. } => self.lram,
+            FaultSite::GlobalWord { word } => {
+                self.filled
+                    .as_ref()
+                    .and_then(|filled| filled.get(word as usize >> PAGE_SHIFT))
+                    == Some(&false)
+            }
+            FaultSite::Pc { .. } | FaultSite::ExecMask { .. } => false,
+        }
+    }
+}
+
 /// One fully validated launch, ready for a wave engine. Built by
 /// [`crate::Gpu`] after its geometry checks and parameter staging.
 pub(crate) struct LaunchRequest<'a> {
@@ -315,35 +350,18 @@ pub(crate) type Visit<'a> = dyn FnMut(usize, Result<HardenedRun, SimError>, &[u3
 /// event-driven or the cycle-stepping reference driver.
 pub(crate) fn run_launch<W: Wave>(req: LaunchRequest<'_>) -> Result<RunStats, SimError> {
     let config = req.config;
-    let total_groups = req.global_size.div_ceil(req.workgroup_size);
-    let mut sched = Sched::<W> {
-        env: IssueEnv {
-            config,
-            program: req.program,
-            params: req.params,
-            global_size: req.global_size,
-            workgroup_size: req.workgroup_size,
-            pes_shift: config
-                .pes_per_cu
-                .is_power_of_two()
-                .then(|| config.pes_per_cu.trailing_zeros()),
-        },
-        memory: req.memory,
-        cache: SharedCache::new(config.cache, Dram::new(config.dram)),
-        cus: (0..config.compute_units)
-            .map(|_| ComputeUnit::new())
-            .collect(),
-        total_groups,
-        next_group: 0,
-        stats: RunStats {
-            workgroups: u64::from(total_groups),
-            ..RunStats::default()
-        },
-        now: 0,
-        scratch: W::Scratch::default(),
-        hard: req.hard,
-        trace: req.trace,
+    let env = IssueEnv {
+        config,
+        program: req.program,
+        params: req.params,
+        global_size: req.global_size,
+        workgroup_size: req.workgroup_size,
+        pes_shift: config
+            .pes_per_cu
+            .is_power_of_two()
+            .then(|| config.pes_per_cu.trailing_zeros()),
     };
+    let mut sched = Sched::<W>::new(env, req.memory, req.hard, req.trace);
     match req.fork {
         Some(fork) => sched.run_forked(fork),
         None => sched.run(req.reference),
@@ -351,6 +369,35 @@ pub(crate) fn run_launch<W: Wave>(req: LaunchRequest<'_>) -> Result<RunStats, Si
 }
 
 impl<'a, W: Wave> Sched<'a, W> {
+    /// A launch at cycle 0: no workgroup dispatched, a cold cache.
+    fn new(
+        env: IssueEnv<'a>,
+        memory: &'a mut GlobalMemory,
+        hard: Option<&'a mut HardenState>,
+        trace: Option<&'a mut ExecTrace>,
+    ) -> Self {
+        let config = env.config;
+        let total_groups = env.global_size.div_ceil(env.workgroup_size);
+        Self {
+            env,
+            memory,
+            cache: SharedCache::new(config.cache, Dram::new(config.dram)),
+            cus: (0..config.compute_units)
+                .map(|_| ComputeUnit::new())
+                .collect(),
+            total_groups,
+            next_group: 0,
+            stats: RunStats {
+                workgroups: u64::from(total_groups),
+                ..RunStats::default()
+            },
+            now: 0,
+            scratch: W::Scratch::default(),
+            hard,
+            trace,
+        }
+    }
+
     /// Runs from `now` to the end of the launch: one pass per event
     /// (the time wheel), or per simulated cycle under the `reference`
     /// driver.
@@ -367,9 +414,11 @@ impl<'a, W: Wave> Sched<'a, W> {
     /// at or after each injection's cycle, taken in cycle order, it
     /// hands `fork.visit` the result and memory image that a launch
     /// with that one injection gives. An injection that changes no
-    /// state is answered from the fault-free run; a detected one
-    /// aborts on the spot; a landing one saves the machine into the
-    /// snapshot, runs the faulted suffix, visits and restores.
+    /// state, or lands in state the run never accesses
+    /// ([`Sched::untouched`]), is answered from the fault-free run; a
+    /// detected one aborts on the spot; any other landing one saves
+    /// the machine into the snapshot, runs the faulted suffix, visits
+    /// and restores.
     fn run_forked(&mut self, fork: Fork<'_>) -> Result<RunStats, SimError> {
         let Fork { injections, visit } = fork;
         let mut order: Vec<usize> = (0..injections.len()).collect();
@@ -384,9 +433,11 @@ impl<'a, W: Wave> Sched<'a, W> {
             watchdog: WatchdogState::default(),
             pages: PageSnapshot::default(),
         };
-        // Unchanged-state injections with their pass time and outcome,
-        // visited with the fault-free run's result once it is known.
-        let mut unchanged: Vec<(usize, u64, InjectionOutcome)> = Vec::new();
+        let untouched = self.untouched(injections, &mut snap.pages);
+        // Injections answered from the fault-free run, with their pass
+        // time, outcome and, for a landing global upset, the word it
+        // flips; visited once that run's result is known.
+        let mut answered: Vec<(usize, u64, InjectionOutcome, Option<usize>)> = Vec::new();
         let golden = loop {
             if let Err(e) = self.check_ceiling() {
                 break Err(e);
@@ -394,9 +445,16 @@ impl<'a, W: Wave> Sched<'a, W> {
             while let Some(i) = pending.next_if(|&i| injections[i].cycle <= self.now) {
                 let inj = &injections[i];
                 match Self::resolve_injection(&self.cus, self.memory, inj, self.now) {
-                    Verdict::Unchanged(outcome) => unchanged.push((i, self.now, outcome)),
+                    Verdict::Unchanged(outcome) => answered.push((i, self.now, outcome, None)),
                     Verdict::Detected(report) => {
                         visit(i, Err(SimError::UncorrectableFault(report)), self.memory)
+                    }
+                    Verdict::Lands(outcome) if untouched.covers(inj.site) => {
+                        let word = match inj.site {
+                            FaultSite::GlobalWord { word } => Some(word as usize),
+                            _ => None,
+                        };
+                        answered.push((i, self.now, outcome, word));
                     }
                     Verdict::Lands(_) => {
                         self.save(&mut snap);
@@ -418,19 +476,86 @@ impl<'a, W: Wave> Sched<'a, W> {
                 log: FaultLog { events },
             })
         };
-        for (i, cycle, outcome) in unchanged {
+        for (i, cycle, outcome, word) in answered {
+            let inj = &injections[i];
             let event = FaultEvent {
                 cycle,
-                label: injections[i].label.clone(),
+                label: inj.label.clone(),
                 outcome,
             };
+            // The flipped global word is all a never-accessed upset
+            // changes in memory: flip it for the visit, then back.
+            let mask = flip_mask(&inj.flips);
+            let flip = |memory: &mut GlobalMemory| {
+                if let Some(w) = word.and_then(|w| memory.word_mut(w)) {
+                    *w ^= mask;
+                }
+            };
+            flip(self.memory);
             visit(i, with_log(vec![event]), self.memory);
+            flip(self.memory);
         }
         // Past the run's last pass: never applied.
         for i in pending {
             visit(i, with_log(Vec::new()), self.memory);
         }
         golden
+    }
+
+    /// The state this launch never reads or writes, where a landing
+    /// upset leaves every later pass, and so the result, as the
+    /// fault-free run has them: the un-ACE state of ACE analysis.
+    ///
+    /// Registers no instruction names and, in a program without `lwl`
+    /// and `swl`, the LRAM are known from the program. Global pages
+    /// are known from a fault-free hardened pre-pass on a machine of
+    /// its own, run between a save and a restore of the written pages
+    /// (`pages` is the buffer): the pages it fills are the pages it
+    /// accesses. The pre-pass also tells whether the watchdog ever saw
+    /// an unchanged fingerprint. Registers and the LRAM are in the
+    /// fingerprint, so an upset there resets a streak that was
+    /// building; they count as untouched only when no streak ever
+    /// began. Global memory is not in the fingerprint, but its pages
+    /// count only when the pre-pass completed. The pre-pass is skipped
+    /// when no injection could land in any of these sites.
+    fn untouched(&mut self, injections: &[Injection], pages: &mut PageSnapshot) -> Untouched {
+        let program = self.env.program;
+        let named = program
+            .iter()
+            .flat_map(|inst| inst.uses().chain(inst.def()))
+            .fold(0u32, |named, r| named | 1 << r.index());
+        let no_lram = !program
+            .iter()
+            .any(|inst| matches!(inst, Inst::Lwl { .. } | Inst::Swl { .. }));
+        let may_answer = |inj: &Injection| {
+            let site = match inj.site {
+                FaultSite::Register { reg, .. } => named >> (reg & 31) & 1 == 0,
+                FaultSite::LocalWord { .. } => no_lram,
+                FaultSite::GlobalWord { .. } => true,
+                FaultSite::Pc { .. } | FaultSite::ExecMask { .. } => false,
+            };
+            site && matches!(decide(inj, 0), Verdict::Lands(_))
+        };
+        if !injections.iter().any(may_answer) {
+            return Untouched::NOTHING;
+        }
+        let watchdog = self.hard.as_deref().and_then(|hard| hard.watchdog);
+        let mut hard = HardenState::new(&[], watchdog);
+        self.memory.save_pages(pages);
+        let (completed, filled) = {
+            let mut pre = Sched::<W>::new(self.env, &mut *self.memory, Some(&mut hard), None);
+            pre.cache
+                .record_fills(pre.memory.len().div_ceil(1 << PAGE_SHIFT));
+            let completed = pre.run(false).is_ok();
+            (completed, pre.cache.take_fills())
+        };
+        self.memory.restore_pages(pages);
+        let quiet = !hard.watchdog_state.repeated;
+        Untouched {
+            regs: if quiet { !named } else { 0 },
+            lram: quiet && no_lram,
+            filled: filled.filter(|_| completed),
+        }
     }
 
     /// Runs the rest of the launch with `inj` planned at the current
@@ -653,6 +778,7 @@ impl<'a, W: Wave> Sched<'a, W> {
                     let fp = self.arch_fingerprint();
                     if st.fp_valid && fp == st.last_fp {
                         st.streak += 1;
+                        st.repeated = true;
                         if st.streak >= wd.patience.max(1) {
                             self.hard = Some(hard);
                             return Err(SimError::Watchdog { cycle: now });
@@ -719,41 +845,7 @@ impl<'a, W: Wave> Sched<'a, W> {
         if !resolves {
             return Verdict::Unchanged(InjectionOutcome::Vacant);
         }
-        // A word whose flips cancel out keeps its value; an exec-mask
-        // upset toggles the lane whatever its flip list.
-        let changes = matches!(inj.site, FaultSite::ExecMask { .. }) || flip_mask(&inj.flips) != 0;
-        let lands = |outcome| {
-            if changes {
-                Verdict::Lands(outcome)
-            } else {
-                Verdict::Unchanged(outcome)
-            }
-        };
-        let total = inj.codeword_flips.max(inj.flips.len() as u32);
-        let detected = || {
-            Verdict::Detected(FaultReport {
-                cycle: now,
-                label: inj.label.clone(),
-                domain: inj.site.domain(),
-                flips: total,
-            })
-        };
-        match inj.protection {
-            Protection::None => lands(InjectionOutcome::Applied),
-            _ if total == 0 => Verdict::Unchanged(InjectionOutcome::Vacant),
-            // An odd flip count inverts the parity: detected, not
-            // correctable. Even counts cancel in the parity sum and
-            // land silently (potential SDC).
-            Protection::Parity if total % 2 == 1 => detected(),
-            Protection::Parity => lands(InjectionOutcome::Applied),
-            Protection::SecDed => match total {
-                1 => Verdict::Unchanged(InjectionOutcome::Corrected),
-                t if t % 2 == 0 => detected(),
-                // Odd >= 3: the decoder sees a plausible single-bit
-                // syndrome and "corrects" the wrong bit.
-                _ => lands(InjectionOutcome::MisCorrected),
-            },
-        }
+        decide(inj, now)
     }
 
     /// Applies an injection that [`Sched::resolve_injection`] found to
@@ -1087,6 +1179,46 @@ impl<'a, W: Wave> Sched<'a, W> {
                 w.release_from_barrier(now);
             }
         }
+    }
+}
+
+/// What `inj` does to a site that resolves to live state at pass time
+/// `now`: protection is decided by the total codeword flip count.
+fn decide(inj: &Injection, now: u64) -> Verdict {
+    // A word whose flips cancel out keeps its value; an exec-mask
+    // upset toggles the lane whatever its flip list.
+    let changes = matches!(inj.site, FaultSite::ExecMask { .. }) || flip_mask(&inj.flips) != 0;
+    let lands = |outcome| {
+        if changes {
+            Verdict::Lands(outcome)
+        } else {
+            Verdict::Unchanged(outcome)
+        }
+    };
+    let total = inj.codeword_flips.max(inj.flips.len() as u32);
+    let detected = || {
+        Verdict::Detected(FaultReport {
+            cycle: now,
+            label: inj.label.clone(),
+            domain: inj.site.domain(),
+            flips: total,
+        })
+    };
+    match inj.protection {
+        Protection::None => lands(InjectionOutcome::Applied),
+        _ if total == 0 => Verdict::Unchanged(InjectionOutcome::Vacant),
+        // An odd flip count inverts the parity: detected, not
+        // correctable. Even counts cancel in the parity sum and land
+        // silently (potential SDC).
+        Protection::Parity if total % 2 == 1 => detected(),
+        Protection::Parity => lands(InjectionOutcome::Applied),
+        Protection::SecDed => match total {
+            1 => Verdict::Unchanged(InjectionOutcome::Corrected),
+            t if t % 2 == 0 => detected(),
+            // Odd >= 3: the decoder sees a plausible single-bit
+            // syndrome and "corrects" the wrong bit.
+            _ => lands(InjectionOutcome::MisCorrected),
+        },
     }
 }
 

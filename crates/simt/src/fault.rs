@@ -28,11 +28,19 @@
 //!   fault-free run. So one fault-free pass answers every injection in
 //!   cycle order. An injection that changes no state (vacant site,
 //!   SEC-DED correction, cancelling flips) ends like the fault-free
-//!   run with one logged event; a detected one ends at its pass with
-//!   [`crate::SimError::UncorrectableFault`]; only one that lands runs
-//!   a suffix of its own, from a saved copy of the scheduler state and
-//!   the written memory pages, which are restored before the pass
-//!   moves on. Each visited result and memory image equals
+//!   run with one logged event. So does one that lands in state the
+//!   launch never reads or writes, the un-ACE state of ACE analysis:
+//!   a register no instruction names, the LRAM of a program without
+//!   `lwl`/`swl`, or a global page of which the fault-free run fills
+//!   no cache line (the image then differs in the flipped word alone).
+//!   A fault-free pre-pass finds those pages; register and LRAM
+//!   upsets, which the watchdog's fingerprint sees, are answered so
+//!   only when that pass's watchdog never saw an unchanged
+//!   fingerprint. A detected injection ends at its pass with
+//!   [`crate::SimError::UncorrectableFault`]. Only the other landing
+//!   ones run a suffix of their own, from a saved copy of the scheduler
+//!   state and the written memory pages, which are restored before the
+//!   pass moves on. Each visited result and memory image equals
 //!   [`crate::Gpu::launch_hardened`]'s with that one injection
 //!   (`crates/simt/tests/prop_fork.rs`).
 

@@ -10,8 +10,9 @@
 
 use std::ops::Deref;
 
-/// `log2` of the words per tracked page (1024 words, 4 KiB).
-const PAGE_SHIFT: usize = 10;
+/// `log2` of the words per tracked page (1024 words, 4 KiB). The fork
+/// driver's pre-pass records the pages a run fills at the same size.
+pub(crate) const PAGE_SHIFT: usize = 10;
 
 /// Zero-initialised global memory that remembers which pages it wrote.
 pub(crate) struct GlobalMemory {

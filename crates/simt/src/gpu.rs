@@ -517,12 +517,31 @@ impl Gpu {
     /// * one that changes no state (a vacant site, a SEC-DED
     ///   correction, flips that cancel) is answered from the
     ///   fault-free run and visited once that run has finished;
+    /// * so is one that lands in state the launch never reads or
+    ///   writes, with its one logged event: a register no instruction
+    ///   names, the LRAM of a program without `lwl` and `swl`, or a
+    ///   global word in a 4 KiB page of which the fault-free run fills
+    ///   no cache line. A global one is visited with the fault-free
+    ///   image with its flip applied, which is undone afterwards;
     /// * one that parity or SEC-DED detects is visited on the spot
     ///   with [`SimError::UncorrectableFault`];
-    /// * one that lands saves the scheduler state (CUs, cache, AXI
-    ///   interfaces, dispatch position, counters, watchdog, cycle) and
-    ///   the written global-memory pages, runs the faulted rest of the
-    ///   launch, visits, and restores.
+    /// * any other landing one saves the scheduler state (CUs, cache,
+    ///   AXI interfaces, dispatch position, counters, watchdog, cycle)
+    ///   and the written global-memory pages, runs the faulted rest of
+    ///   the launch, visits, and restores.
+    ///
+    /// The filled pages come from a fault-free hardened pre-pass on a
+    /// machine of its own, run first, between a save and a restore of
+    /// the written pages. It is skipped when no injection could land
+    /// in such a site, and its pages count only when it completes (a
+    /// launch starts with a cold cache, and every global load and store
+    /// accesses its line). Registers and the LRAM are in the watchdog's
+    /// fingerprint, so an upset there resets a streak of unchanged
+    /// fingerprints that was building: they are answered this way only
+    /// when the pre-pass's watchdog never saw an unchanged fingerprint.
+    /// Global memory is not in the fingerprint. These answers are exact
+    /// up to a collision of the watchdog's 64-bit fingerprint, which
+    /// its verdicts already assume.
     ///
     /// Injections past the last pass are never applied and are visited
     /// with the fault-free result and an empty log. The machine is
@@ -677,10 +696,13 @@ pub(crate) struct WatchdogState {
     pub(crate) streak: u32,
     /// `vector_instructions` at the previous check (activity gate).
     pub(crate) last_instr: u64,
+    /// Some armed check saw an unchanged fingerprint (read by the fork
+    /// driver's fault-free pre-pass).
+    pub(crate) repeated: bool,
 }
 
 impl HardenState {
-    fn new(injections: &[Injection], watchdog: Option<WatchdogConfig>) -> Self {
+    pub(crate) fn new(injections: &[Injection], watchdog: Option<WatchdogConfig>) -> Self {
         Self {
             injections: injections.to_vec(),
             next_inj: 0,

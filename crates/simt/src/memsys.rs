@@ -8,6 +8,7 @@
 //! each other in the direct-mapped array.
 
 use crate::config::{CacheConfig, DramConfig};
+use crate::global_mem::PAGE_SHIFT;
 
 /// Counters accumulated by the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,6 +143,10 @@ pub struct SharedCache {
     index_mask: usize,
     bank_mask: usize,
     pow2: bool,
+    /// One flag per 4 KiB page of global memory: a filled line covers
+    /// part of it. `None` unless [`SharedCache::record_fills`] asked for
+    /// the record, so plain runs only test it on a miss.
+    filled: Option<Vec<bool>>,
 }
 
 impl SharedCache {
@@ -162,7 +167,23 @@ impl SharedCache {
             index_mask: (cfg.lines() as usize).wrapping_sub(1),
             bank_mask: (cfg.banks as usize).wrapping_sub(1),
             pow2,
+            filled: None,
         }
+    }
+
+    /// Starts recording which of a global memory's `pages` 4 KiB pages
+    /// the lines this cache fills cover. A launch starts cold and every
+    /// global load and store accesses its line, so on a cache that
+    /// records from the start the pages never filled are the pages the
+    /// launch never read or wrote.
+    pub(crate) fn record_fills(&mut self, pages: usize) {
+        self.filled = Some(vec![false; pages]);
+    }
+
+    /// Ends the record [`SharedCache::record_fills`] started: one flag
+    /// per page, set when a filled line covers part of it.
+    pub(crate) fn take_fills(&mut self) -> Option<Vec<bool>> {
+        self.filled.take()
     }
 
     /// Copies `src`'s lines, bank and interface queues and counters
@@ -234,6 +255,17 @@ impl SharedCache {
             let _ = self.dram.transfer(start, victim_addr, self.cfg.line_bytes);
         }
         self.stats.fills += 1;
+        if let Some(filled) = &mut self.filled {
+            // A line of an odd size can straddle two pages.
+            let bytes = u64::from(self.cfg.line_bytes);
+            let first = line_addr * bytes;
+            let shift = PAGE_SHIFT + 2;
+            for page in first >> shift..=(first + bytes - 1) >> shift {
+                if let Some(f) = filled.get_mut(page as usize) {
+                    *f = true;
+                }
+            }
+        }
         let fill_done = self.dram.transfer(start, line_addr, self.cfg.line_bytes);
         let line = &mut self.lines[index];
         line.tag = line_addr;
@@ -332,6 +364,23 @@ mod tests {
         assert_eq!(t0, t1, "different interfaces run in parallel");
         let t2 = d.transfer(0, 4, 64); // interface 0 again
         assert!(t2 > t0, "same interface queues");
+    }
+
+    #[test]
+    fn fill_record_covers_every_page_of_each_filled_line() {
+        // 48-byte lines: line 85 spans bytes 4080..4128, pages 0 and 1.
+        let cfg = CacheConfig {
+            line_bytes: 48,
+            ..CacheConfig::default()
+        };
+        let mut c = SharedCache::new(cfg, Dram::new(DramConfig::default()));
+        let _ = c.access(0, 2 << 12, false); // before the record starts
+        c.record_fills(3);
+        let _ = c.access(10, 4100, false);
+        let _ = c.access(20, 4100, true); // a hit fills nothing
+        let _ = c.access(30, 5 << 12, true); // past the recorded pages
+        assert_eq!(c.take_fills(), Some(vec![true, true, false]));
+        assert_eq!(c.take_fills(), None);
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //! reaches, and most a watchdog that can trip. The injection sets mix
 //! cycle 0, cycles past the end and injections that share a pass time;
 //! every site kind, vacant coordinates and check-bit-only flips; and 0
-//! to 3 codeword flips under no protection, parity and SEC-DED.
+//! to 3 codeword flips under no protection, parity and SEC-DED. The
+//! coverage counts include upsets in state a kernel never accesses,
+//! which the fork answers from the fault-free run, and upsets on the
+//! registers it does access.
 
+use ggpu_isa::Inst;
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
     AccelBackend, FaultEvent, FaultPlan, FaultSite, Gpu, HardenedOptions, HardenedRun, Injection,
@@ -137,12 +141,15 @@ fn random_launch(rng: &mut Rng, config: &SimtConfig) -> (Kernel, Launch) {
 }
 
 /// A site of every kind, its coordinates sometimes one past the live
-/// machine (vacant).
-fn random_site(rng: &mut Rng, config: &SimtConfig) -> FaultSite {
+/// machine (vacant). Half the register sites hit one of the `named`
+/// registers (bit `r` for register `r`), which the kernel reads or
+/// writes, in one of the first 8 lanes of the oldest resident wavefront
+/// of CU 0, which are live for most of a run.
+fn random_site(rng: &mut Rng, config: &SimtConfig, named: u32) -> FaultSite {
     let cu = rng.u32_in(0, config.compute_units);
     let slot = rng.u32_in(0, config.max_wavefronts_per_cu);
     let lane = rng.u32_in(0, config.wavefront_size);
-    match rng.u32_in(0, 5) {
+    match rng.u32_in(0, 6) {
         0 => FaultSite::Register {
             cu,
             slot,
@@ -166,7 +173,16 @@ fn random_site(rng: &mut Rng, config: &SimtConfig) -> FaultSite {
             },
         },
         3 => FaultSite::Pc { cu, slot, lane },
-        _ => FaultSite::ExecMask { cu, slot, lane },
+        4 | 5 => FaultSite::ExecMask { cu, slot, lane },
+        _ => {
+            let regs: Vec<u8> = (0..32).filter(|r| named >> r & 1 == 1).collect();
+            FaultSite::Register {
+                cu: 0,
+                slot: 0,
+                lane: rng.u32_in(0, 7),
+                reg: rng.pick_copy(&regs),
+            }
+        }
     }
 }
 
@@ -177,6 +193,7 @@ fn random_site(rng: &mut Rng, config: &SimtConfig) -> FaultSite {
 fn random_injection(
     rng: &mut Rng,
     config: &SimtConfig,
+    named: u32,
     end: u64,
     earlier: &[Injection],
 ) -> Injection {
@@ -186,7 +203,7 @@ fn random_injection(
         2 if !earlier.is_empty() => rng.pick(earlier).cycle + rng.u64_in(0, 2),
         _ => rng.u64_in(0, end),
     };
-    let site = random_site(rng, config);
+    let site = random_site(rng, config, named);
     Injection {
         cycle,
         site,
@@ -216,6 +233,23 @@ fn image(gpu: &Gpu) -> Vec<u32> {
     gpu.read_words(0, MEM_WORDS).expect("whole memory")
 }
 
+/// Registers `kernel` reads or writes, bit `r` for register `r`.
+fn named_registers(kernel: &Kernel) -> u32 {
+    kernel
+        .program
+        .iter()
+        .flat_map(|inst| inst.uses().chain(inst.def()))
+        .fold(0, |named, r| named | 1 << r.index())
+}
+
+/// `true` if `kernel` touches the LRAM.
+fn uses_lram(kernel: &Kernel) -> bool {
+    kernel
+        .program
+        .iter()
+        .any(|inst| matches!(inst, Inst::Lwl { .. } | Inst::Swl { .. }))
+}
+
 /// Outcome categories the suite must reach, so a property that
 /// silently stopped covering one fails.
 #[derive(Default, Debug)]
@@ -228,23 +262,82 @@ struct Coverage {
     watchdog: u32,
     cycle_limit: u32,
     shared_pass: u32,
+    /// A landing upset on a register no instruction names.
+    unnamed_register: u32,
+    /// A landing upset in the LRAM of a kernel without `lwl`/`swl`.
+    lram_without_lwl: u32,
+    /// A landing upset on a global word in a page the fault-free run
+    /// never touches: its image differs from the fault-free image in
+    /// that word alone.
+    untouched_page: u32,
+    /// A landing upset on a register the kernel names that changed the
+    /// run.
+    named_register_changed: u32,
 }
 
 impl Coverage {
-    fn tally(&mut self, want: &Seen, golden: &Seen) {
+    fn tally(&mut self, kernel: &Kernel, inj: &Injection, want: &Seen, golden: &Seen) {
+        // What the upset changed; the log always differs, the
+        // fault-free one being empty.
+        fn result(seen: &Seen) -> Result<RunStats, &SimError> {
+            seen.0.as_ref().map(|(stats, _)| *stats)
+        }
+        let changed = result(want) != result(golden) || want.1 != golden.1;
+        let named = named_registers(kernel);
         match &want.0 {
             Ok((_, events)) => match events.first().map(|e| e.outcome) {
                 None => self.never_applied += 1,
                 Some(InjectionOutcome::Corrected) => self.corrected += 1,
                 Some(InjectionOutcome::Vacant) => self.vacant += 1,
-                Some(_) => self.landed_and_changed += u32::from(want != golden),
+                Some(_) => {
+                    self.landed_and_changed += u32::from(changed);
+                    match inj.site {
+                        FaultSite::Register { reg, .. } if named >> (reg & 31) & 1 == 0 => {
+                            self.unnamed_register += 1
+                        }
+                        FaultSite::LocalWord { .. } if !uses_lram(kernel) => {
+                            self.lram_without_lwl += 1
+                        }
+                        FaultSite::GlobalWord { word } => {
+                            self.untouched_page += u32::from(in_untouched_page(word, want, golden))
+                        }
+                        _ => {}
+                    }
+                }
             },
-            Err(SimError::UncorrectableFault(_)) => self.detected += 1,
+            Err(SimError::UncorrectableFault(_)) => {
+                self.detected += 1;
+                return;
+            }
             Err(SimError::Watchdog { .. }) => self.watchdog += 1,
             Err(SimError::CycleLimit { .. }) => self.cycle_limit += 1,
             Err(_) => {}
         }
+        // Only a landing upset changes a run, whatever its end. In a
+        // fault-free run that completed, the watchdog never saw the
+        // state stand still, so the fork may answer never-accessed
+        // registers there: a fork that took a named one for such a
+        // register would fail this case.
+        if let FaultSite::Register { reg, .. } = inj.site {
+            let named = named >> (reg & 31) & 1 == 1;
+            self.named_register_changed += u32::from(changed && named && golden.0.is_ok());
+        }
     }
+}
+
+/// `true` when a global upset of `word` lands in a page no completed
+/// run of the test kernels touches: they read only the first input
+/// page and write only the output page. The fresh run then ends like
+/// the fault-free one, its image differing in that word alone.
+fn in_untouched_page(word: u32, want: &Seen, golden: &Seen) -> bool {
+    let page = word as usize / 1024;
+    let addressed = [IN, OUT].map(|a| a as usize / 4096).contains(&page);
+    let same_run = matches!((&want.0, &golden.0),
+        (Ok((got, _)), Ok((fault_free, _))) if got == fault_free);
+    let differs: Vec<usize> = (0..want.1.len())
+        .filter(|&w| want.1[w] != golden.1[w])
+        .collect();
+    !addressed && same_run && differs == [word as usize]
 }
 
 #[test]
@@ -275,7 +368,7 @@ fn forked_runs_equal_single_injection_launches() {
         };
         let mut injections: Vec<Injection> = Vec::new();
         for _ in 0..rng.usize_in(1, 10) {
-            let inj = random_injection(rng, &config, end, &injections);
+            let inj = random_injection(rng, &config, named_registers(&kernel), end, &injections);
             injections.push(inj);
         }
         let mut cycles: Vec<u64> = injections.iter().map(|i| i.cycle).collect();
@@ -311,7 +404,7 @@ fn forked_runs_equal_single_injection_launches() {
                     "{backend:?}: memory image of {inj:?} differs"
                 );
                 if backend == AccelBackend::Soa {
-                    cov.tally(&want, &want_golden);
+                    cov.tally(&kernel, inj, &want, &want_golden);
                 }
             }
         }
@@ -326,6 +419,13 @@ fn forked_runs_equal_single_injection_launches() {
         ("a watchdog trip", c.watchdog),
         ("the cycle ceiling", c.cycle_limit),
         ("injections sharing a pass time", c.shared_pass),
+        ("a landed upset on an unnamed register", c.unnamed_register),
+        ("a landed LRAM upset without lwl/swl", c.lram_without_lwl),
+        ("a landed upset in an untouched page", c.untouched_page),
+        (
+            "a landed register upset that changed the run",
+            c.named_register_changed,
+        ),
     ] {
         assert!(n > 0, "no case reached {what}: {c:?}");
     }
@@ -367,4 +467,75 @@ fn cycle_zero_upsets_only_reach_memory() {
             (2, InjectionOutcome::Applied, 5),
         ]
     );
+}
+
+/// The watchdog gate: under a watchdog that the fault-free `SPIN` run
+/// trips, an upset mid-spin in the LRAM (`SPIN` has no `lwl`/`swl`) or
+/// in a register no instruction names changes the fingerprint, so it
+/// resets the streak that was building and the run trips later. Such
+/// upsets must run their suffix, not take the fault-free result.
+#[test]
+fn upsets_that_reset_a_watchdog_streak_run_their_suffix() {
+    let kernel = Kernel::from_asm("spin", SPIN).expect("kernel assembles");
+    let launch = Launch::new(64, 64, vec![IN, OUT, 0]);
+    let watchdog = Some(WatchdogConfig {
+        interval: 256,
+        patience: 2,
+    });
+    for backend in [AccelBackend::Scalar, AccelBackend::Soa] {
+        let config = SimtConfig {
+            backend,
+            ..SimtConfig::with_cus(1)
+        };
+        let hardened = |plan: Vec<Injection>| -> Seen {
+            let mut gpu = staged(config, &[]);
+            let opts = HardenedOptions {
+                plan: FaultPlan::new(plan),
+                watchdog,
+            };
+            let result = gpu.launch_hardened(&kernel, &launch, &opts);
+            seen(result, &image(&gpu))
+        };
+        let Err(SimError::Watchdog { cycle: trip }) = hardened(Vec::new()).0 else {
+            panic!("{backend:?}: the fault-free spin must trip the watchdog");
+        };
+        // Between the check that began the streak and the one that
+        // ends it.
+        let mid = trip - 128;
+        let lane1_r20 = FaultSite::Register {
+            cu: 0,
+            slot: 0,
+            lane: 1,
+            reg: 20,
+        };
+        let injections = [
+            Injection::single(
+                mid,
+                FaultSite::LocalWord { cu: 0, word: 3 },
+                0,
+                Protection::None,
+            ),
+            Injection::single(mid, lane1_r20, 5, Protection::None),
+        ];
+        let mut forked: Vec<Option<Seen>> = vec![None; injections.len()];
+        let mut gpu = staged(config, &[]);
+        let _ = gpu.launch_forked(&kernel, &launch, watchdog, &injections, |i, r, img| {
+            forked[i] = Some(seen(r, img));
+        });
+        for (inj, got) in injections.iter().zip(forked) {
+            let got = got.expect("every injection is visited");
+            let want = hardened(vec![inj.clone()]);
+            assert_eq!(got.0, want.0, "{backend:?}: result of {inj:?}");
+            assert!(got.1 == want.1, "{backend:?}: memory image of {inj:?}");
+            match want.0 {
+                Err(SimError::Watchdog { cycle }) => {
+                    assert_ne!(
+                        cycle, trip,
+                        "{backend:?}: {inj:?} left the streak as it was"
+                    )
+                }
+                other => panic!("{backend:?}: {inj:?} ended {other:?}"),
+            }
+        }
+    }
 }

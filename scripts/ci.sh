@@ -71,6 +71,12 @@ echo "== fork property suite (release, raised case count) =="
 # images. The workspace tests above run it at its default 48 cases.
 GGPU_PROP_CASES=1000 cargo test --release -q -p ggpu-simt --test prop_fork
 
+echo "== fault campaign suite (release, raised case count) =="
+# The campaign-level fork equivalence (every forked trial against a
+# fresh launch), the checkpoint resume properties and the no-panic
+# fuzz (at 500 cases), under the optimizer.
+GGPU_PROP_CASES=500 cargo test --release -q -p ggpu-fault
+
 echo "== perfbench (unit tests, release) =="
 # The reproduction benchmark is a package of its own outside the
 # workspace, so the steps above never compile it; this one catches a
