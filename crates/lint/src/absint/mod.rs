@@ -26,13 +26,13 @@
 //!   else unproven caps at warn. Scope: intra-issue collisions within
 //!   one workgroup, the same granularity the `crates/simt` trace
 //!   oracle observes.
-//! * [`MemAccessSummary`] — the static cost model per memory
-//!   instruction: coalescing class (broadcast / unit-stride /
-//!   strided-k / scattered), a cache-line bound per wavefront issue,
-//!   and the LRAM bank-conflict degree.
+//!
+//! [`analyze`] exports the facts behind those checks: the proven
+//! address interval of every reachable memory instruction
+//! ([`MemAccessSummary`]) and the branch sites proven lane-uniform.
 //!
 //! Soundness is *gated, not asserted*: `crates/simt` records concrete
-//! per-access addresses and branch uniformity on both backends, and a
+//! per-access addresses and branch outcomes on both backends, and a
 //! randomized property suite checks every prediction here
 //! over-approximates the observed trace.
 
@@ -69,14 +69,6 @@ pub struct AnalysisCtx {
     pub lram_words: u32,
     /// Largest launchable workgroup (wavefront × max wavefronts/CU).
     pub max_workgroup: u32,
-    /// Wavefront width (lanes issuing together).
-    pub wavefront: u32,
-    /// Cache line size in bytes (coalescing bound).
-    pub line_bytes: u32,
-    /// LRAM banks (bank-conflict degree).
-    pub lram_banks: u32,
-    /// Processing elements served per LRAM beat.
-    pub pes: u32,
 }
 
 impl Default for AnalysisCtx {
@@ -88,10 +80,6 @@ impl Default for AnalysisCtx {
             memory_words: None,
             lram_words: 4096,
             max_workgroup: 512,
-            wavefront: 64,
-            line_bytes: 64,
-            lram_banks: 8,
-            pes: 8,
         }
     }
 }
@@ -105,62 +93,22 @@ impl AnalysisCtx {
 
 /// Which memory an access touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemSpace {
+enum MemSpace {
     /// Cached global memory.
     Global,
     /// Per-CU LRAM scratchpad.
     Local,
 }
 
-/// Static coalescing class of one memory instruction, ordered from
-/// cheapest to most expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalescingClass {
-    /// Every lane touches one address.
-    Broadcast,
-    /// Consecutive lanes touch consecutive words (either direction).
-    UnitStride,
-    /// Constant word stride `k` between consecutive lanes.
-    Strided(u32),
-    /// No provable pattern.
-    Scattered,
-}
-
-impl CoalescingClass {
-    /// Cost rank: a prediction is sound iff its rank is at least the
-    /// observed rank.
-    pub fn rank(self) -> u8 {
-        match self {
-            CoalescingClass::Broadcast => 0,
-            CoalescingClass::UnitStride => 1,
-            CoalescingClass::Strided(_) => 2,
-            CoalescingClass::Scattered => 3,
-        }
-    }
-}
-
-/// Static cost prediction for one reachable memory instruction.
+/// The proven address interval of one reachable memory instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemAccessSummary {
     /// Instruction index.
     pub inst: usize,
-    /// Address space.
-    pub space: MemSpace,
-    /// `true` for stores.
-    pub is_store: bool,
     /// Lowest possible byte address.
     pub addr_lo: u32,
     /// Highest possible byte address (`u32::MAX` = unbounded).
     pub addr_hi: u32,
-    /// Coalescing class (never more optimistic than any observable
-    /// issue).
-    pub class: CoalescingClass,
-    /// Upper bound on distinct cache lines one full-wavefront issue
-    /// touches (global space; `1` for LRAM, which has no cache).
-    pub max_lines_per_issue: u32,
-    /// Upper bound on the LRAM bank-conflict degree per beat (local
-    /// space; `1` for global).
-    pub bank_conflict_degree: u32,
 }
 
 /// Everything the abstract interpreter proves about one kernel.
@@ -182,7 +130,7 @@ impl KernelAnalysis {
 }
 
 /// Runs the abstract interpreter standalone (builds its own CFG) and
-/// returns the memory-access summaries and branch-uniformity facts.
+/// returns the address intervals and branch-uniformity facts.
 pub fn analyze(program: &[Inst], ctx: &AnalysisCtx) -> KernelAnalysis {
     if program.is_empty() {
         return KernelAnalysis {
@@ -198,13 +146,17 @@ pub fn analyze(program: &[Inst], ctx: &AnalysisCtx) -> KernelAnalysis {
         if !reachable.contains(i) {
             continue;
         }
-        let Some((space, is_store, base, imm)) = mem_access(inst) else {
+        let Some((_, _, base, imm)) = mem_access(inst) else {
             continue;
         };
         let Some(addr) = sol.address_at(i, base, imm) else {
             continue;
         };
-        summaries.push(summarize(i, space, is_store, &addr, ctx));
+        summaries.push(MemAccessSummary {
+            inst: i,
+            addr_lo: addr.rng.lo,
+            addr_hi: addr.rng.hi,
+        });
     }
     KernelAnalysis {
         summaries,
@@ -221,76 +173,6 @@ fn mem_access(inst: &Inst) -> Option<(MemSpace, bool, Reg, i16)> {
         Inst::Lwl { rs1, imm, .. } => Some((MemSpace::Local, false, rs1, imm)),
         Inst::Swl { rs1, imm, .. } => Some((MemSpace::Local, true, rs1, imm)),
         _ => None,
-    }
-}
-
-fn gcd(mut a: u32, mut b: u32) -> u32 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-/// Builds the static cost summary of one access from its abstract
-/// address.
-fn summarize(
-    i: usize,
-    space: MemSpace,
-    is_store: bool,
-    addr: &AbsVal,
-    ctx: &AnalysisCtx,
-) -> MemAccessSummary {
-    // Coalescing class from the lane-affine shape of the address.
-    let class = match addr.lane {
-        _ if addr.lane.is_uniform() => CoalescingClass::Broadcast,
-        Lane::Affine { .. } => match addr.lane.singleton_coeff() {
-            Some(0) => CoalescingClass::Broadcast,
-            Some(a) if a.unsigned_abs() == 4 => CoalescingClass::UnitStride,
-            Some(a) if a.unsigned_abs() % 4 == 0 && a.unsigned_abs() / 4 <= u64::from(u32::MAX) => {
-                CoalescingClass::Strided((a.unsigned_abs() / 4) as u32)
-            }
-            _ => CoalescingClass::Scattered,
-        },
-        Lane::Varying => CoalescingClass::Scattered,
-    };
-    let w = ctx.wavefront.max(1);
-    let byte_stride: Option<u64> = match class {
-        CoalescingClass::Broadcast => Some(0),
-        CoalescingClass::UnitStride => Some(4),
-        CoalescingClass::Strided(k) => Some(u64::from(k) * 4),
-        CoalescingClass::Scattered => None,
-    };
-    let max_lines = match (space, byte_stride) {
-        (MemSpace::Local, _) => 1,
-        (MemSpace::Global, Some(0)) => 1,
-        (MemSpace::Global, Some(s)) => {
-            let span_lines = s * u64::from(w - 1) / u64::from(ctx.line_bytes.max(1)) + 2;
-            span_lines.min(u64::from(w)) as u32
-        }
-        (MemSpace::Global, None) => w,
-    };
-    let bank_degree = match (space, byte_stride) {
-        (MemSpace::Global, _) => 1,
-        (MemSpace::Local, Some(0)) => 1,
-        (MemSpace::Local, Some(s)) => {
-            let words = ((s / 4) % u64::from(ctx.lram_banks.max(1))) as u32;
-            let g = gcd(words, ctx.lram_banks.max(1)).max(1);
-            let distinct_banks = ctx.lram_banks.max(1) / g;
-            ctx.pes.max(1).div_ceil(distinct_banks).min(ctx.pes.max(1))
-        }
-        (MemSpace::Local, None) => ctx.pes.max(1),
-    };
-    MemAccessSummary {
-        inst: i,
-        space,
-        is_store,
-        addr_lo: addr.rng.lo,
-        addr_hi: addr.rng.hi,
-        class,
-        max_lines_per_issue: max_lines,
-        bank_conflict_degree: bank_degree,
     }
 }
 
@@ -656,39 +538,6 @@ mod tests {
         );
         assert!(r.has(Code::K011), "{r}");
         assert_eq!(r.denial_count(), 0, "{r}");
-    }
-
-    #[test]
-    fn summaries_classify_coalescing() {
-        let program = assemble(
-            "
-            gid   r1
-            param r2, 0
-            slli  r3, r1, 2
-            add   r3, r3, r2
-            lw    r4, r3, 0      ; unit stride
-            lw    r5, r2, 0      ; broadcast
-            slli  r6, r1, 5
-            add   r6, r6, r2
-            lw    r7, r6, 0      ; strided 8
-            swl   r3, r4, 0
-            sw    r3, r7, 0
-            ret
-            ",
-        )
-        .unwrap();
-        let a = analyze(&program, &AnalysisCtx::default());
-        assert_eq!(a.summary_at(4).unwrap().class, CoalescingClass::UnitStride);
-        assert_eq!(a.summary_at(5).unwrap().class, CoalescingClass::Broadcast);
-        assert_eq!(a.summary_at(5).unwrap().max_lines_per_issue, 1);
-        assert_eq!(a.summary_at(8).unwrap().class, CoalescingClass::Strided(8));
-        // Strided-8 words with 8 banks: every lane of a beat hits one
-        // bank.
-        let local = a.summary_at(9).unwrap();
-        assert_eq!(local.space, MemSpace::Local);
-        assert_eq!(local.class, CoalescingClass::UnitStride);
-        assert_eq!(local.bank_conflict_degree, 1);
-        assert!(a.summary_at(0).is_none());
     }
 
     #[test]

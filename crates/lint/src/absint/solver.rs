@@ -177,7 +177,8 @@ fn fixpoint(
         // of its own path. Joining two different path values as one
         // lane-affine shape would claim all lanes agree on a single
         // `a·tid + b`, which is unsound (caught by the trace oracle:
-        // a "broadcast" store after an `if` touched two cache lines).
+        // a "broadcast" store after an `if` touched two cache lines;
+        // `prop_absint_soundness.rs` pins a branch on such a value).
         // Unless the two values are provably identical per lane, the
         // merged lane shape must be `Varying`.
         let lane_mixing = divergent.get(i).copied().unwrap_or(false);

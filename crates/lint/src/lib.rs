@@ -7,9 +7,10 @@
 //!   uninitialized reads, dead stores, unreachable code, missing-`ret`
 //!   paths, branch-target bounds, divergence depth, divergent barriers
 //!   (`K001`–`K009`) — plus the abstract interpreter ([`absint`]):
-//!   proven/possible out-of-bounds and misalignment, the
-//!   flow-sensitive local-memory race, and per-access coalescing /
-//!   bank-conflict summaries (`K010`–`K012`);
+//!   proven/possible out-of-bounds and misalignment and the
+//!   flow-sensitive local-memory race (`K010`–`K012`), with
+//!   [`analyze`] exporting the address intervals and branch
+//!   uniformity those checks stand on;
 //! * the **design linter** ([`design`]) checks netlist structure and
 //!   numerics — duplicate names, dangling references, SRAM compiler
 //!   range, activity sanity (`N001`–`N004`, `N007`), resilience
@@ -39,9 +40,7 @@ pub mod flow;
 pub mod kernel;
 pub mod shipped;
 
-pub use absint::{
-    analyze, AnalysisCtx, CoalescingClass, KernelAnalysis, MemAccessSummary, MemSpace,
-};
+pub use absint::{analyze, AnalysisCtx, KernelAnalysis, MemAccessSummary};
 pub use cfg::Cfg;
 pub use design::{lint_design, lint_resilience};
 pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};

@@ -270,6 +270,14 @@ mod tests {
         assert_eq!(c.wavefront_size, 64);
         assert_eq!(c.max_wavefronts_per_cu * c.wavefront_size, 512);
         assert_eq!(c.dram.interfaces, 4);
+        // `Kernel::from_asm_verified` gates every kernel under the
+        // default analysis context: it must describe this machine.
+        let ctx = ggpu_lint::AnalysisCtx::default();
+        assert_eq!(ctx.lram_words, crate::LOCAL_WORDS as u32);
+        assert_eq!(
+            ctx.max_workgroup,
+            c.wavefront_size * c.max_wavefronts_per_cu
+        );
     }
 
     #[test]

@@ -1234,13 +1234,11 @@ fn flip_mask(flips: &[u8]) -> u32 {
 /// register-read closure (`reg(ordinal, r)` reads register `r` of the
 /// ordinal-th issuing lane) and records them into the trace. Only
 /// memory and branch instructions leave observations.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn observe_issue(
     trace: &mut ExecTrace,
     env: &IssueEnv<'_>,
     pc: u32,
     lane_count: usize,
-    contiguous: bool,
     memory_words: usize,
     local_words: usize,
     mut reg: impl FnMut(usize, ggpu_isa::inst::Reg) -> u32,
@@ -1258,25 +1256,25 @@ pub(crate) fn observe_issue(
             let lanes: Vec<(u32, u32)> = (0..lane_count)
                 .map(|l| (addr(&mut reg, l, rs1, imm), 0))
                 .collect();
-            trace.record_access(pcu, false, false, contiguous, &lanes, memory_words);
+            trace.record_access(pcu, false, false, &lanes, memory_words);
         }
         Inst::Sw { rs1, rs2, imm } => {
             let lanes: Vec<(u32, u32)> = (0..lane_count)
                 .map(|l| (addr(&mut reg, l, rs1, imm), reg(l, rs2)))
                 .collect();
-            trace.record_access(pcu, false, true, contiguous, &lanes, memory_words);
+            trace.record_access(pcu, false, true, &lanes, memory_words);
         }
         Inst::Lwl { rs1, imm, .. } => {
             let lanes: Vec<(u32, u32)> = (0..lane_count)
                 .map(|l| (addr(&mut reg, l, rs1, imm), 0))
                 .collect();
-            trace.record_access(pcu, true, false, contiguous, &lanes, local_words);
+            trace.record_access(pcu, true, false, &lanes, local_words);
         }
         Inst::Swl { rs1, rs2, imm } => {
             let lanes: Vec<(u32, u32)> = (0..lane_count)
                 .map(|l| (addr(&mut reg, l, rs1, imm), reg(l, rs2)))
                 .collect();
-            trace.record_access(pcu, true, true, contiguous, &lanes, local_words);
+            trace.record_access(pcu, true, true, &lanes, local_words);
         }
         Inst::Branch { cond, rs1, rs2, .. } => {
             let mut any_taken = false;
@@ -1594,13 +1592,11 @@ impl Wave for ScalarWave {
         let lanes: Vec<usize> = (0..self.pcs.len())
             .filter(|&l| self.active[l] && self.pcs[l] == pc)
             .collect();
-        let contiguous = lanes.iter().enumerate().all(|(i, &l)| i == l);
         observe_issue(
             trace,
             env,
             pc,
             lanes.len(),
-            contiguous,
             memory_words,
             local_words,
             |i, r| self.reg(lanes[i], r),

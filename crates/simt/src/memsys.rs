@@ -91,11 +91,6 @@ impl Dram {
 /// while same-word lanes broadcast for free, so a beat costs its worst
 /// bank's degree. The conflict-free cost is one cycle per beat; the
 /// returned extra is `degree - 1` summed over beats.
-///
-/// The per-beat/bank/degree arithmetic matches
-/// [`crate::ExecTrace::record_access`] exactly — the trace oracle the
-/// absint soundness suite judges `bank_conflict_degree` predictions
-/// against — so predicted ≥ observed implies predicted ≥ charged.
 pub(crate) fn lram_conflict_beats(words: &[u32], banks: u32, pes: usize) -> u64 {
     let banks = banks.max(1);
     let mut extra = 0u64;
@@ -338,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn lram_conflict_beats_match_the_trace_oracle() {
+    fn lram_conflict_beats_count_distinct_words_per_bank_per_beat() {
         // Broadcast: every lane reads one word — zero extra beats.
         assert_eq!(lram_conflict_beats(&[5; 8], 4, 8), 0);
         // Unit stride over 8 banks, 8 lanes per beat: conflict-free.

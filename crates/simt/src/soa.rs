@@ -987,7 +987,6 @@ impl Wave for SoaWave {
         } else {
             diverged_issue_set(&self.pcs, self.exec)
         };
-        let contiguous = (issue & issue.wrapping_add(1)) == 0;
         // Ascending-ordered issue lane list, matching the side-effect
         // visit order of the lane loops in `step`.
         let mut lanes: Vec<usize> = Vec::with_capacity(issue.count_ones() as usize);
@@ -1002,7 +1001,6 @@ impl Wave for SoaWave {
             env,
             pc,
             lanes.len(),
-            contiguous,
             memory_words,
             local_words,
             |i, r| self.regs[r.index() * wf + lanes[i]],

@@ -15,10 +15,7 @@
 //!   prefix* (the lanes the simulator architecturally commits before
 //!   faulting, in ascending order) wrote different values to one
 //!   word;
-//! * whether a branch issue had mixed outcomes (lane divergence);
-//! * the observed coalescing class, cache-line count and LRAM
-//!   bank-conflict degree of each issue, under the geometry the trace
-//!   was constructed with.
+//! * whether a branch issue had mixed outcomes (lane divergence).
 //!
 //! The property suite (`tests/prop_absint_soundness.rs`) then checks
 //! that every abstract prediction over-approximates these
@@ -46,44 +43,16 @@ pub struct InstTrace {
     pub racy_write: bool,
     /// Some branch issue had both taken and not-taken lanes.
     pub divergent_branch: bool,
-    /// Most distinct cache lines one issue touched (global accesses).
-    pub max_lines: u32,
-    /// Worst per-beat bank-conflict degree of one issue (local
-    /// accesses): the most distinct words any single bank had to
-    /// serve.
-    pub max_bank_conflict: u32,
-    /// Worst observed coalescing class over contiguous-prefix issues,
-    /// as a rank matching `ggpu_lint::CoalescingClass::rank` (0
-    /// broadcast, 1 unit-stride, 2 strided, 3 scattered).
-    pub max_class_rank: u8,
 }
 
-/// A whole-launch execution trace with the memory-system geometry the
-/// observations are judged under.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A whole-launch execution trace; start from `ExecTrace::default()`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecTrace {
-    /// Cache line size in bytes (line counting).
-    pub line_bytes: u32,
-    /// LRAM bank count (conflict degree).
-    pub lram_banks: u32,
-    /// Lanes served per LRAM beat.
-    pub pes: u32,
     /// Per-PC observations; grows on demand.
     pub insts: Vec<InstTrace>,
 }
 
 impl ExecTrace {
-    /// An empty trace judged under the given geometry. Use the same
-    /// values as the `AnalysisCtx` the predictions came from.
-    pub fn new(line_bytes: u32, lram_banks: u32, pes: u32) -> Self {
-        Self {
-            line_bytes: line_bytes.max(1),
-            lram_banks: lram_banks.max(1),
-            pes: pes.max(1),
-            insts: Vec::new(),
-        }
-    }
-
     /// The observation slot for `pc`, if anything was recorded there.
     pub fn at(&self, pc: usize) -> Option<&InstTrace> {
         self.insts.get(pc)
@@ -103,24 +72,19 @@ impl ExecTrace {
 
     /// Records one observed memory issue. `lanes` holds `(address,
     /// stored value)` pairs in ascending lane order for every issued
-    /// lane (`value` is ignored for loads); `contiguous` says the
-    /// issue mask was a `0..n` lane prefix; `bound_words` is the word
+    /// lane (`value` is ignored for loads); `bound_words` is the word
     /// count of the accessed memory.
     pub fn record_access(
         &mut self,
         pc: usize,
         local: bool,
         is_store: bool,
-        contiguous: bool,
         lanes: &[(u32, u32)],
         bound_words: usize,
     ) {
         if lanes.is_empty() {
             return;
         }
-        let line_bytes = u64::from(self.line_bytes);
-        let banks = self.lram_banks;
-        let pes = self.pes as usize;
         let t = self.entry(pc);
         t.issues += 1;
 
@@ -145,16 +109,14 @@ impl ExecTrace {
                 completing = i;
             }
         }
-        // Everything below describes committed architectural effects
-        // and cost, so it only covers the completing prefix: the
-        // simulator visits lanes in ascending order and faults at the
-        // first bad one.
-        let done = &lanes[..completing];
 
         if local && is_store {
             // Race: two committed writes to one word with different
             // values. Same-value collisions are order-insensitive and
-            // benign — exactly the K012 contract.
+            // benign — exactly the K012 contract. Only the completing
+            // prefix commits: the simulator visits lanes in ascending
+            // order and faults at the first bad one.
+            let done = &lanes[..completing];
             let mut words: Vec<(u32, u32)> = Vec::with_capacity(done.len());
             for &(addr, value) in done {
                 let w = addr / 4;
@@ -163,43 +125,6 @@ impl ExecTrace {
                     None => words.push((w, value)),
                 }
             }
-        }
-
-        if local {
-            // Bank conflicts: lanes are served in beats of `pes`; a
-            // bank's degree per beat is the number of *distinct* words
-            // it must deliver (same-word lanes broadcast in one read).
-            for beat in done.chunks(pes.max(1)) {
-                let mut per_bank: Vec<(u32, u32)> = Vec::with_capacity(beat.len());
-                for &(addr, _) in beat {
-                    let w = addr / 4;
-                    let b = w % banks;
-                    if !per_bank.contains(&(b, w)) {
-                        per_bank.push((b, w));
-                    }
-                }
-                for &(b, _) in &per_bank {
-                    let degree = per_bank.iter().filter(|&&(pb, _)| pb == b).count() as u32;
-                    t.max_bank_conflict = t.max_bank_conflict.max(degree);
-                }
-            }
-        } else {
-            // Cache lines: distinct lines over the committed lanes.
-            let mut lines: Vec<u64> = Vec::with_capacity(done.len());
-            for &(addr, _) in done {
-                let line = u64::from(addr) / line_bytes;
-                if !lines.contains(&line) {
-                    lines.push(line);
-                }
-            }
-            t.max_lines = t.max_lines.max(lines.len() as u32);
-        }
-
-        // Coalescing class of this issue — only meaningful when the
-        // issue mask is a contiguous lane prefix (consecutive local
-        // ids), which is what the lane-affine prediction describes.
-        if contiguous {
-            t.max_class_rank = t.max_class_rank.max(classify(lanes));
         }
     }
 
@@ -211,86 +136,36 @@ impl ExecTrace {
     }
 }
 
-/// Ranks one contiguous issue's address pattern: 0 broadcast, 1
-/// unit-stride (±1 word), 2 strided (constant word multiple), 3
-/// scattered. Matches `ggpu_lint::CoalescingClass::rank`.
-fn classify(lanes: &[(u32, u32)]) -> u8 {
-    if lanes.len() <= 1 {
-        return 0;
-    }
-    let first = lanes[0].0;
-    if lanes.iter().all(|&(a, _)| a == first) {
-        return 0;
-    }
-    let d = lanes[1].0.wrapping_sub(lanes[0].0);
-    let constant_stride = lanes.windows(2).all(|w| w[1].0.wrapping_sub(w[0].0) == d);
-    if !constant_stride {
-        return 3;
-    }
-    if d == 4 || d == 4u32.wrapping_neg() {
-        1
-    } else if d.is_multiple_of(4) {
-        2
-    } else {
-        3
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn interval_and_fault_flags_cover_all_lanes() {
-        let mut t = ExecTrace::new(64, 8, 8);
+        let mut t = ExecTrace::default();
         // Lane 1 is unaligned; lane 2's address must still widen the
         // interval even though the machine faults before it commits.
-        t.record_access(3, false, false, true, &[(0, 0), (6, 0), (400, 0)], 64);
+        t.record_access(3, false, false, &[(0, 0), (6, 0), (400, 0)], 64);
         let e = t.at(3).unwrap();
         assert!(e.any_unaligned);
         assert!(e.any_oob); // 400/4 = 100 >= 64
         assert_eq!((e.min_addr, e.max_addr), (0, 400));
-        // Only lane 0 committed: one line.
-        assert_eq!(e.max_lines, 1);
     }
 
     #[test]
     fn racy_write_needs_differing_values_in_completing_prefix() {
-        let mut t = ExecTrace::new(64, 8, 8);
+        let mut t = ExecTrace::default();
         // Same word, same value: benign.
-        t.record_access(0, true, true, true, &[(8, 7), (8, 7)], 4096);
+        t.record_access(0, true, true, &[(8, 7), (8, 7)], 4096);
         assert!(!t.at(0).unwrap().racy_write);
         // Same word, different values: a race.
-        t.record_access(1, true, true, true, &[(8, 7), (8, 9)], 4096);
+        t.record_access(1, true, true, &[(8, 7), (8, 9)], 4096);
         assert!(t.at(1).unwrap().racy_write);
         // The conflicting lane sits past a faulting lane: no race
         // (its store never architecturally happened).
-        t.record_access(2, true, true, true, &[(8, 7), (2, 0), (8, 9)], 4096);
+        t.record_access(2, true, true, &[(8, 7), (2, 0), (8, 9)], 4096);
         let e = t.at(2).unwrap();
         assert!(!e.racy_write);
         assert!(e.any_unaligned);
-    }
-
-    #[test]
-    fn bank_conflicts_count_distinct_words_per_bank() {
-        let mut t = ExecTrace::new(64, 8, 2);
-        // Broadcast: one word, many lanes — degree 1.
-        t.record_access(0, true, false, true, &[(0, 0), (0, 0)], 4096);
-        assert_eq!(t.at(0).unwrap().max_bank_conflict, 1);
-        // Two words 8 banks apart in one beat (pes=2): both hit bank
-        // 0 — degree 2.
-        t.record_access(1, true, false, true, &[(0, 0), (32, 0)], 4096);
-        assert_eq!(t.at(1).unwrap().max_bank_conflict, 2);
-    }
-
-    #[test]
-    fn classifier_ranks_stride_patterns() {
-        assert_eq!(classify(&[(100, 0)]), 0);
-        assert_eq!(classify(&[(100, 0), (100, 0)]), 0);
-        assert_eq!(classify(&[(0, 0), (4, 0), (8, 0)]), 1);
-        assert_eq!(classify(&[(8, 0), (4, 0), (0, 0)]), 1);
-        assert_eq!(classify(&[(0, 0), (32, 0), (64, 0)]), 2);
-        assert_eq!(classify(&[(0, 0), (5, 0), (10, 0)]), 3);
-        assert_eq!(classify(&[(0, 0), (4, 0), (12, 0)]), 3);
     }
 }

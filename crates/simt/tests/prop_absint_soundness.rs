@@ -1,12 +1,12 @@
 //! Simulator-checked soundness of the abstract interpreter.
 //!
 //! The lint crate's absint engine *claims* facts about kernels —
-//! address bounds (K010), alignment (K011), local-store races (K012),
-//! branch uniformity and per-access coalescing/bank-conflict cost.
-//! None of those claims are trusted here: randomized programs run on
-//! both execution backends with the trace oracle attached, and every
-//! abstract prediction must over-approximate what the machine actually
-//! did:
+//! address intervals, bounds (K010), alignment (K011), local-store
+//! races (K012) and branch uniformity, which feeds the divergence
+//! analysis. None of those claims are trusted here: randomized
+//! programs run on both execution backends with the trace oracle
+//! attached, and every abstract prediction must over-approximate what
+//! the machine actually did:
 //!
 //! * every concrete address lies inside the predicted interval;
 //! * a concrete out-of-bounds access implies a K010 finding (or the
@@ -14,22 +14,17 @@
 //!   design);
 //! * a concrete unaligned access implies a K011 finding — no escape;
 //! * a concrete racy local store implies a K012 finding — no escape;
-//! * a branch that concretely diverged is never proven uniform;
-//! * observed cache-line counts, bank-conflict degrees and coalescing
-//!   class ranks never exceed the predicted bounds.
+//! * a branch that concretely diverged is never proven uniform.
 //!
 //! The two backends' traces must also be identical to each other,
 //! extending the bit-identity contract to the observation hook.
 
 use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use ggpu_lint::{
-    analyze, verify_program_with_ctx, AnalysisCtx, CoalescingClass, Code, LintConfig,
-    MemAccessSummary, Report,
+    analyze, verify_program_with_ctx, AnalysisCtx, Code, LintConfig, MemAccessSummary, Report,
 };
 use ggpu_prop::{cases, Rng};
-use ggpu_simt::{
-    AccelBackend, ExecTrace, Gpu, Kernel, Launch, LramModel, SimError, SimtConfig, LOCAL_WORDS,
-};
+use ggpu_simt::{AccelBackend, ExecTrace, Gpu, Kernel, Launch, SimError, SimtConfig, LOCAL_WORDS};
 
 const PARAM_SLOTS: usize = 8;
 
@@ -148,7 +143,7 @@ fn run_traced(
 ) -> (Result<(), SimError>, ExecTrace) {
     let mut gpu = Gpu::new(SimtConfig::with_cus(1).with_backend(backend), memory_words);
     gpu.write_words(0, init).expect("init memory");
-    let mut trace = ExecTrace::new(64, 8, 8);
+    let mut trace = ExecTrace::default();
     let res = gpu.launch_traced(kernel, launch, &mut trace).map(|_| ());
     (res, trace)
 }
@@ -210,26 +205,6 @@ fn check_soundness(program: &[Inst], ctx: &AnalysisCtx, trace: &ExecTrace, label
                 "{label}: concrete racy local store at {pc} without K012\n{report}"
             );
         }
-        match s.space {
-            ggpu_lint::MemSpace::Global => assert!(
-                t.max_lines <= s.max_lines_per_issue,
-                "{label}: inst {pc} touched {} lines, predicted at most {}",
-                t.max_lines,
-                s.max_lines_per_issue
-            ),
-            ggpu_lint::MemSpace::Local => assert!(
-                t.max_bank_conflict <= s.bank_conflict_degree,
-                "{label}: inst {pc} hit bank degree {}, predicted at most {}",
-                t.max_bank_conflict,
-                s.bank_conflict_degree
-            ),
-        }
-        assert!(
-            t.max_class_rank <= s.class.rank(),
-            "{label}: inst {pc} observed class rank {} worse than predicted {:?}",
-            t.max_class_rank,
-            s.class
-        );
     }
 }
 
@@ -275,127 +250,6 @@ fn abstract_predictions_over_approximate_concrete_traces() {
         let label = format!("gs={gs} wgs={wgs} mem={memory_words} res={res_scalar:?}");
         check_soundness(&program, &ctx, &trace_scalar, &label);
     });
-}
-
-/// Like [`run_traced`] but under a banked LRAM: the simulator charges
-/// conflict beats for the given geometry and the trace oracle judges
-/// conflict degrees against the same bank count.
-fn run_traced_banked(
-    backend: AccelBackend,
-    kernel: &Kernel,
-    launch: &Launch,
-    memory_words: usize,
-    init: &[u32],
-    banks: u32,
-) -> (Result<(), SimError>, ExecTrace) {
-    let mut config = SimtConfig::with_cus(1).with_backend(backend);
-    config.lram = LramModel::Banked { banks };
-    let mut gpu = Gpu::new(config, memory_words);
-    gpu.write_words(0, init).expect("init memory");
-    let mut trace = ExecTrace::new(64, banks, config.pes_per_cu);
-    let res = gpu.launch_traced(kernel, launch, &mut trace).map(|_| ());
-    (res, trace)
-}
-
-/// Banked geometries: the absint bank-conflict-degree bound must hold
-/// for *every* LRAM geometry, not just the default 8 banks. Randomized
-/// programs run under randomized bank counts with the conflict-aware
-/// timing model engaged; predicted degree >= observed on every local
-/// access, and the two backends agree on trace and outcome throughout.
-#[test]
-fn bank_conflict_bound_holds_across_geometries() {
-    cases(96, |rng| {
-        let banks = rng.pick_copy(&[1u32, 2, 3, 4, 8, 16]);
-        let program = gen_program(rng);
-        let wgs = rng.pick_copy(&[4u32, 8, 16, 32]);
-        let gs = wgs * rng.u32_in(1, 2);
-        let memory_words = rng.usize_in(64, 256);
-        let params: Vec<u32> = (0..4)
-            .map(|_| rng.u32_in(0, (memory_words as u32 - 1) * 4) & !3)
-            .collect();
-        let init: Vec<u32> = (0..memory_words).map(|_| rng.u32_in(0, 255) * 4).collect();
-
-        let kernel = Kernel {
-            name: "bankprop".into(),
-            program: program.clone(),
-        };
-        let launch = Launch::new(gs, wgs, params.clone());
-        let (res_scalar, trace_scalar) = run_traced_banked(
-            AccelBackend::Scalar,
-            &kernel,
-            &launch,
-            memory_words,
-            &init,
-            banks,
-        );
-        let (res_soa, trace_soa) = run_traced_banked(
-            AccelBackend::Soa,
-            &kernel,
-            &launch,
-            memory_words,
-            &init,
-            banks,
-        );
-        assert_eq!(res_scalar, res_soa, "banked outcomes diverged");
-        assert_eq!(trace_scalar, trace_soa, "banked traces diverged");
-
-        let mut padded = vec![0u32; PARAM_SLOTS];
-        padded[..params.len()].copy_from_slice(&params);
-        let ctx = AnalysisCtx {
-            params: Some(padded),
-            global_size: Some(gs),
-            workgroup_size: Some(wgs),
-            memory_words: Some(memory_words as u32),
-            lram_words: LOCAL_WORDS as u32,
-            lram_banks: banks,
-            ..AnalysisCtx::default()
-        };
-        let label = format!("banks={banks} gs={gs} wgs={wgs} res={res_scalar:?}");
-        check_soundness(&program, &ctx, &trace_scalar, &label);
-    });
-}
-
-/// Bug-injection pin: a strided local store that conflicts on a banked
-/// LRAM. Stride-two words over four banks land eight lanes on two
-/// banks (degree 4); doubling the banks halves the degree — and the
-/// abstract prediction is tight, not merely sound, on both geometries.
-#[test]
-fn strided_local_conflict_degree_is_tight() {
-    let kernel = Kernel::from_asm(
-        "stride2",
-        "gid  r1
-         slli r2, r1, 3
-         swl  r2, r1, 0
-         ret",
-    )
-    .expect("assembles");
-    let launch = Launch::new(8, 8, vec![]);
-    for (banks, degree) in [(4u32, 4u32), (8, 2)] {
-        let (res, trace) =
-            run_traced_banked(AccelBackend::Scalar, &kernel, &launch, 64, &[], banks);
-        assert_eq!(res, Ok(()));
-        let t = trace.at(2).expect("store observed");
-        assert_eq!(
-            t.max_bank_conflict, degree,
-            "observed degree at {banks} banks"
-        );
-
-        let ctx = AnalysisCtx {
-            params: Some(vec![0; PARAM_SLOTS]),
-            global_size: Some(8),
-            workgroup_size: Some(8),
-            memory_words: Some(64),
-            lram_banks: banks,
-            ..AnalysisCtx::default()
-        };
-        let analysis = analyze(&kernel.program, &ctx);
-        let s = analysis.summary_at(2).expect("summary");
-        assert_eq!(
-            s.bank_conflict_degree, degree,
-            "predicted degree at {banks} banks"
-        );
-        check_soundness(&kernel.program, &ctx, &trace, "pinned-stride2");
-    }
 }
 
 /// Bug-injection pin: a store provably past the global bound faults in
@@ -529,7 +383,9 @@ fn concrete_unaligned_access_is_covered_by_k011() {
 /// Bug-injection pin: a branch on the local id concretely diverges and
 /// is never claimed uniform, while a branch on a parameter stays
 /// convergent and *is* proven uniform — the two sides of the
-/// uniformity claim.
+/// uniformity claim. A second program pins the solver's lane-mixing
+/// rule: a value that is uniform on each side of a divergent branch
+/// is per-lane at the merge.
 #[test]
 fn branch_uniformity_claims_match_observed_divergence() {
     let program = vec![
@@ -596,54 +452,36 @@ fn branch_uniformity_claims_match_observed_divergence() {
     assert!(!analysis.uniform_branches.contains(&2));
     assert!(analysis.uniform_branches.contains(&5));
     check_soundness(&program, &ctx, &trace, "pinned-divergence");
-}
 
-/// The coalescing half of the oracle on the canonical access shapes:
-/// unit-stride, broadcast and strided predictions are tight (equal to
-/// the observation), not just sound.
-#[test]
-fn coalescing_predictions_are_tight_on_canonical_shapes() {
-    // gid*4 + param: unit stride.
-    let unit = vec![
-        Inst::ReadId {
-            rd: Reg::new(1),
-            src: IdSource::GlobalId,
-        },
-        Inst::AluImm {
-            op: AluOp::Sll,
-            rd: Reg::new(2),
-            rs1: Reg::new(1),
-            imm: 2,
-        },
-        Inst::Lw {
-            rd: Reg::new(3),
-            rs1: Reg::new(2),
-            imm: 0,
-        },
-        Inst::Ret,
-    ];
-    let kernel = Kernel {
-        name: "unit".into(),
-        program: unit.clone(),
-    };
-    let launch = Launch::new(64, 64, vec![]);
-    let (res, trace) = run_traced(AccelBackend::Scalar, &kernel, &launch, 256, &[]);
+    // Lane 0 reaches `skip` from the divergent branch with r2 = 0, the
+    // other lanes fall through and set r2 = 1: each path's r2 is
+    // uniform, the merged r2 is not, so the branch at 4 diverges.
+    // Joining the two paths' r2 as one uniform value would prove it
+    // uniform.
+    let mixed = Kernel::from_asm(
+        "mix",
+        "lid  r1
+         addi r2, r0, 0
+         beq  r1, r0, skip
+         addi r2, r0, 1
+         skip:
+         beq  r2, r0, end
+         addi r3, r3, 1
+         end:
+         ret",
+    )
+    .expect("assembles");
+    let launch = Launch::new(8, 8, vec![]);
+    let (res, trace) = run_traced(AccelBackend::Scalar, &mixed, &launch, 64, &[]);
     assert_eq!(res, Ok(()));
-    let t = trace.at(2).expect("load observed");
-    assert_eq!(t.max_class_rank, CoalescingClass::UnitStride.rank());
-
+    assert!(trace.at(4).expect("branch observed").divergent_branch);
     let ctx = AnalysisCtx {
         params: Some(vec![0; PARAM_SLOTS]),
-        global_size: Some(64),
-        workgroup_size: Some(64),
-        memory_words: Some(256),
-        ..AnalysisCtx::default()
+        ..ctx
     };
-    let analysis = analyze(&unit, &ctx);
-    let s = analysis.summary_at(2).expect("summary");
-    assert_eq!(s.class, CoalescingClass::UnitStride);
-    // 64 lanes × 4 bytes over 64-byte lines: 4 lines, + the interval
-    // slack the bound formula allows.
-    assert!(t.max_lines <= s.max_lines_per_issue);
-    check_soundness(&unit, &ctx, &trace, "pinned-unit-stride");
+    assert_eq!(
+        analyze(&mixed.program, &ctx).uniform_branches,
+        Vec::<usize>::new()
+    );
+    check_soundness(&mixed.program, &ctx, &trace, "pinned-lane-mixing");
 }

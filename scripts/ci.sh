@@ -71,6 +71,13 @@ echo "== fork property suite (release, raised case count) =="
 # images. The workspace tests above run it at its default 48 cases.
 GGPU_PROP_CASES=1000 cargo test --release -q -p ggpu-simt --test prop_fork
 
+echo "== absint soundness suite (release, raised case count) =="
+# Randomized kernels on both backends with the trace oracle attached:
+# address intervals, K010-K012 and branch uniformity against what the
+# machine did. Rare shapes (a lane-mixing merge the solver must demote
+# to varying) first show up past the default 128 cases.
+GGPU_PROP_CASES=20000 cargo test --release -q -p ggpu-simt --test prop_absint_soundness
+
 echo "== fault campaign suite (release, raised case count) =="
 # The campaign-level fork equivalence (every forked trial against a
 # fresh launch), the checkpoint resume properties and the no-panic
