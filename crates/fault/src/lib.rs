@@ -18,10 +18,9 @@
 //!   macro's exposure;
 //! * [`workload`] — the benchmark kernels as repeatable launches with
 //!   golden outputs;
-//! * [`campaign`] — the deterministic, parallel, checkpoint/resumable
-//!   Monte-Carlo runner with the standard outcome taxonomy
-//!   (masked / SDC / detected-corrected / detected-uncorrectable /
-//!   hang / crash);
+//! * [`campaign`] — the deterministic, parallel Monte-Carlo runner
+//!   with the standard outcome taxonomy (masked / SDC /
+//!   detected-corrected / detected-uncorrectable / hang / crash);
 //! * [`report`] — per-macro AVF campaign reports and the static
 //!   [`ResilienceReport`] the planner attaches to generated versions,
 //!   both with byte-stable JSON.
@@ -52,7 +51,7 @@ pub mod report;
 pub mod rng;
 pub mod workload;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignError, Outcome, TrialRecord};
+pub use campaign::{run_campaign, CampaignConfig, CampaignError, Outcome};
 pub use map::{Domain, Geometry, MacroMap, MacroSite, MapError};
 pub use report::{CampaignReport, MacroAvf, OutcomeCounts, ResilienceReport, ResilienceRow};
 pub use rng::Rng;

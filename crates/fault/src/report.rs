@@ -3,11 +3,13 @@
 //! JSON is hand-rolled (the workspace is dependency-free) with fixed
 //! field order and fixed-precision floats, so identical campaigns
 //! serialize to identical bytes — the determinism contract tested in
-//! `tests/campaign.rs`.
+//! `tests/campaign.rs`. Every string goes through one escaper, since
+//! macro paths are netlist instance names, which may hold any
+//! character.
 
 use crate::map::MacroMap;
 use ggpu_tech::sram::EccScheme;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::campaign::Outcome;
 
@@ -76,6 +78,31 @@ impl OutcomeCounts {
     }
 }
 
+/// A string rendered as a JSON string literal: quoted, with quotes,
+/// backslashes and control characters escaped.
+struct Json<'a>(&'a str);
+
+impl fmt::Display for Json<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut clean = 0;
+        // Every character that needs escaping is one ASCII byte, so
+        // the runs between them slice on character boundaries.
+        for (i, b) in self.0.bytes().enumerate() {
+            if b == b'"' || b == b'\\' || b < b' ' {
+                f.write_str(&self.0[clean..i])?;
+                match b {
+                    b'"' | b'\\' => write!(f, "\\{}", char::from(b))?,
+                    _ => write!(f, "\\u{b:04x}")?,
+                }
+                clean = i + 1;
+            }
+        }
+        f.write_str(&self.0[clean..])?;
+        f.write_char('"')
+    }
+}
+
 /// Per-macro campaign attribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacroAvf {
@@ -122,7 +149,7 @@ impl CampaignReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"kernel\": \"{}\",", self.kernel);
+        let _ = writeln!(out, "  \"kernel\": {},", Json(&self.kernel));
         let _ = writeln!(out, "  \"n\": {},", self.n);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"trials\": {},", self.trials);
@@ -134,10 +161,10 @@ impl CampaignReport {
         for (i, m) in self.macros.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"path\": \"{}\", \"role\": \"{}\", \"ecc\": \"{}\", \"exposure\": {:.6}, \"injections\": {}, \"avf\": {:.6}, \"outcomes\": {}}}{}",
-                m.path,
-                m.role,
-                m.scheme,
+                "    {{\"path\": {}, \"role\": {}, \"ecc\": {}, \"exposure\": {:.6}, \"injections\": {}, \"avf\": {:.6}, \"outcomes\": {}}}{}",
+                Json(&m.path),
+                Json(&m.role),
+                Json(m.scheme.as_str()),
                 m.exposure,
                 m.counts.total(),
                 m.counts.avf(),
@@ -260,7 +287,7 @@ impl ResilienceReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"policy\": \"{}\",", self.policy);
+        let _ = writeln!(out, "  \"policy\": {},", Json(&self.policy));
         let _ = writeln!(out, "  \"data_bits\": {},", self.data_bits_total());
         let _ = writeln!(out, "  \"stored_bits\": {},", self.stored_bits_total());
         let _ = writeln!(out, "  \"overhead_pct\": {:.4},", self.overhead_pct());
@@ -273,10 +300,10 @@ impl ResilienceReport {
         for (i, r) in self.rows.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"path\": \"{}\", \"role\": \"{}\", \"ecc\": \"{}\", \"words\": {}, \"data_bits\": {}, \"check_bits\": {}, \"exposure\": {:.6}}}{}",
-                r.path,
-                r.role,
-                r.scheme,
+                "    {{\"path\": {}, \"role\": {}, \"ecc\": {}, \"words\": {}, \"data_bits\": {}, \"check_bits\": {}, \"exposure\": {:.6}}}{}",
+                Json(&r.path),
+                Json(&r.role),
+                Json(r.scheme.as_str()),
                 r.words,
                 r.data_bits,
                 r.check_bits,
@@ -315,5 +342,57 @@ mod tests {
     #[test]
     fn empty_counts_avf_is_zero() {
         assert_eq!(OutcomeCounts::default().avf(), 0.0);
+    }
+
+    /// Quotes, backslashes and control characters in macro names and
+    /// labels come out escaped, so both reports stay valid JSON.
+    #[test]
+    fn reports_escape_their_strings() {
+        use ggpu_netlist::module::Module;
+        use ggpu_netlist::{CellGroup, Design, EccPolicy, MacroInst, MemoryRole};
+        use ggpu_tech::sram::SramConfig;
+        use ggpu_tech::stdcell::CellClass;
+
+        let mut design = Design::new("t");
+        let top = Module::new("top")
+            .with_group(CellGroup::new("g", CellClass::Inv, 1, 0.1))
+            .with_macro(MacroInst::new(
+                "rf\"0\\x\t",
+                SramConfig::dual(512, 32),
+                MemoryRole::RegisterFile,
+                0.5,
+            ));
+        let id = design.add_module(top);
+        design.set_top(id);
+        let map = MacroMap::from_design(&design, &EccPolicy::unprotected()).unwrap();
+        let path = r#""path": "rf\"0\\x\u0009""#;
+
+        let resilience = ResilienceReport::from_map(&map, "uniform \"parity\"").to_json();
+        assert!(resilience.contains(path), "{resilience}");
+        assert!(
+            resilience.contains(r#""policy": "uniform \"parity\"","#),
+            "{resilience}"
+        );
+
+        let site = &map.sites()[0];
+        let campaign = CampaignReport {
+            kernel: "k\"1".into(),
+            n: 1,
+            seed: 1,
+            trials: 0,
+            compute_units: 1,
+            golden_cycles: 1,
+            counts: OutcomeCounts::default(),
+            macros: vec![MacroAvf {
+                path: site.path.clone(),
+                role: site.role.to_string(),
+                scheme: site.scheme,
+                exposure: map.exposure(0),
+                counts: OutcomeCounts::default(),
+            }],
+        }
+        .to_json();
+        assert!(campaign.contains(path), "{campaign}");
+        assert!(campaign.contains(r#""kernel": "k\"1","#), "{campaign}");
     }
 }

@@ -23,8 +23,9 @@ impl Rng {
     }
 
     /// A per-trial generator: mixes the campaign seed with the trial
-    /// index so trial `i`'s stream is independent of how many trials
-    /// ran before it (required for checkpoint/resume determinism).
+    /// index so trial `i`'s stream is independent of which trials ran
+    /// before it (required for thread-count determinism: a campaign's
+    /// report does not depend on how its trials split across workers).
     pub fn for_trial(seed: u64, trial: u64) -> Self {
         let mut r = Self::seeded(seed ^ trial.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         // Burn one output so adjacent trial seeds decorrelate.

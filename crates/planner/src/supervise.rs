@@ -100,8 +100,7 @@ pub enum FlowErrorKind {
     /// The planning flow failed (wraps configuration, DSE, synthesis,
     /// PnR and lint errors).
     Plan(PlanError),
-    /// The fault campaign failed (wraps workload, setup and
-    /// checkpoint/WAL errors).
+    /// The fault campaign failed (wraps workload and set-up errors).
     Campaign(CampaignError),
     /// Kernel verification or the backend smoke run failed.
     Verify(String),

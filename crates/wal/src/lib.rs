@@ -1,18 +1,17 @@
-//! Crash-safe persistence for resumable campaigns.
+//! Crash-safe persistence for resumable DSE sweeps.
 //!
-//! Extracted from the fault crate's checkpoint runner so the
-//! long-running flows — SEU campaigns and DSE sweep campaigns — share
-//! one audited implementation of the pattern that makes `kill -9`
-//! recoverable: [`Journal`], an append-only *write-ahead* line file.
-//! The first line is a caller-supplied header that fingerprints the
-//! campaign; every completed unit of work appends exactly one
-//! `\n`-terminated record line (synced with `fsync` by default).
-//! Opening an existing journal validates the header, returns every
-//! *complete* record line, and **repairs a torn tail**: a final line
-//! without a trailing newline is the signature of a process killed
-//! mid-write, so it is truncated away (the unit of work it described
-//! simply re-runs) instead of corrupting subsequent appends. The
-//! journal as written is the campaign's record; nothing rewrites it.
+//! [`Journal`] is an append-only *write-ahead* line file: the pattern
+//! that makes `kill -9` of a long sweep recoverable. Its one user is
+//! `GpuPlanner::sweep`. The first line is a caller-supplied header
+//! that fingerprints the campaign; every completed unit of work
+//! appends exactly one `\n`-terminated record line, fsynced before
+//! the append returns. Opening an existing journal validates the
+//! header, returns every *complete* record line, and **repairs a torn
+//! tail**: a final line without a trailing newline is the signature of
+//! a process killed mid-write, so it is truncated away (the unit of
+//! work it described simply re-runs) instead of corrupting subsequent
+//! appends. The journal as written is the campaign's record; nothing
+//! rewrites it.
 //!
 //! Every failure carries the path and the operation that failed
 //! ([`WalError`]), so campaign-level errors can report *which* file
@@ -116,7 +115,6 @@ impl std::error::Error for WalError {
 pub struct Journal {
     path: PathBuf,
     file: File,
-    sync: bool,
 }
 
 impl Journal {
@@ -180,7 +178,6 @@ impl Journal {
             Self {
                 path: path.to_path_buf(),
                 file,
-                sync: true,
             },
             records,
         ))
@@ -199,17 +196,7 @@ impl Journal {
         Ok(Self {
             path: path.to_path_buf(),
             file,
-            sync: true,
         })
-    }
-
-    /// Disables the per-append `fsync` (for callers whose record rate
-    /// makes the sync dominate and who accept losing the OS-buffered
-    /// tail on power failure; a process `kill -9` still loses
-    /// nothing).
-    pub fn with_sync(mut self, sync: bool) -> Self {
-        self.sync = sync;
-        self
     }
 
     /// Appends one record line (must not contain `\n`) and syncs it.
@@ -220,12 +207,9 @@ impl Journal {
     pub fn append(&mut self, line: &str) -> Result<(), WalError> {
         debug_assert!(!line.contains('\n'), "journal records are single lines");
         writeln!(self.file, "{line}").map_err(|e| WalError::new(&self.path, WalOp::Append, e))?;
-        if self.sync {
-            self.file
-                .sync_data()
-                .map_err(|e| WalError::new(&self.path, WalOp::Sync, e))?;
-        }
-        Ok(())
+        self.file
+            .sync_data()
+            .map_err(|e| WalError::new(&self.path, WalOp::Sync, e))
     }
 }
 

@@ -24,6 +24,30 @@ if grep -rnE '\bstatic\s+(mut\s+)?[A-Z_][A-Z0-9_]*\s*:|thread_local!' crates/*/s
     exit 1
 fi
 
+echo "== every declared dependency is used =="
+# A package's [dependencies] entry on a workspace crate that no file
+# under its src/ names is an edge nothing uses. Two such edges wait for
+# the next benchmark change (ROADMAP item 6): dropping either rewrites
+# perfbench/Cargo.lock, which the perfbench steps below build --locked.
+unused_allowed=" ggpu-pnr->ggpu-synth ggpu-fault->ggpu-wal "
+members=" $(sed -n 's/^name = "\(.*\)"$/\1/p' crates/*/Cargo.toml | tr '\n' ' ') "
+unused=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    package=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]*\)[ .=].*/\1/p' "$manifest"); do
+        case "$members" in *" $dep "*) ;; *) continue ;; esac
+        case "$unused_allowed" in *" $package->$dep "*) continue ;; esac
+        if ! grep -rqw "${dep//-/_}" "$dir/src"; then
+            unused="$unused $package->$dep"
+        fi
+    done
+done
+if [ -n "$unused" ]; then
+    echo "declared but unused workspace dependencies:$unused" >&2
+    exit 1
+fi
+
 echo "== docs (rustdoc, warnings are errors) =="
 # Catches intra-doc links to private, renamed or deleted items.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -80,8 +104,8 @@ GGPU_PROP_CASES=20000 cargo test --release -q -p ggpu-simt --test prop_absint_so
 
 echo "== fault campaign suite (release, raised case count) =="
 # The campaign-level fork equivalence (every forked trial against a
-# fresh launch), the checkpoint resume properties and the no-panic
-# fuzz (at 500 cases), under the optimizer.
+# fresh launch), the thread-count determinism of the reports and the
+# no-panic fuzz (at 500 cases), under the optimizer.
 GGPU_PROP_CASES=500 cargo test --release -q -p ggpu-fault
 
 echo "== perfbench (unit tests, release) =="

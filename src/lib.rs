@@ -1,4 +1,5 @@
 //! Facade crate re-exporting the whole G-GPU / GPUPlanner reproduction.
+pub use ggpu_fault as fault;
 pub use ggpu_isa as isa;
 pub use ggpu_kernels as kernels;
 pub use ggpu_lint as lint;

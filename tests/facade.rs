@@ -1,9 +1,10 @@
 //! The root `g-gpu` facade must re-export every subsystem usable
 //! together in one namespace.
 
+use g_gpu::fault::MacroMap;
 use g_gpu::isa::assemble as simt_assemble;
 use g_gpu::kernels::all;
-use g_gpu::netlist::Design;
+use g_gpu::netlist::{Design, EccPolicy};
 use g_gpu::planner::{GpuPlanner, Specification};
 use g_gpu::riscv::assemble as rv_assemble;
 use g_gpu::rtl::GgpuConfig;
@@ -22,6 +23,10 @@ fn every_subsystem_is_reachable_through_the_facade() {
     // synth
     let report = g_gpu::synth::synthesize(&design, &tech, Mhz::new(500.0)).unwrap();
     assert!(report.meets_timing);
+
+    // fault
+    let map = MacroMap::from_design(&design, &EccPolicy::unprotected()).unwrap();
+    assert!(!map.sites().is_empty());
 
     // planner
     let planner = GpuPlanner::new(tech);
