@@ -104,6 +104,12 @@ fn arb_inst(rng: &mut Rng) -> Inst {
 
 #[test]
 fn encode_decode_roundtrip() {
+    // A `lui` immediate with its top bit set once failed to round-trip.
+    let pinned = Inst::Lui {
+        rd: Reg::new(0),
+        imm: 0x8000,
+    };
+    assert_eq!(decode(encode(pinned)).expect("encodable"), pinned);
     cases(512, |rng| {
         let inst = arb_inst(rng);
         assert_eq!(decode(encode(inst)).expect("encodable"), inst);

@@ -107,7 +107,7 @@ pub enum Code {
     N009,
     /// Flow supervision: the supervised flow fell back from a
     /// configured engine to a degraded one (SoA backend → scalar,
-    /// incremental STA → uncached STA). Degradations
+    /// cached STA → uncached STA). Degradations
     /// are legitimate — that is the point of the ladder — but must
     /// never be silent: each one surfaces here and in the datasheet,
     /// and CI's `--deny warn` turns a degraded run into a failure.

@@ -103,10 +103,6 @@ pub fn verify_program_with_ctx(
     config: &LintConfig,
     ctx: &AnalysisCtx,
 ) -> Report {
-    verify_impl(name, program, config, ctx)
-}
-
-fn verify_impl(name: &str, program: &[Inst], config: &LintConfig, ctx: &AnalysisCtx) -> Report {
     let mut report = Report::new(name);
     if program.is_empty() {
         report.push(

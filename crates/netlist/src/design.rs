@@ -272,8 +272,9 @@ impl Design {
     ///
     /// Deterministic across processes and designs: two modules with
     /// bit-identical contents fingerprint equal wherever they live,
-    /// which is what lets the incremental STA engine share timed
-    /// results between the 24 sweep points of a design-space search.
+    /// and a copy-on-write variant shares the warm slots of every
+    /// module it did not edit, so fingerprinting a transformed design
+    /// rehashes only the modules the transform touched.
     pub fn module_fingerprint(&self, id: ModuleId) -> u64 {
         *self.fp_cache[id.index()].get_or_init(|| {
             let mut h = DefaultHasher::new();

@@ -4,7 +4,7 @@
 //! ([`MacroInst`](crate::MacroInst)); an [`EccPolicy`] records *how*
 //! each architectural role is protected against soft errors. The two
 //! are kept separate on purpose: the macro's structural hash
-//! participates in the incremental-STA fingerprints, so protection (a
+//! participates in the STA memo's fingerprints, so protection (a
 //! planner-level concern that only widens words at compile time) must
 //! not perturb netlist identity.
 //!

@@ -179,8 +179,8 @@ pub struct Instance {
 /// `Hash` covers every field, so a module's hash is a structural
 /// fingerprint of its full contents; [`crate::Design`] caches one
 /// fingerprint per module and invalidates it on mutable access, which
-/// is what makes design-level fingerprinting (and the incremental STA
-/// engine built on it) O(mutated modules) instead of O(whole design).
+/// is what makes design-level fingerprinting (and the STA memo keyed
+/// on it) O(mutated modules) instead of O(whole design).
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Module {
     /// Module (type) name, unique within a design.

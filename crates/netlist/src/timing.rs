@@ -69,9 +69,9 @@ impl LogicStage {
 /// timing path.
 ///
 /// `Hash` is structural: every field participates (the route delay via
-/// its IEEE-754 bit pattern), so the incremental STA engine's
-/// content-addressed cache treats any mutation — endpoint rewiring,
-/// stage edits, route annotation — as a new timing problem.
+/// its IEEE-754 bit pattern), so the planner's content-addressed STA
+/// memo treats any mutation — endpoint rewiring, stage edits, route
+/// annotation — as a new timing problem.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TimingPath {
     /// Descriptive name, unique within the owning module.

@@ -5,28 +5,19 @@
 //! three frequency targets of one CU count share the baseline design
 //! and every common plan prefix. [`StaCache`] memoizes the STA entry
 //! points — `max_frequency` and `analyze` — keyed by a structural
-//! fingerprint of the design and technology (and clock).
+//! fingerprint of the design and technology (and clock), so a repeated
+//! query is a table lookup and a miss runs the full analyzer once.
 //!
-//! Two levels of reuse compose here:
-//!
-//! 1. **Design-level memoization** (this module): a whole-design
-//!    fingerprint maps to the finished `Option<Mhz>` / `TimingReport`,
-//!    so literally repeated queries are table lookups.
-//! 2. **Module-level incrementality** ([`ggpu_sta::IncrementalSta`]):
-//!    when the design-level lookup misses — every DSE iteration
-//!    produces a structurally new design — the backing engine still
-//!    reuses the clock-independent timing of every module whose
-//!    content is unchanged, so a transform that touched one module
-//!    re-times one module. Nobody tells the cache what changed: a
-//!    mutated module has a new fingerprint, and that is the only
-//!    reuse rule.
+//! The fingerprint is the only reuse rule: nobody tells the cache what
+//! changed, and a transformed design has a new fingerprint, so it
+//! misses instead of getting its base's answer.
 //!
 //! Both result tables are sharded 16 ways behind `RwLock`s, so the
 //! `GGPU_THREADS` sweep workers sharing one cache take read locks on
 //! distinct shards instead of serializing on a global mutex.
 
 use ggpu_netlist::Design;
-use ggpu_sta::{analyze, max_frequency, EngineStats, IncrementalSta, StaError, TimingReport};
+use ggpu_sta::{analyze, max_frequency, StaError, TimingReport};
 use ggpu_tech::units::Mhz;
 use ggpu_tech::Tech;
 use std::collections::hash_map::DefaultHasher;
@@ -65,24 +56,21 @@ pub fn fingerprint(design: &Design, tech: &Tech) -> u64 {
 /// How a [`StaCache`] answers queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Full memoization: design-level tables backed by the incremental
-    /// per-module engine.
-    Incremental,
+    /// Design-level memoization of the full analyzer.
+    Memo,
     /// Reference mode: every query recomputes from scratch through
     /// [`ggpu_sta::analyze`] / [`ggpu_sta::max_frequency`], with no
     /// fingerprinting at all. Used by the equivalence property tests.
     Passthrough,
 }
 
-/// A thread-safe memo table for STA results, backed by the
-/// module-level incremental engine.
+/// A thread-safe memo table for STA results.
 ///
 /// Cloning a [`crate::GpuPlanner`] shares its cache (it is held behind
 /// an `Arc`), so parallel workers spawned from one planner all hit the
 /// same table.
 pub struct StaCache {
     mode: Mode,
-    engine: IncrementalSta,
     fmax: [RwLock<HashMap<u64, Option<Mhz>>>; SHARDS],
     reports: [RwLock<HashMap<(u64, u64), TimingReport>>; SHARDS],
     hits: AtomicU64,
@@ -91,7 +79,7 @@ pub struct StaCache {
 
 impl Default for StaCache {
     fn default() -> Self {
-        Self::with_mode(Mode::Incremental)
+        Self::with_mode(Mode::Memo)
     }
 }
 
@@ -110,7 +98,6 @@ impl StaCache {
     fn with_mode(mode: Mode) -> Self {
         Self {
             mode,
-            engine: IncrementalSta::new(),
             fmax: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             reports: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hits: AtomicU64::new(0),
@@ -124,9 +111,9 @@ impl StaCache {
     }
 
     /// A cache that never caches: every query recomputes through the
-    /// full (non-incremental) engine with no fingerprinting. The
-    /// reference for the property tests asserting the incremental
-    /// path is bit-identical.
+    /// full analyzer with no fingerprinting. The reference for the
+    /// property tests asserting the memoized path is bit-identical,
+    /// and the supervisor's uncached-STA rung.
     pub fn passthrough() -> Self {
         Self::with_mode(Mode::Passthrough)
     }
@@ -149,7 +136,7 @@ impl StaCache {
             return Ok(*v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = self.engine.max_frequency(design, tech)?;
+        let v = max_frequency(design, tech)?;
         shard.write().expect("sta cache poisoned").insert(key, v);
         Ok(v)
     }
@@ -178,7 +165,7 @@ impl StaCache {
             return Ok(r.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = self.engine.analyze(design, tech, clock)?;
+        let r = analyze(design, tech, clock)?;
         shard
             .write()
             .expect("sta cache poisoned")
@@ -210,18 +197,15 @@ impl StaCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Counters of the backing module-level incremental engine.
-    pub fn engine_stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ggpu_netlist::module::{MacroInst, MemoryRole, Module};
+    use ggpu_netlist::timing::{PathEndpoint, TimingPath};
     use ggpu_rtl::{generate, GgpuConfig};
-    use ggpu_tech::sram::{MemoryCompiler, SramParams};
+    use ggpu_tech::sram::{MemoryCompiler, SramConfig, SramParams};
 
     #[test]
     fn repeated_analyses_hit_the_cache() {
@@ -238,14 +222,10 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 2);
-        // A different clock is a different design-level key, but the
-        // backing engine serves it from clock-independent module
-        // entries: no new module is timed.
-        let timed_before = cache.engine_stats().module_misses;
+        // A different clock is a different key.
         let _ = cache.analyze(&design, &tech, Mhz::new(600.0)).unwrap();
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.entries(), 3);
-        assert_eq!(cache.engine_stats().module_misses, timed_before);
     }
 
     #[test]
@@ -347,5 +327,45 @@ mod tests {
         }
         assert_ne!(seen[0].0, seen[1].0, "the SRAM change must move timing");
         assert!(seen[1].1 < seen[0].1, "slower macros must lower fmax");
+    }
+
+    #[test]
+    fn errors_are_never_memoized() {
+        let mut d = Design::new("bad");
+        let mut m = Module::new("m");
+        m.paths.push(TimingPath::new(
+            "ghost_read",
+            PathEndpoint::Macro("ghost".into()),
+            PathEndpoint::Register,
+            vec![],
+        ));
+        let id = d.add_module(m);
+        d.set_top(id);
+        let tech = Tech::l65();
+        let clock = Mhz::new(500.0);
+        let cache = StaCache::new();
+        for query in 1..=2 {
+            assert!(cache.analyze(&d, &tech, clock).is_err());
+            assert!(cache.max_frequency(&d, &tech).is_err());
+            assert_eq!(cache.misses(), 2 * query);
+            assert_eq!(cache.hits(), 0);
+            assert_eq!(cache.entries(), 0);
+        }
+        // The repaired design has a new fingerprint, and the same
+        // cache answers it as the analyzer does.
+        d.module_mut(id).macros.push(MacroInst::new(
+            "ghost",
+            SramConfig::dual(256, 32),
+            MemoryRole::ScratchRam,
+            0.5,
+        ));
+        assert_eq!(
+            cache.analyze(&d, &tech, clock).unwrap(),
+            analyze(&d, &tech, clock).unwrap()
+        );
+        assert_eq!(
+            cache.max_frequency(&d, &tech).unwrap(),
+            max_frequency(&d, &tech).unwrap()
+        );
     }
 }

@@ -27,9 +27,8 @@
 //! gate.
 //!
 //! The journal does not report which modules a transaction touched:
-//! the incremental STA engine ([`ggpu_sta::IncrementalSta`]) re-times
-//! by content address, so a mutated module misses its cache on its
-//! own.
+//! the STA memo ([`crate::StaCache`]) keys on the design's structural
+//! fingerprint, so a mutated design misses the memo on its own.
 
 use crate::dse::{Action, DseError, OptimizationPlan};
 use ggpu_lint::{check_division, check_pipeline, FlowSnapshot, LintConfig, Report};

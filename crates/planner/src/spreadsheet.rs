@@ -105,13 +105,17 @@ pub fn frequency_map_with_policy(
                     break; // compiler range exceeded
                 };
                 let divided_report = analyze(&divided, tech, target)?;
-                let still_failing = divided_report.paths().iter().any(|p| {
-                    p.module == timing.module
-                        && p.is_violating()
-                        && matches!(&p.start, PathEndpoint::Macro(n)
-                                    if n.starts_with(macro_name.as_str()))
-                });
-                if !still_failing {
+                // The row's own check, so a NaN slack never closes.
+                let closes = divided_report
+                    .paths()
+                    .iter()
+                    .filter(|p| {
+                        p.module == timing.module
+                            && matches!(&p.start, PathEndpoint::Macro(n)
+                                        if n.starts_with(macro_name.as_str()))
+                    })
+                    .all(|p| p.slack.value() >= 0.0);
+                if closes {
                     found = Some(factor);
                     break;
                 }
@@ -136,12 +140,7 @@ pub fn frequency_map_with_policy(
 /// of the paper's spreadsheet.
 pub fn map_to_csv(rows: &[MapRow]) -> String {
     let mut sorted: Vec<&MapRow> = rows.iter().collect();
-    sorted.sort_by(|a, b| {
-        a.slack
-            .value()
-            .partial_cmp(&b.slack.value())
-            .expect("finite slack")
-    });
+    sorted.sort_by(|a, b| a.slack.value().total_cmp(&b.slack.value()));
     let mut out = String::from(
         "module,macro,words,bits,ports,access_ns,slack_ns,divide_by,ecc,ecc_overhead_pct\n",
     );
@@ -287,6 +286,46 @@ mod tests {
             .lines()
             .skip(1)
             .all(|l| l.ends_with(",-,-")));
+    }
+
+    #[test]
+    fn nan_slack_renders_unreachable_without_panicking() {
+        use ggpu_netlist::module::{MacroInst, MemoryRole, Module};
+        use ggpu_netlist::timing::{LogicStage, TimingPath};
+        use ggpu_tech::stdcell::CellClass;
+
+        let mut d = Design::new("nan");
+        let mut m = Module::new("m");
+        for (name, route) in [("good", 0.0), ("corrupt", f64::NAN)] {
+            m.macros.push(MacroInst::new(
+                name,
+                SramConfig::dual(4096, 32),
+                MemoryRole::Other,
+                0.5,
+            ));
+            let mut path = TimingPath::new(
+                format!("{name}_read"),
+                PathEndpoint::Macro(name.into()),
+                PathEndpoint::Register,
+                LogicStage::chain(CellClass::Nand2, 4, 2),
+            );
+            path.route_delay = Ns::new(route);
+            m.paths.push(path);
+        }
+        let id = d.add_module(m);
+        d.set_top(id);
+        let (tech, target) = (Tech::l65(), Mhz::new(500.0));
+        let rows = frequency_map(&d, &tech, target).unwrap();
+        assert_eq!(rows.len(), 2, "{rows:#?}");
+        let corrupt = rows.iter().find(|r| r.macro_name == "corrupt").unwrap();
+        assert!(corrupt.slack.value().is_nan());
+        assert_eq!(corrupt.division_to_close, None, "a NaN slack never closes");
+        let csv = map_to_csv(&rows);
+        let line = csv.lines().find(|l| l.starts_with("m,corrupt,")).unwrap();
+        assert!(line.contains(",NaN,unreachable,"), "{csv}");
+        assert!(render_map(&d, &tech, target)
+            .unwrap()
+            .contains(",unreachable,"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   poisoned spec cannot abort its siblings;
 //! * transient failures retry with a deterministic, seeded, capped
 //!   backoff; persistent ones step down a **degradation ladder**
-//!   (incremental STA → uncached STA, SoA backend → scalar reference
+//!   (cached STA → uncached STA, SoA backend → scalar reference
 //!   engine). Every step is recorded in a structured
 //!   [`DegradationReport`] — degraded results are never
 //!   silent; the design linter surfaces them as `N010` findings
@@ -395,8 +395,8 @@ pub fn spec_fingerprint(spec: &Specification) -> u64 {
 enum Rung {
     /// Verify smoke on this backend.
     Backend(AccelBackend),
-    /// Plan with the greedy search over incremental (`true`) or
-    /// uncached STA.
+    /// Plan with the greedy search over cached (`true`) or uncached
+    /// STA.
     Search { cached_sta: bool },
     /// Implement (single-rung ladder; retry only).
     Implement,
@@ -409,7 +409,7 @@ impl Rung {
         match self {
             Rung::Backend(AccelBackend::Scalar) => "scalar backend",
             Rung::Backend(_) => "SoA backend",
-            Rung::Search { cached_sta: true } => "greedy search + incremental STA",
+            Rung::Search { cached_sta: true } => "greedy search + cached STA",
             Rung::Search { cached_sta: false } => "greedy search + uncached STA",
             Rung::Implement => "shelf placer",
             Rung::Campaign => "fault campaign",
@@ -493,7 +493,7 @@ impl Supervisor {
             },
         )?;
 
-        // Stage 2: plan (incremental STA → uncached STA).
+        // Stage 2: plan (cached STA → uncached STA).
         let plan_rungs = [
             Rung::Search { cached_sta: true },
             Rung::Search { cached_sta: false },
@@ -1062,7 +1062,7 @@ mod tests {
             Rung::Search { cached_sta: true }.name(),
             Rung::Search { cached_sta: false }.name(),
         );
-        assert_eq!(from, "greedy search + incremental STA");
+        assert_eq!(from, "greedy search + cached STA");
         assert_eq!(to, "greedy search + uncached STA");
         let mut report = DegradationReport::default();
         report.steps.push(DegradationStep {

@@ -83,7 +83,11 @@ impl SweepConfig {
 
     /// The journal header: everything a recorded point depends on.
     /// `tech` is [`ggpu_tech::Tech::structural_fingerprint`] and `ecc`
-    /// the planner's ECC override, if any.
+    /// the planner's ECC override, if any. That fingerprint is stable
+    /// only within one Rust toolchain, so a journal written by a binary
+    /// from another toolchain may carry another `tech` value and is
+    /// then refused as foreign ([`SweepError::Checkpoint`]), never
+    /// answered from.
     fn header(&self, points: usize, tech: u64, ecc: Option<EccPolicy>) -> String {
         format!(
             "ggpu-sweep v3 area={:016x} power={:016x} points={points} tech={tech:016x} ecc={}",

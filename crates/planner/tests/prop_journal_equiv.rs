@@ -3,11 +3,11 @@
 //!
 //! Every revert must restore the design exactly — structural
 //! fingerprint, per-module fingerprints, `Debug` rendering and exported
-//! Verilog included — because the incremental STA engine keys on that
-//! content. And a rebase chain must land where a one-shot
-//! replay of the same plan lands. (That the cached STA of a journaled
-//! design matches the full analysis's bits is checked on random plans
-//! in `prop_incremental_equiv.rs`.)
+//! Verilog included — because the STA memo keys on that content. And a
+//! rebase chain must land where a one-shot replay of the same plan
+//! lands. (That the cached STA of a journaled design matches the full
+//! analysis's bits is checked on random plans in
+//! `prop_sta_memo_equiv.rs`.)
 
 mod common;
 

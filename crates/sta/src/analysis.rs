@@ -1,10 +1,10 @@
 //! Arrival-time computation for representative paths.
 
 use crate::report::{PathTiming, TimingReport};
-use ggpu_netlist::timing::PathEndpoint;
+use ggpu_netlist::timing::{PathEndpoint, TimingPath};
 use ggpu_netlist::{Design, ModuleId};
 use ggpu_tech::sram::CompileSramError;
-use ggpu_tech::stdcell::CellClass;
+use ggpu_tech::stdcell::{CellClass, CellSpec};
 use ggpu_tech::units::{FemtoFarads, Mhz, Ns};
 use ggpu_tech::Tech;
 use std::error::Error;
@@ -107,77 +107,58 @@ fn macro_access_time(
     Ok((compiled.access_time, compiled.setup))
 }
 
-/// Clock-independent timing of one path: every component of a
-/// [`PathTiming`] except the slack, which is a function of the clock
-/// period alone. Caching at this granularity makes *any* clock a
-/// cache hit — the incremental engine re-derives slack per query with
-/// the exact arithmetic [`analyze`] uses, so results stay
-/// bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct UnclockedPath {
-    pub(crate) module: String,
-    pub(crate) path: String,
-    pub(crate) start: PathEndpoint,
-    pub(crate) end: PathEndpoint,
-    pub(crate) launch: Ns,
-    pub(crate) logic: Ns,
-    pub(crate) route: Ns,
-    pub(crate) setup: Ns,
-    pub(crate) arrival: Ns,
+/// Clock-independent delays of one path. Slack is a function of the
+/// clock period alone, so [`analyze`] and [`max_frequency`] share one
+/// expression for it ([`Delays::slack`]) and round alike.
+#[derive(Clone, Copy)]
+struct Delays {
+    launch: Ns,
+    logic: Ns,
+    setup: Ns,
+    arrival: Ns,
 }
 
-impl UnclockedPath {
-    /// Instantiates the path at a clock `period`, computing slack with
-    /// the same expression (and therefore the same floating-point
-    /// rounding) as the full analysis.
-    pub(crate) fn at_period(&self, period: Ns) -> PathTiming {
-        let slack = period - CLOCK_UNCERTAINTY - self.setup - self.arrival;
+impl Delays {
+    fn slack(&self, period: Ns) -> Ns {
+        period - CLOCK_UNCERTAINTY - self.setup - self.arrival
+    }
+
+    /// The path's report entry at a clock `period`.
+    fn timing(&self, module: &str, path: &TimingPath, period: Ns) -> PathTiming {
         PathTiming {
-            module: self.module.clone(),
-            path: self.path.clone(),
-            start: self.start.clone(),
-            end: self.end.clone(),
+            module: module.to_string(),
+            path: path.name.clone(),
+            start: path.start.clone(),
+            end: path.end.clone(),
             launch: self.launch,
             logic: self.logic,
-            route: self.route,
+            route: path.route_delay,
             setup: self.setup,
             arrival: self.arrival,
-            slack,
+            slack: self.slack(period),
         }
     }
 }
 
-/// Ascending-slack ordering used everywhere a report is sorted or a
-/// critical path is selected. `total_cmp` instead of
-/// `partial_cmp(..).expect(..)`: a NaN delay (e.g. a corrupt route
-/// annotation) sorts to the report's tail deterministically instead of
-/// panicking the planner mid-sweep.
-pub(crate) fn slack_order(a: &PathTiming, b: &PathTiming) -> std::cmp::Ordering {
-    a.slack.value().total_cmp(&b.slack.value())
-}
-
-/// Times every representative path of module `id`, producing
-/// clock-independent results in the module's declaration order.
+/// Times every representative path of module `id` in declaration
+/// order, handing `visit` each path and its delays.
 ///
 /// Each macro endpoint is compiled at most once per path: a
 /// macro-to-macro path through one memory characterizes its geometry
-/// once. Reuse across analyses is the incremental engine's job
-/// ([`crate::IncrementalSta`] keeps this function's result per module
-/// content).
+/// once.
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] if a path references a missing macro or a
-/// macro geometry is outside the compiler range.
-pub(crate) fn time_module(
-    design: &Design,
+/// Returns [`StaError`] at the first path that references a missing
+/// macro or a macro geometry outside the compiler range.
+fn for_each_path<'d>(
+    design: &'d Design,
     id: ModuleId,
     tech: &Tech,
-) -> Result<Vec<UnclockedPath>, StaError> {
+    mut visit: impl FnMut(&'d TimingPath, Delays),
+) -> Result<(), StaError> {
     let dff = tech.library.cell(CellClass::Dff);
-    let module = design.module(id);
-    let mut out = Vec::with_capacity(module.paths.len());
-    for path in &module.paths {
+    for path in &design.module(id).paths {
         // Launch component. Remember a launching macro's timing so a
         // same-macro capture below reuses it instead of recompiling.
         let mut launch_macro: Option<(&str, (Ns, Ns))> = None;
@@ -193,20 +174,34 @@ pub(crate) fn time_module(
         };
 
         // Logic component: each stage drives the next stage's input
-        // capacitance plus estimated wire load.
+        // capacitance plus estimated wire load. A chain repeats one
+        // cell, so a stage looks its cell up only when its class
+        // differs from the stage before it; each spec also serves as
+        // the previous stage's sink.
         let mut logic = Ns::ZERO;
-        for (i, stage) in path.stages.iter().enumerate() {
-            let spec = tech.library.cell(stage.class);
-            let sink_cap: FemtoFarads = match path.stages.get(i + 1) {
-                Some(next) => tech.library.cell(next.class).input_cap,
+        let mut prev: Option<(CellClass, &CellSpec)> = None;
+        let mut stages = path
+            .stages
+            .iter()
+            .map(|stage| {
+                let spec = match prev {
+                    Some((class, spec)) if class == stage.class => spec,
+                    _ => tech.library.cell(stage.class),
+                };
+                prev = Some((stage.class, spec));
+                (stage.fanout, spec)
+            })
+            .peekable();
+        while let Some((fanout, spec)) = stages.next() {
+            let sink_cap: FemtoFarads = match stages.peek() {
+                Some((_, next)) => next.input_cap,
                 None => match &path.end {
                     PathEndpoint::Register => dff.input_cap,
                     PathEndpoint::Macro(_) => FemtoFarads::new(6.0),
                     _ => FemtoFarads::new(4.0),
                 },
             };
-            let load =
-                tech.wire_load.net_cap(stage.fanout) + sink_cap * f64::from(stage.fanout.max(1));
+            let load = tech.wire_load.net_cap(fanout) + sink_cap * f64::from(fanout.max(1));
             logic += spec.delay(load);
         }
 
@@ -221,19 +216,17 @@ pub(crate) fn time_module(
         };
 
         let arrival = launch + logic + path.route_delay;
-        out.push(UnclockedPath {
-            module: module.name.clone(),
-            path: path.name.clone(),
-            start: path.start.clone(),
-            end: path.end.clone(),
-            launch,
-            logic,
-            route: path.route_delay,
-            setup,
-            arrival,
-        });
+        visit(
+            path,
+            Delays {
+                launch,
+                logic,
+                setup,
+                arrival,
+            },
+        );
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Times every representative path of every module in `design` against
@@ -241,11 +234,9 @@ pub(crate) fn time_module(
 ///
 /// Identical module instances share their internal paths (the paper's
 /// flow likewise places one CU partition and clones it), so each
-/// module is analyzed once regardless of its multiplicity.
-///
-/// This is the full-recompute reference engine; the incremental engine
-/// in [`crate::engine`] is property-tested to return byte-identical
-/// reports.
+/// module is analyzed once regardless of its multiplicity. Ties keep
+/// declaration order (modules in arena order, then paths), because
+/// the sort is stable.
 ///
 /// # Errors
 ///
@@ -255,62 +246,30 @@ pub fn analyze(design: &Design, tech: &Tech, clock: Mhz) -> Result<TimingReport,
     let period = clock.period();
     let mut paths = Vec::new();
     for id in design.module_ids() {
-        for up in time_module(design, id, tech)? {
-            paths.push(up.at_period(period));
-        }
+        let module = &design.module(id).name;
+        for_each_path(design, id, tech, |path, delays| {
+            paths.push(delays.timing(module, path, period));
+        })?;
     }
-    paths.sort_by(slack_order);
+    // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN delay
+    // (e.g. a corrupt route annotation) sorts to the report's tail
+    // deterministically instead of panicking the planner mid-sweep.
+    paths.sort_by(|a, b| a.slack.value().total_cmp(&b.slack.value()));
     Ok(TimingReport::new(clock, paths))
 }
 
 /// Clock used for the single clock-independent probe analysis behind
 /// [`max_frequency`]: path delay does not depend on the clock, so one
 /// analysis at any frequency yields the critical delay.
-pub(crate) const FMAX_PROBE: Mhz = Mhz::new(100.0);
-
-/// Selects the critical (worst-slack) path from an iterator of timed
-/// paths with the exact comparison the report sort uses, keeping the
-/// first among ties — i.e. it returns precisely
-/// `sorted(paths)[0]` without the O(P log P) sort.
-pub(crate) fn select_critical(paths: impl Iterator<Item = PathTiming>) -> Option<PathTiming> {
-    let mut crit: Option<PathTiming> = None;
-    for p in paths {
-        let better = match &crit {
-            None => true,
-            Some(c) => slack_order(&p, c).is_lt(),
-        };
-        if better {
-            crit = Some(p);
-        }
-    }
-    crit
-}
-
-/// Frequency at which `crit` (the critical path of some design) has
-/// exactly zero slack.
-///
-/// # Errors
-///
-/// Returns [`StaError::InvalidPeriod`] when that path's minimum period
-/// is not finite and positive.
-pub(crate) fn fmax_of_critical(crit: &PathTiming) -> Result<Mhz, StaError> {
-    let min_period = crit.arrival + crit.setup + CLOCK_UNCERTAINTY;
-    if !(min_period.is_finite() && min_period.value() > 0.0) {
-        return Err(StaError::InvalidPeriod {
-            module: crit.module.clone(),
-            path: crit.path.clone(),
-            min_period,
-        });
-    }
-    Ok(min_period.frequency())
-}
+const FMAX_PROBE: Mhz = Mhz::new(100.0);
 
 /// Computes the maximum clock frequency the design supports: the
 /// frequency at which the worst path has exactly zero slack.
 ///
-/// The critical path is found by a single top-1 scan — no report is
-/// materialized and no O(P log P) sort runs; ties resolve exactly as
-/// the stable report sort would (first declared wins).
+/// The critical path is found by a single top-1 scan that keeps only
+/// its module, path and delays — no report is materialized and no
+/// O(P log P) sort runs; ties resolve exactly as the stable report
+/// sort would (first declared wins).
 ///
 /// # Errors
 ///
@@ -320,20 +279,28 @@ pub(crate) fn fmax_of_critical(crit: &PathTiming) -> Result<Mhz, StaError> {
 /// declares no timing paths.
 pub fn max_frequency(design: &Design, tech: &Tech) -> Result<Option<Mhz>, StaError> {
     let period = FMAX_PROBE.period();
-    let mut crit: Option<PathTiming> = None;
+    let mut crit: Option<(ModuleId, &TimingPath, Delays, Ns)> = None;
     for id in design.module_ids() {
-        for up in time_module(design, id, tech)? {
-            let p = up.at_period(period);
-            let better = match &crit {
-                None => true,
-                Some(c) => slack_order(&p, c).is_lt(),
-            };
-            if better {
-                crit = Some(p);
+        for_each_path(design, id, tech, |path, delays| {
+            // Strict-less `total_cmp`, as the report sort orders slack.
+            let slack = delays.slack(period);
+            if crit.is_none_or(|(.., worst)| slack.value().total_cmp(&worst.value()).is_lt()) {
+                crit = Some((id, path, delays, slack));
             }
-        }
+        })?;
     }
-    crit.as_ref().map(fmax_of_critical).transpose()
+    let Some((id, path, delays, _)) = crit else {
+        return Ok(None);
+    };
+    let min_period = delays.arrival + delays.setup + CLOCK_UNCERTAINTY;
+    if !(min_period.is_finite() && min_period.value() > 0.0) {
+        return Err(StaError::InvalidPeriod {
+            module: design.module(id).name.clone(),
+            path: path.name.clone(),
+            min_period,
+        });
+    }
+    Ok(Some(min_period.frequency()))
 }
 
 #[cfg(test)]

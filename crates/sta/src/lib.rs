@@ -42,9 +42,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
-pub mod engine;
 pub mod report;
 
 pub use analysis::{analyze, max_frequency, StaError, CLOCK_UNCERTAINTY, INPUT_DELAY_BUDGET};
-pub use engine::{EngineStats, IncrementalSta};
 pub use report::{PathTiming, TimingReport};

@@ -68,10 +68,14 @@ impl Tech {
     /// A 64-bit structural fingerprint of the full technology bundle.
     ///
     /// Two technologies fingerprint equal iff every model constant's
-    /// bit pattern agrees. Deterministic across processes (the hasher
-    /// is keyed with fixed constants), so fingerprints are safe to use
-    /// as content-addressed cache keys and to persist in benchmark
-    /// artifacts.
+    /// bit pattern agrees. Deterministic across processes built by one
+    /// toolchain (std's `DefaultHasher` is keyed with fixed constants),
+    /// so fingerprints are safe as content-addressed cache keys. They
+    /// are not stable across Rust releases: std does not promise
+    /// `DefaultHasher`'s algorithm, so a fingerprint persisted by a
+    /// binary from another toolchain may differ for the same
+    /// technology. The sweep journal stores one in its header, and
+    /// such a journal is refused as foreign, never answered from.
     pub fn structural_fingerprint(&self) -> u64 {
         use std::hash::{Hash as _, Hasher as _};
         let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -89,6 +89,13 @@ echo "== property suite (transactional transform engine, release) =="
 # replays. (The debug-mode run is part of the workspace tests above.)
 cargo test --release -q -p gpuplanner --test prop_journal_equiv
 
+echo "== STA memo property suite (release, raised case count) =="
+# StaCache answers a design from its fingerprint alone, so nothing but
+# that fingerprint keeps a transformed design from its base's timing:
+# random plans on random designs, memoized reports and fmax against
+# the full analyzer down to slack and fmax bits.
+GGPU_PROP_CASES=20000 cargo test --release -q -p gpuplanner --test prop_sta_memo_equiv
+
 echo "== fork property suite (release, raised case count) =="
 # Gpu::launch_forked against fresh single-injection hardened launches
 # on both backends: results, fault logs, typed errors and memory
