@@ -33,7 +33,9 @@ fn every_paper_kernel_matches_the_reference_scheduler() {
             "xcorr" | "parallel_sel" => 192,
             _ => 512,
         };
-        for cus in [1, 2, 4] {
+        // At 8 CUs most CUs stay idle at these sizes: the sweep's
+        // deferred accounting covers whole launches for them.
+        for cus in [1, 2, 4, 8] {
             let (event, reference) = both(&bench, n, cus);
             assert_eq!(
                 event, reference,

@@ -1,7 +1,8 @@
 //! The generic wavefront scheduler shared by both execution backends.
 //!
 //! The scheduler (dispatch, round-robin issue selection, the
-//! event-driven time wheel and the cycle-stepping reference driver,
+//! event-driven due-CU sweep over per-CU readiness rows and the
+//! cycle-stepping reference driver that is its oracle,
 //! fault-injection/watchdog harness hooks) is written once, generic
 //! over a [`Wave`] engine that owns the per-wavefront architectural
 //! state and the per-instruction lane loop. Two engines ship:
@@ -159,19 +160,26 @@ pub(crate) struct ComputeUnit<W> {
     /// failed dispatch attempt and the next retirement no wavefront
     /// retires, so the skipped compactions are provably no-ops.
     dispatch_hint: bool,
-    /// Cached liveness/readiness summary of the resident list, valid
-    /// while `!dirty`. Wavefront state only changes through issue,
-    /// dispatch or fault injection — each sets `dirty` — so between
-    /// mutations both the pass loop and the event scan can serve an
-    /// idle CU from these two words instead of rescanning its
-    /// wavefront list. At 8 CUs only ~1-2 CUs issue per pass, which
-    /// makes this the difference between O(total waves) and
-    /// O(issuing waves) per pass.
+    /// The readiness row of the event-driven sweep: per resident
+    /// wavefront, in list order, its `ready_at`, or `u64::MAX` once it
+    /// has retired or while it waits at a barrier. Wavefront state only
+    /// changes inside a visit of this CU (dispatch, issue, barrier
+    /// release; no upset touches retirement, barrier or readiness
+    /// state), and every visit leaves the row, `cached_live` and
+    /// `cached_ready` exact. The sweep therefore picks the issuing wave
+    /// from one contiguous row, and answers an idle CU from two words,
+    /// without reading the wave structs. The cycle-stepping reference
+    /// never reads any of the three.
+    ready: Vec<u64>,
+    /// Some resident wavefront has not retired.
     cached_live: bool,
-    /// `min(ready_at)` over live non-barrier wavefronts (`u64::MAX`
-    /// when none is issuable); paired with `cached_live` above.
+    /// The row's minimum: the first cycle a wavefront can issue
+    /// (`u64::MAX` when none is issuable).
     cached_ready: u64,
-    dirty: bool,
+    /// The first cycle whose busy/stall accounting is still pending.
+    /// Each visit of the sweep settles the span before it, and
+    /// [`Sched::finish`] settles the rest through the last pass.
+    settled: u64,
 }
 
 impl<W: Wave> ComputeUnit<W> {
@@ -183,18 +191,19 @@ impl<W: Wave> ComputeUnit<W> {
             busy_until: 0,
             rr_cursor: 0,
             dispatch_hint: true,
+            ready: Vec::new(),
             cached_live: false,
             cached_ready: u64::MAX,
-            dirty: true,
+            settled: 0,
         }
     }
 
-    /// Copies `src`'s resident wavefronts, LRAM, issue stage and cached
-    /// summary into `self`, reusing `self`'s buffers (surplus
-    /// wavefronts wait in `self.pool`). Pools are not copied: a pooled
-    /// wavefront is reinitialized before it is dispatched again. The
-    /// fork driver restores by swapping the two units whole, so each
-    /// keeps at most one resident list's worth of wavefronts.
+    /// Copies `src`'s resident wavefronts, LRAM, issue stage, readiness
+    /// row and pending accounting into `self`, reusing `self`'s buffers
+    /// (surplus wavefronts wait in `self.pool`). Pools are not copied:
+    /// a pooled wavefront is reinitialized before it is dispatched
+    /// again. The fork driver restores by swapping the two units whole,
+    /// so each keeps at most one resident list's worth of wavefronts.
     fn save_from(&mut self, src: &Self) {
         let keep = src.wavefronts.len().min(self.wavefronts.len());
         self.pool.extend(self.wavefronts.drain(keep..));
@@ -209,24 +218,160 @@ impl<W: Wave> ComputeUnit<W> {
         self.busy_until = src.busy_until;
         self.rr_cursor = src.rr_cursor;
         self.dispatch_hint = src.dispatch_hint;
+        self.ready.clone_from(&src.ready);
         self.cached_live = src.cached_live;
         self.cached_ready = src.cached_ready;
-        self.dirty = src.dirty;
+        self.settled = src.settled;
+    }
+
+    /// Compacts retired wavefronts into the pool, then dispatches whole
+    /// workgroups from `next_group` into the free slots until one does
+    /// not fit. Returns whether a workgroup was dispatched.
+    ///
+    /// Compaction runs once, *before* the slot computation (not per
+    /// dispatched group), preserves resident order, and re-clamps the
+    /// round-robin cursor so it cannot point past the end of the list.
+    fn dispatch(
+        &mut self,
+        env: &IssueEnv<'_>,
+        next_group: &mut u32,
+        total_groups: u32,
+        stats: &mut RunStats,
+    ) -> bool {
+        let mut i = 0;
+        while i < self.wavefronts.len() {
+            if self.wavefronts[i].done() {
+                let retired = self.wavefronts.remove(i);
+                self.pool.push(retired);
+            } else {
+                i += 1;
+            }
+        }
+        if self.rr_cursor >= self.wavefronts.len() {
+            self.rr_cursor = 0;
+        }
+        let mut dispatched = false;
+        while *next_group < total_groups {
+            // All retired wavefronts were compacted into the pool
+            // above, so every resident wavefront is live.
+            let live = self.wavefronts.len() as u32;
+            let free = env.config.max_wavefronts_per_cu - live;
+            let first_item = *next_group * env.workgroup_size;
+            let items_in_group = env.workgroup_size.min(env.global_size - first_item);
+            let needed = env.config.wavefronts_per_group(items_in_group);
+            if needed > free {
+                // Re-armed by the next retirement on this CU.
+                self.dispatch_hint = false;
+                break;
+            }
+            for wf_idx in 0..needed {
+                let first_local = wf_idx * env.config.wavefront_size;
+                let items = env.config.wavefront_size.min(items_in_group - first_local);
+                let first_global = first_item + first_local;
+                let wave = match self.pool.pop() {
+                    Some(mut recycled) => {
+                        recycled.reinit(*next_group, first_global, first_local, items);
+                        recycled
+                    }
+                    None => W::new(
+                        env.config.wavefront_size,
+                        *next_group,
+                        first_global,
+                        first_local,
+                        items,
+                    ),
+                };
+                self.wavefronts.push(wave);
+                stats.wavefronts += 1;
+            }
+            *next_group += 1;
+            dispatched = true;
+        }
+        dispatched
+    }
+
+    /// A wavefront's entry in the readiness row.
+    fn readiness(w: &W) -> u64 {
+        if w.done() || w.at_barrier() {
+            u64::MAX
+        } else {
+            w.ready_at()
+        }
+    }
+
+    /// Rebuilds the readiness row and the summary from the resident
+    /// list.
+    fn summarize(&mut self) {
+        self.ready.clear();
+        self.ready
+            .extend(self.wavefronts.iter().map(Self::readiness));
+        self.cached_live = self.wavefronts.iter().any(|w| !w.done());
+        self.cached_ready = row_min(&self.ready);
+    }
+
+    /// Whether the row and the summary are what [`Self::summarize`]
+    /// would build now: the sweep's debug check of every read.
+    fn summary_is_exact(&self) -> bool {
+        self.ready
+            .iter()
+            .copied()
+            .eq(self.wavefronts.iter().map(Self::readiness))
+            && self.cached_live == self.wavefronts.iter().any(|w| !w.done())
+            && self.cached_ready == row_min(&self.ready)
+    }
+
+    /// The round-robin pick from the readiness row: the first slot at
+    /// or after `rr_cursor`, wrapping, whose wavefront can issue at
+    /// `now`.
+    fn pick(&self, now: u64) -> Option<usize> {
+        let (head, tail) = self.ready.split_at(self.rr_cursor);
+        match tail.iter().position(|&r| r <= now) {
+            Some(i) => Some(self.rr_cursor + i),
+            None => head.iter().position(|&r| r <= now),
+        }
+    }
+
+    /// Adds the busy and stall cycles of `settled..end` to `stats` and
+    /// moves `settled` to `end`, in closed form: over the span no state
+    /// of this CU changed and no wavefront could issue, so a cycle
+    /// counts as busy while `cycle < busy_until`, and as stalled for the
+    /// rest of the span iff the CU holds live wavefronts.
+    fn settle(&mut self, end: u64, stats: &mut RunStats) {
+        stats.busy_cycles += self.busy_until.min(end).saturating_sub(self.settled);
+        if self.cached_live {
+            stats.stall_cycles += end.saturating_sub(self.busy_until.max(self.settled));
+        }
+        self.settled = end;
     }
 }
 
-/// Outcome of one scheduler pass (one simulated cycle's worth of
-/// dispatch/issue work), used by the event-driven driver to decide
-/// how far time can jump.
-struct PassOutcome {
-    /// Some CU held live wavefronts at pass time (pre-issue), i.e.
-    /// the run is not finished.
-    any_alive: bool,
-    /// A wavefront retired during this pass, freeing a slot: dispatch
-    /// may newly succeed next cycle.
-    became_done: bool,
-    /// A workgroup was dispatched during this pass.
-    dispatched: bool,
+/// The minimum of a readiness row (`u64::MAX` when empty), folded into
+/// four independent accumulators instead of one serial compare chain:
+/// the sweep recomputes it after every issue.
+fn row_min(row: &[u64]) -> u64 {
+    let mut acc = [u64::MAX; 4];
+    let mut chunks = row.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (a, &r) in acc.iter_mut().zip(chunk) {
+            *a = (*a).min(r);
+        }
+    }
+    for (a, &r) in acc.iter_mut().zip(chunks.remainder()) {
+        *a = (*a).min(r);
+    }
+    acc[0].min(acc[1]).min(acc[2].min(acc[3]))
+}
+
+/// What one issue changed beyond the issued wavefront's own readiness.
+#[derive(PartialEq)]
+enum Issued {
+    /// Nothing else: the readiness row needs only the issued slot.
+    Alone,
+    /// A barrier arrival, which may have released the group.
+    Barrier,
+    /// The wavefront retired, freeing a slot; the group may have been
+    /// released.
+    Retired,
 }
 
 /// One in-flight kernel run: machine state plus scheduling queues,
@@ -323,7 +468,7 @@ pub(crate) struct LaunchRequest<'a> {
     pub(crate) workgroup_size: u32,
     pub(crate) memory: &'a mut GlobalMemory,
     /// Use the cycle-stepping reference driver instead of the
-    /// event-driven time wheel (validation runs).
+    /// event-driven sweep (validation runs).
     pub(crate) reference: bool,
     /// Fault-injection / watchdog harness; `None` for plain runs.
     pub(crate) hard: Option<&'a mut HardenState>,
@@ -399,7 +544,7 @@ impl<'a, W: Wave> Sched<'a, W> {
     }
 
     /// Runs from `now` to the end of the launch: one pass per event
-    /// (the time wheel), or per simulated cycle under the `reference`
+    /// (the due-CU sweep), or per simulated cycle under the `reference`
     /// driver.
     fn run(&mut self, reference: bool) -> Result<RunStats, SimError> {
         loop {
@@ -628,95 +773,31 @@ impl<'a, W: Wave> Sched<'a, W> {
     /// finished (`now` is then its cycle count).
     fn step(&mut self, reference: bool) -> Result<bool, SimError> {
         self.harness_tick(self.now)?;
-        let pass = self.pass(self.now)?;
-        if !pass.any_alive && self.next_group >= self.total_groups {
-            return Ok(true);
-        }
-        self.now = if reference {
-            self.now + 1
+        let next = if reference {
+            self.reference_pass(self.now)?
         } else {
-            self.advance(self.now, &pass)?
+            self.sweep(self.now)?
         };
-        Ok(false)
+        match next {
+            Some(next) => {
+                self.now = next;
+                Ok(false)
+            }
+            None => Ok(true),
+        }
     }
 
-    /// The counters of a finished launch.
-    fn finish(&self) -> RunStats {
+    /// The counters of a finished launch: settles every CU's pending
+    /// accounting through the last pass, at `now`.
+    fn finish(&mut self) -> RunStats {
+        for cu in &mut self.cus {
+            cu.settle(self.now + 1, &mut self.stats);
+        }
         RunStats {
             cycles: self.now,
             mem: self.cache.stats(),
             ..self.stats
         }
-    }
-
-    /// Finds the earliest simulated time after `now` at which any CU
-    /// can change state, accounts the skipped idle cycles, and returns
-    /// the new `now`.
-    ///
-    /// The next event for every CU holding live wavefronts is
-    /// `max(busy_until, min ready_at over issuable wavefronts)`; a
-    /// wavefront retirement (or dispatch) with workgroups still queued
-    /// re-opens dispatch at `now + 1`; once no live wavefront remains
-    /// anywhere, one final drain pass at `now + 1` reproduces the
-    /// reference loop's trailing busy accounting and break timing.
-    ///
-    /// The idle accounting adds the busy/stall increments the
-    /// reference loop would have made during the skipped cycles
-    /// `now+1 ..= next-1`, in closed form: during that span no CU
-    /// state changes, a CU counts as busy while `cycle < busy_until`,
-    /// and as stalled for the rest of the span iff it holds live
-    /// wavefronts. CUs untouched since the previous scan serve both
-    /// answers from their cached summary, so each event step only
-    /// rescans the one or two wavefront lists that actually changed.
-    fn advance(&mut self, now: u64, pass: &PassOutcome) -> Result<u64, SimError> {
-        let mut next = u64::MAX;
-        for cu in self.cus.iter_mut() {
-            if cu.dirty {
-                // One fused pass over the resident list: liveness and
-                // the earliest issuable readiness together.
-                let mut any_live = false;
-                let mut ready = u64::MAX;
-                for w in &cu.wavefronts {
-                    if w.done() {
-                        continue;
-                    }
-                    any_live = true;
-                    if !w.at_barrier() {
-                        ready = ready.min(w.ready_at());
-                    }
-                }
-                cu.cached_live = any_live;
-                cu.cached_ready = ready;
-                cu.dirty = false;
-            }
-            if !cu.cached_live {
-                continue;
-            }
-            // A live CU always has an issuable (non-barrier) wavefront
-            // with finite readiness: barrier release is immediate once
-            // the whole group has arrived. An all-waiting CU would
-            // otherwise stop the clock, so it is a typed scheduler
-            // invariant violation rather than a silent `now + 1`
-            // re-poll that spins to the cycle ceiling.
-            if cu.cached_ready == u64::MAX {
-                return Err(SimError::SchedulerStall { cycle: now });
-            }
-            next = next.min(cu.busy_until.max(cu.cached_ready));
-        }
-        if next == u64::MAX {
-            next = now + 1; // final drain pass
-        }
-        if self.next_group < self.total_groups && (pass.became_done || pass.dispatched) {
-            next = next.min(now + 1);
-        }
-        let next = next.max(now + 1);
-        for cu in &self.cus {
-            self.stats.busy_cycles += cu.busy_until.min(next).saturating_sub(now + 1);
-            if cu.cached_live {
-                self.stats.stall_cycles += next.saturating_sub(cu.busy_until.max(now + 1));
-            }
-        }
-        Ok(next)
     }
 
     /// Fault-injection / watchdog hook, run before every scheduler
@@ -850,14 +931,13 @@ impl<'a, W: Wave> Sched<'a, W> {
 
     /// Applies an injection that [`Sched::resolve_injection`] found to
     /// land: XORs its flips into the word, or toggles the lane's
-    /// exec-mask bit, and invalidates the CU's cached pass summary (an
-    /// upset can change what the next scan concludes, e.g. an
-    /// exec-mask flip feeding a retirement on the next issue).
+    /// exec-mask bit. No upset changes a wavefront's retirement,
+    /// barrier or readiness state (an exec-mask flip that empties a
+    /// wave retires it at its next issue), so the CU's readiness row
+    /// stays exact.
     fn apply_injection(cus: &mut [ComputeUnit<W>], memory: &mut GlobalMemory, inj: &Injection) {
         fn wave<W: Wave>(cus: &mut [ComputeUnit<W>], cu: u32, slot: u32) -> Option<&mut W> {
-            let c = cus.get_mut(cu as usize)?;
-            c.dirty = true;
-            c.wavefronts.get_mut(slot as usize)
+            cus.get_mut(cu as usize)?.wavefronts.get_mut(slot as usize)
         }
         let mask = flip_mask(&inj.flips);
         let word = match inj.site {
@@ -868,10 +948,9 @@ impl<'a, W: Wave> Sched<'a, W> {
                 reg,
             } => wave(cus, cu, slot).and_then(|w| w.reg_slot(lane, reg)),
             FaultSite::Pc { cu, slot, lane } => wave(cus, cu, slot).and_then(|w| w.pc_slot(lane)),
-            FaultSite::LocalWord { cu, word } => cus.get_mut(cu as usize).and_then(|c| {
-                c.dirty = true;
-                c.local_mem.get_mut(word as usize)
-            }),
+            FaultSite::LocalWord { cu, word } => cus
+                .get_mut(cu as usize)
+                .and_then(|c| c.local_mem.get_mut(word as usize)),
             FaultSite::GlobalWord { word } => memory.word_mut(word as usize),
             FaultSite::ExecMask { cu, slot, lane } => {
                 if let Some(w) = wave(cus, cu, slot) {
@@ -885,151 +964,138 @@ impl<'a, W: Wave> Sched<'a, W> {
         }
     }
 
-    /// Executes one scheduler pass at simulated time `now`: per CU in
-    /// index order, workgroup dispatch, then (unless the issue stage
-    /// is occupied) round-robin selection and issue of one vector
-    /// instruction. This is exactly one iteration of the reference
-    /// cycle loop; the event-driven driver calls it only at event
-    /// times.
-    fn pass(&mut self, now: u64) -> Result<PassOutcome, SimError> {
+    /// One pass of the event-driven driver at `now`. It visits each CU
+    /// at most once, and only when something is due there: a dispatch
+    /// pending, or `max(busy_until, cached_ready) <= now`. A visit
+    /// settles the CU's accounting up to `now`, dispatches, then
+    /// accounts cycle `now` as the reference pass does: busy, an issue
+    /// of the round-robin pick from the readiness row, or a stall. A CU
+    /// with nothing due changes no state, so its cycles wait in
+    /// `settled` for its next visit or [`Sched::finish`].
+    ///
+    /// Returns the next pass time, or `None` once the launch has
+    /// finished. The next pass is the earliest `max(busy_until,
+    /// cached_ready)` over CUs holding live wavefronts; `now + 1` when a
+    /// retirement or dispatch left workgroups queued (dispatch may
+    /// newly succeed); and, once no live wavefront remains anywhere,
+    /// one final drain pass at `now + 1`, which reproduces the
+    /// reference loop's break timing.
+    fn sweep(&mut self, now: u64) -> Result<Option<u64>, SimError> {
         self.stats.sched_iterations += 1;
-        let mut out = PassOutcome {
-            any_alive: false,
-            became_done: false,
-            dispatched: false,
-        };
+        let mut any_alive = false;
+        let mut reopen = false;
+        let mut stalled = false;
+        let mut next = u64::MAX;
         for cu in self.cus.iter_mut() {
+            debug_assert!(cu.summary_is_exact(), "readiness row out of date");
             let may_dispatch = cu.dispatch_hint && self.next_group < self.total_groups;
-            let has_live;
-            if !cu.dirty && !may_dispatch {
-                // Nothing mutated this CU since its summary was
-                // cached and no dispatch work is pending: answer the
-                // liveness/busy/stall questions from the two cached
-                // words and only fall through to wavefront selection
-                // when an issue is guaranteed to happen.
-                if cu.cached_live {
-                    out.any_alive = true;
-                }
-                if cu.busy_until > now {
-                    self.stats.busy_cycles += 1;
-                    continue;
-                }
-                if !cu.cached_live {
-                    continue;
-                }
-                if cu.cached_ready > now {
-                    self.stats.stall_cycles += 1;
-                    continue;
-                }
-                // `cached_ready <= now`: some live non-barrier
-                // wavefront is ready, so the round-robin scan below
-                // must find one.
-                has_live = true;
-            } else {
-                // Dispatch whole workgroups into free wavefront slots.
-                // Retired wavefronts are compacted once, *before* the slot
-                // computation (not per dispatched group) — into the reuse
-                // pool, preserving resident order — and the round-robin
-                // cursor is re-clamped so compaction cannot leave it
-                // pointing past the end of the list.
+            let due = may_dispatch || cu.busy_until.max(cu.cached_ready) <= now;
+            if due {
+                cu.settle(now, &mut self.stats);
                 if may_dispatch {
-                    let mut i = 0;
-                    while i < cu.wavefronts.len() {
-                        if cu.wavefronts[i].done() {
-                            let retired = cu.wavefronts.remove(i);
-                            cu.pool.push(retired);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if cu.rr_cursor >= cu.wavefronts.len() {
-                        cu.rr_cursor = 0;
-                    }
-                    while self.next_group < self.total_groups {
-                        // All retired wavefronts were compacted into the
-                        // pool above, so every resident wavefront is live.
-                        let live = cu.wavefronts.len() as u32;
-                        let free = self.env.config.max_wavefronts_per_cu - live;
-                        let first_item = self.next_group * self.env.workgroup_size;
-                        let items_in_group = self
-                            .env
-                            .workgroup_size
-                            .min(self.env.global_size - first_item);
-                        let needed = self.env.config.wavefronts_per_group(items_in_group);
-                        if needed > free {
-                            // Re-armed by the next retirement on this CU.
-                            cu.dispatch_hint = false;
-                            break;
-                        }
-                        for wf_idx in 0..needed {
-                            let first_local = wf_idx * self.env.config.wavefront_size;
-                            let items = self
-                                .env
-                                .config
-                                .wavefront_size
-                                .min(items_in_group - first_local);
-                            let wave = match cu.pool.pop() {
-                                Some(mut recycled) => {
-                                    recycled.reinit(
-                                        self.next_group,
-                                        first_item + first_local,
-                                        first_local,
-                                        items,
-                                    );
-                                    recycled
-                                }
-                                None => W::new(
-                                    self.env.config.wavefront_size,
-                                    self.next_group,
-                                    first_item + first_local,
-                                    first_local,
-                                    items,
-                                ),
-                            };
-                            cu.wavefronts.push(wave);
-                            self.stats.wavefronts += 1;
-                        }
-                        self.next_group += 1;
-                        out.dispatched = true;
-                        cu.dirty = true;
-                    }
+                    reopen |= cu.dispatch(
+                        &self.env,
+                        &mut self.next_group,
+                        self.total_groups,
+                        &mut self.stats,
+                    );
+                    cu.summarize();
                 }
-
-                has_live = cu.wavefronts.iter().any(|w| !w.done());
-                if has_live {
-                    out.any_alive = true;
-                }
+            }
+            any_alive |= cu.cached_live;
+            if due {
+                cu.settled = now + 1;
                 if cu.busy_until > now {
                     self.stats.busy_cycles += 1;
-                    continue;
-                }
-            }
-            // Round-robin wavefront selection (wrap by subtraction:
-            // the resident count is not a power of two, so `%` here
-            // is a hardware divide on the hottest scheduler path).
-            // The scan doubles as the event scan: it records the
-            // earliest readiness among the issuable wavefronts it did
-            // *not* pick, so the post-issue summary can be completed
-            // in O(1) instead of rescanning the list in `advance`.
-            let n_wf = cu.wavefronts.len();
-            let mut chosen = None;
-            let mut min_other = u64::MAX;
-            let mut idx = cu.rr_cursor;
-            for _ in 0..n_wf {
-                if idx >= n_wf {
-                    idx -= n_wf;
-                }
-                let wf = &cu.wavefronts[idx];
-                if !wf.done() && !wf.at_barrier() {
-                    let r = wf.ready_at();
-                    if chosen.is_none() && r <= now {
-                        chosen = Some(idx);
+                } else if let Some(idx) = cu.pick(now) {
+                    cu.rr_cursor = if idx + 1 >= cu.wavefronts.len() {
+                        0
                     } else {
-                        min_other = min_other.min(r);
+                        idx + 1
+                    };
+                    let issued = Self::issue(
+                        &self.env,
+                        self.memory,
+                        &mut self.cache,
+                        cu,
+                        idx,
+                        now,
+                        &mut self.stats,
+                        &mut self.scratch,
+                        self.trace.as_deref_mut(),
+                    )?;
+                    if issued == Issued::Alone {
+                        cu.ready[idx] = cu.wavefronts[idx].ready_at();
+                        cu.cached_ready = row_min(&cu.ready);
+                    } else {
+                        if issued == Issued::Retired {
+                            cu.dispatch_hint = true;
+                            reopen = true;
+                        }
+                        cu.summarize();
                     }
+                } else if cu.cached_live {
+                    self.stats.stall_cycles += 1;
                 }
-                idx += 1;
             }
+            if cu.cached_live {
+                // A live CU always has an issuable (non-barrier)
+                // wavefront: barrier release is immediate once the
+                // whole group has arrived. An all-waiting CU would stop
+                // the clock, so it is a typed scheduler invariant
+                // violation (raised once the pass is complete) rather
+                // than a silent `now + 1` re-poll that spins to the
+                // cycle ceiling.
+                stalled |= cu.cached_ready == u64::MAX;
+                next = next.min(cu.busy_until.max(cu.cached_ready));
+            }
+        }
+        if !any_alive && self.next_group >= self.total_groups {
+            return Ok(None);
+        }
+        if stalled {
+            return Err(SimError::SchedulerStall { cycle: now });
+        }
+        if next == u64::MAX {
+            next = now + 1; // final drain pass
+        }
+        if reopen && self.next_group < self.total_groups {
+            next = next.min(now + 1);
+        }
+        Ok(Some(next.max(now + 1)))
+    }
+
+    /// One pass of the cycle-stepping reference at `now`: per CU in
+    /// index order, workgroup dispatch, then (unless the issue stage
+    /// is occupied) a round-robin scan over the wave structs and the
+    /// issue of one vector instruction, with the cycle's busy or stall
+    /// accounted on the spot. It reads no readiness row, summary or
+    /// pending span, so it is the oracle of all three. Returns `now +
+    /// 1`, or `None` once the launch has finished.
+    fn reference_pass(&mut self, now: u64) -> Result<Option<u64>, SimError> {
+        self.stats.sched_iterations += 1;
+        let mut any_alive = false;
+        for cu in self.cus.iter_mut() {
+            if cu.dispatch_hint && self.next_group < self.total_groups {
+                cu.dispatch(
+                    &self.env,
+                    &mut self.next_group,
+                    self.total_groups,
+                    &mut self.stats,
+                );
+            }
+            let has_live = cu.wavefronts.iter().any(|w| !w.done());
+            any_alive |= has_live;
+            cu.settled = now + 1;
+            if cu.busy_until > now {
+                self.stats.busy_cycles += 1;
+                continue;
+            }
+            let n_wf = cu.wavefronts.len();
+            let chosen = (cu.rr_cursor..n_wf).chain(0..cu.rr_cursor).find(|&i| {
+                let w = &cu.wavefronts[i];
+                !w.done() && !w.at_barrier() && w.ready_at() <= now
+            });
             let Some(idx) = chosen else {
                 if has_live {
                     self.stats.stall_cycles += 1;
@@ -1037,39 +1103,30 @@ impl<'a, W: Wave> Sched<'a, W> {
                 continue;
             };
             cu.rr_cursor = if idx + 1 >= n_wf { 0 } else { idx + 1 };
-
-            let retired = Self::issue(
+            let issued = Self::issue(
                 &self.env,
                 self.memory,
                 &mut self.cache,
                 cu,
                 idx,
                 now,
-                min_other,
                 &mut self.stats,
                 &mut self.scratch,
                 self.trace.as_deref_mut(),
             )?;
-            if retired {
+            if issued == Issued::Retired {
                 cu.dispatch_hint = true;
-                out.became_done = true;
             }
         }
-        Ok(out)
+        let finished = !any_alive && self.next_group >= self.total_groups;
+        Ok((!finished).then_some(now + 1))
     }
 
     /// Issues one vector instruction for wavefront `idx` of `cu`:
     /// delegates the lane loop to the wave engine, then performs the
     /// engine-independent beat/latency/occupancy accounting and
-    /// barrier-release bookkeeping. Returns whether a wavefront
-    /// retired (freeing a dispatch slot).
-    ///
-    /// `min_other` is the earliest readiness among the issuable
-    /// wavefronts the selection scan did *not* pick: combined with the
-    /// issued wavefront's new readiness it completes the CU's cached
-    /// event summary without another list scan. Barrier arrivals and
-    /// retirements can move other wavefronts (group release), so those
-    /// paths fall back to marking the summary dirty.
+    /// barrier-release bookkeeping, and says what it changed beyond
+    /// the issued wavefront's readiness.
     #[allow(clippy::too_many_arguments)]
     fn issue(
         env: &IssueEnv<'_>,
@@ -1078,21 +1135,17 @@ impl<'a, W: Wave> Sched<'a, W> {
         cu: &mut ComputeUnit<W>,
         idx: usize,
         now: u64,
-        min_other: u64,
         stats: &mut RunStats,
         scratch: &mut W::Scratch,
         trace: Option<&mut ExecTrace>,
-    ) -> Result<bool, SimError> {
+    ) -> Result<Issued, SimError> {
         if let Some(trace) = trace {
             cu.wavefronts[idx].observe(env, memory.len(), cu.local_mem.len(), trace);
         }
         let wf = &mut cu.wavefronts[idx];
         let (inst, lane_count, mem_ready, local_beats) =
             match wf.step(env, memory, &mut cu.local_mem, cache, now, scratch)? {
-                StepOut::Retired => {
-                    cu.dirty = true;
-                    return Ok(true);
-                }
+                StepOut::Retired => return Ok(Issued::Retired),
                 StepOut::Issued {
                     inst,
                     lane_count,
@@ -1147,15 +1200,14 @@ impl<'a, W: Wave> Sched<'a, W> {
         if matches!(inst, Inst::Bar) || became_done {
             let group = cu.wavefronts[idx].group_id();
             Self::release_barrier_group(cu, group, now);
-            cu.dirty = true;
-        } else {
-            // The only state change was the issued wavefront's new
-            // readiness: the cached summary is exact again.
-            cu.cached_ready = min_other.min(new_ready);
-            cu.cached_live = true;
-            cu.dirty = false;
         }
-        Ok(became_done)
+        Ok(if became_done {
+            Issued::Retired
+        } else if matches!(inst, Inst::Bar) {
+            Issued::Barrier
+        } else {
+            Issued::Alone
+        })
     }
 
     /// Advances every waiting wavefront of `group` past its barrier if

@@ -18,6 +18,11 @@
 //!   lane shares one PC, invalidated only by divergent branches and
 //!   injected PC/exec-mask faults, re-established when a scan finds
 //!   the issue set equal to the active set.
+//! * **Lane-uniform registers** — one `u32` names the registers whose
+//!   whole row holds one value. An ALU op or a branch on flagged
+//!   operands computes once, and a `lw`/`sw` through a flagged base
+//!   checks one address, touches one line and moves one word. Rows
+//!   stay materialized, so every other path reads them unchanged.
 //! * **Dense-issue vector loops** — when the issue mask is a
 //!   contiguous prefix (`issue & (issue + 1) == 0`), operand rows are
 //!   staged into a reusable scratch arena and the ALU/branch work runs
@@ -43,7 +48,7 @@ use crate::global_mem::GlobalMemory;
 use crate::gpu::SimError;
 use crate::memsys::SharedCache;
 use crate::trace::ExecTrace;
-use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst};
+use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hash;
 
@@ -84,6 +89,14 @@ pub(crate) struct SoaWave {
     /// injection hooks that hand out raw PC views. Inactive lanes'
     /// stored PCs stay authoritative throughout (exec-mask revival).
     lazy_pc: u32,
+    /// Bit `r` set: all `wf` lanes of register `r`'s row hold one
+    /// value, so `regs[r * wf]` is every lane's. Set at dispatch and by
+    /// a write that fills the whole row with one value; cleared by any
+    /// other write to the register and by [`Wave::reg_slot`]. Rows stay
+    /// materialized; the bits only let an op on flagged operands
+    /// compute once. May be pessimistically clear; must never be
+    /// wrongly set.
+    uni: u32,
 }
 
 /// Reusable staging arena for the SoA engine: operand rows, the
@@ -362,12 +375,18 @@ impl SoaWave {
         }
     }
 
-    /// Writes `val` into the destination row for every issued lane and
-    /// advances their PCs — the shape of every broadcast-result
-    /// instruction (`lui`, `param`, uniform `ReadId` sources).
-    fn broadcast(&mut self, issue: u64, dense_n: usize, rd_off: usize, val: u32, next_pc: u32) {
+    /// Writes `val` into `rd`'s row for every issued lane and advances
+    /// their PCs — the shape of every broadcast-result instruction
+    /// (`lui`, `param`, uniform `ReadId` sources, broadcast loads, ops
+    /// on lane-uniform operands). A write that fills the whole row
+    /// flags `rd` lane-uniform.
+    fn broadcast(&mut self, issue: u64, dense_n: usize, rd: Reg, val: u32, next_pc: u32) {
+        let rd_off = rd.index() * self.wf as usize;
         if dense_n > 0 {
             self.regs[rd_off..rd_off + dense_n].fill(val);
+            if dense_n == self.wf as usize {
+                self.uni |= 1 << rd.index();
+            }
         } else {
             let mut m = issue;
             while m != 0 {
@@ -399,6 +418,7 @@ impl Wave for SoaWave {
             at_barrier: false,
             uniform: true,
             lazy_pc: 0,
+            uni: u32::MAX,
         }
     }
 
@@ -415,6 +435,7 @@ impl Wave for SoaWave {
         self.at_barrier = false;
         self.uniform = true;
         self.lazy_pc = 0;
+        self.uni = u32::MAX;
     }
 
     fn done(&self) -> bool {
@@ -484,8 +505,57 @@ impl Wave for SoaWave {
         let next_pc = pc + 1;
         let mut mem_ready: u64 = now;
         let mut local_beats: u64 = 0;
+        // Lane-uniform registers as they stand before this issue writes
+        // its destination, which may be one of its operands.
+        let uni = self.uni;
+        let flagged = |r: Reg| uni >> r.index() & 1 == 1;
+        if let Some(rd) = inst.def() {
+            self.uni &= !(1 << rd.index());
+        }
 
         match inst {
+            // Lane-uniform operands: compute once, broadcast the result.
+            Inst::Alu { op, rd, rs1, rs2 } if flagged(rs1) && flagged(rs2) => {
+                let v = op.apply(self.regs[rs1.index() * wf], self.regs[rs2.index() * wf]);
+                self.broadcast(issue, dense_n, rd, v, next_pc);
+            }
+            Inst::AluImm { op, rd, rs1, imm } if flagged(rs1) => {
+                let v = op.apply(self.regs[rs1.index() * wf], imm as i32 as u32);
+                self.broadcast(issue, dense_n, rd, v, next_pc);
+            }
+            // A lane-uniform base: every issued lane addresses one word,
+            // so one check, one line touch and one word moved stand for
+            // the whole issue. A fault is the first lane's, before any
+            // effect; a store leaves the last issued lane's value, as the
+            // ascending lane order does.
+            Inst::Lw { rd, rs1, imm } | Inst::Sw { rs1, rs2: rd, imm } if flagged(rs1) => {
+                let is_store = matches!(inst, Inst::Sw { .. });
+                let addr = self.regs[rs1.index() * wf].wrapping_add(imm as i32 as u32);
+                if !addr.is_multiple_of(4) {
+                    return Err(SimError::Unaligned { addr });
+                }
+                let widx = (addr / 4) as usize;
+                if widx >= memory.len() {
+                    return Err(SimError::MemoryOutOfBounds { addr });
+                }
+                if is_store {
+                    let last = 63 - issue.leading_zeros() as usize;
+                    memory.store(widx, self.regs[rd.index() * wf + last]);
+                    self.advance_issued_pcs(issue, dense_n, next_pc);
+                } else {
+                    self.broadcast(issue, dense_n, rd, memory[widx], next_pc);
+                }
+                mem_ready = mem_ready.max(cache.access(now, u64::from(addr), is_store));
+            }
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } if flagged(rs1) && flagged(rs2) => {
+                let taken = cond.test(self.regs[rs1.index() * wf], self.regs[rs2.index() * wf]);
+                self.advance_issued_pcs(issue, dense_n, if taken { target } else { next_pc });
+            }
             Inst::Alu { op, rd, rs1, rs2 } => {
                 let (r1, r2, rdo) = (rs1.index() * wf, rs2.index() * wf, rd.index() * wf);
                 if dense_n > 0 {
@@ -539,25 +609,17 @@ impl Wave for SoaWave {
                 self.advance_issued_pcs(issue, dense_n, next_pc);
             }
             Inst::Lui { rd, imm } => {
-                self.broadcast(
-                    issue,
-                    dense_n,
-                    rd.index() * wf,
-                    u32::from(imm) << 16,
-                    next_pc,
-                );
+                self.broadcast(issue, dense_n, rd, u32::from(imm) << 16, next_pc);
             }
             Inst::ReadId { rd, src } => {
                 let rdo = rd.index() * wf;
                 match src {
-                    IdSource::GroupId => {
-                        self.broadcast(issue, dense_n, rdo, self.group_id, next_pc)
-                    }
+                    IdSource::GroupId => self.broadcast(issue, dense_n, rd, self.group_id, next_pc),
                     IdSource::GroupSize => {
-                        self.broadcast(issue, dense_n, rdo, env.workgroup_size, next_pc)
+                        self.broadcast(issue, dense_n, rd, env.workgroup_size, next_pc)
                     }
                     IdSource::GlobalSize => {
-                        self.broadcast(issue, dense_n, rdo, env.global_size, next_pc)
+                        self.broadcast(issue, dense_n, rd, env.global_size, next_pc)
                     }
                     IdSource::GlobalId | IdSource::LocalId => {
                         // Lanes beyond `items` were never populated at
@@ -593,7 +655,7 @@ impl Wave for SoaWave {
                     .params
                     .get(p as usize)
                     .ok_or(SimError::ParamOutOfRange { pc, idx: p })?;
-                self.broadcast(issue, dense_n, rd.index() * wf, v, next_pc);
+                self.broadcast(issue, dense_n, rd, v, next_pc);
             }
             Inst::Lw { rd, rs1, imm } | Inst::Sw { rs1, rs2: rd, imm } => {
                 let is_store = matches!(inst, Inst::Sw { .. });
@@ -666,13 +728,12 @@ impl Wave for SoaWave {
                         let widx = (base_addr / 4) as usize;
                         if is_store {
                             memory.store(widx, self.regs[vro + n - 1]);
+                            self.advance_issued_pcs(issue, dense_n, next_pc);
                         } else {
-                            let val = memory[widx];
-                            self.regs[vro..vro + n].fill(val);
+                            self.broadcast(issue, dense_n, rd, memory[widx], next_pc);
                         }
                         mem_ready =
                             mem_ready.max(cache.access(now, u64::from(base_addr), is_store));
-                        self.advance_issued_pcs(issue, dense_n, next_pc);
                     } else if all_ok {
                         // No lane faults: walk lanes in ascending order
                         // for the architectural effects, exactly as the
@@ -809,14 +870,13 @@ impl Wave for SoaWave {
                         let widx = (base_addr / 4) as usize;
                         if is_store {
                             local_mem[widx] = self.regs[vro + n - 1];
+                            self.advance_issued_pcs(issue, dense_n, next_pc);
                         } else {
-                            let val = local_mem[widx];
-                            self.regs[vro..vro + n].fill(val);
+                            self.broadcast(issue, dense_n, rd, local_mem[widx], next_pc);
                         }
                         if banked.is_some() {
                             scratch.local_words.extend((0..n).map(|_| widx as u32));
                         }
-                        self.advance_issued_pcs(issue, dense_n, next_pc);
                         true
                     } else {
                         false
@@ -1056,6 +1116,9 @@ impl Wave for SoaWave {
         if !self.has_lane(lane) {
             return None;
         }
+        // The caller may rewrite one lane: the row is no longer known
+        // to be lane-uniform.
+        self.uni &= !(1 << (reg & 31));
         self.regs
             .get_mut(usize::from(reg & 31) * self.wf as usize + lane as usize)
     }

@@ -102,6 +102,12 @@ echo "== fork property suite (release, raised case count) =="
 # images. The workspace tests above run it at its default 48 cases.
 GGPU_PROP_CASES=1000 cargo test --release -q -p ggpu-simt --test prop_fork
 
+echo "== SoA equivalence property suite (release, raised case count) =="
+# The SoA engine, its lane-uniform register set included, against the
+# scalar engine: RunStats, memory images, typed errors and fault logs
+# over random programs, templates and fault plans (~5 s of test time).
+GGPU_PROP_CASES=2000 cargo test --release -q -p ggpu-simt --test prop_backend_equiv
+
 echo "== absint soundness suite (release, raised case count) =="
 # Randomized kernels on both backends with the trace oracle attached:
 # address intervals, K010-K012 and branch uniformity against what the
