@@ -45,7 +45,7 @@ use domain::{expr_eq, AbsVal, Expr, ExprKind, Lane};
 use ggpu_isa::inst::{Inst, Reg};
 use std::rc::Rc;
 
-pub(crate) use solver::Solution;
+pub(crate) use solver::{solve, Solution};
 
 /// Launch-context facts the analysis may assume. Everything is
 /// optional: `None` means "analyze for any launch" (the default
@@ -176,17 +176,16 @@ fn mem_access(inst: &Inst) -> Option<(MemSpace, bool, Reg, i16)> {
     }
 }
 
-/// Runs the absint checks (K010/K011/K012) for `verify_program`,
-/// reusing the caller's CFG and reachability.
+/// Runs the absint checks (K010/K011/K012) for `verify_program` over
+/// the caller's reachability and solution.
 pub(crate) fn check_kernel(
     program: &[Inst],
-    cfg: &Cfg,
     reachable: &crate::cfg::BitSet,
+    sol: &Solution,
     ctx: &AnalysisCtx,
     config: &LintConfig,
     report: &mut Report,
 ) {
-    let sol = solver::solve(program, cfg, reachable, ctx);
     for (i, inst) in program.iter().enumerate() {
         if !reachable.contains(i) {
             continue;
@@ -201,7 +200,7 @@ pub(crate) fn check_kernel(
         check_alignment(i, &addr, config, report);
         if space == MemSpace::Local && is_store {
             if let Inst::Swl { rs1, rs2, .. } = inst {
-                check_race(i, &sol, *rs1, *rs2, &addr, ctx, config, report);
+                check_race(i, sol, *rs1, *rs2, &addr, ctx, config, report);
             }
         }
     }
@@ -303,7 +302,7 @@ fn lane_distinct(lane: Lane, ctx: &AnalysisCtx) -> bool {
 /// `true` when `e` is a pure function of the colliding address and
 /// launch invariants: lanes that collide on a word then store
 /// identical values, making the collision benign.
-fn determined_by(e: &Rc<Expr>, anchor: &Rc<Expr>, divergent: &[bool]) -> bool {
+fn determined_by(e: &Rc<Expr>, anchor: &Rc<Expr>, divergent: &[Option<usize>]) -> bool {
     if expr_eq(e, anchor) {
         return true;
     }
@@ -318,7 +317,9 @@ fn determined_by(e: &Rc<Expr>, anchor: &Rc<Expr>, divergent: &[bool]) -> bool {
             determined_by(a, anchor, divergent) && determined_by(b, anchor, divergent)
         }
         ExprKind::OpImm(_, a, _) => determined_by(a, anchor, divergent),
-        ExprKind::Load(site, a) => !divergent[*site] && determined_by(a, anchor, divergent),
+        ExprKind::Load(site, a) => {
+            divergent[*site].is_none() && determined_by(a, anchor, divergent)
+        }
     }
 }
 
@@ -388,11 +389,12 @@ mod tests {
         let program = assemble(src).unwrap();
         let cfg = Cfg::build(&program);
         let reachable = cfg.reachable();
+        let sol = solve(&program, &cfg, &reachable, ctx);
         let mut report = Report::new("t");
         check_kernel(
             &program,
-            &cfg,
             &reachable,
+            &sol,
             ctx,
             &LintConfig::new(),
             &mut report,

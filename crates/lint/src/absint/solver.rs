@@ -31,10 +31,11 @@ pub(crate) struct Solution {
     /// Abstract register state on entry to each instruction (`None`
     /// when the solver never reached it).
     pub input: Vec<Option<Box<[AbsVal]>>>,
-    /// `divergent[i]`: instruction `i` can execute with only a subset
-    /// of the wavefront's lanes (it is reachable from a lane-varying
-    /// branch that it does not post-dominate).
-    pub divergent: Vec<bool>,
+    /// `divergent[i]`: `Some(v)` when instruction `i` can execute with
+    /// only a subset of the wavefront's lanes, because it is reachable
+    /// from the lane-varying branch at `v` and does not post-dominate
+    /// it; `None` at lane-convergent sites.
+    pub divergent: Vec<Option<usize>>,
     /// Reachable branch sites whose operands are both proven
     /// lane-uniform: the wavefront cannot split there.
     pub uniform_branches: Vec<usize>,
@@ -75,7 +76,7 @@ pub(crate) fn solve(
 ) -> Solution {
     let n = cfg.len;
     let pdom = cfg.post_dominators();
-    let mut divergent = vec![false; n];
+    let mut divergent = vec![None; n];
     loop {
         let input = fixpoint(program, cfg, ctx, &divergent);
         // Lane-varying branches under the current assumption set.
@@ -97,15 +98,15 @@ pub(crate) fn solve(
             }
         }
         // Divergent sites: reachable from a varying branch it does not
-        // post-dominate. Monotonically growing across outer rounds
-        // (forcing loads opaque only makes more values varying), so
-        // the iteration terminates.
+        // post-dominate, which is recorded. Monotonically growing
+        // across outer rounds (forcing loads opaque only makes more
+        // values varying), so the iteration terminates.
         let mut grew = false;
         for &v in &varying_branches {
             let reach = reachable_from(cfg, v);
             for (s, d) in divergent.iter_mut().enumerate().take(n) {
-                if !*d && reach.contains(s) && !pdom[v].contains(s) {
-                    *d = true;
+                if d.is_none() && reach.contains(s) && !pdom[v].contains(s) {
+                    *d = Some(v);
                     grew = true;
                 }
             }
@@ -140,7 +141,7 @@ fn fixpoint(
     program: &[Inst],
     cfg: &Cfg,
     ctx: &AnalysisCtx,
-    divergent: &[bool],
+    divergent: &[Option<usize>],
 ) -> Vec<Option<Box<[AbsVal]>>> {
     let n = cfg.len;
     let mut input: Vec<Option<Box<[AbsVal]>>> = vec![None; n + 1];
@@ -181,7 +182,7 @@ fn fixpoint(
         // `prop_absint_soundness.rs` pins a branch on such a value).
         // Unless the two values are provably identical per lane, the
         // merged lane shape must be `Varying`.
-        let lane_mixing = divergent.get(i).copied().unwrap_or(false);
+        let lane_mixing = divergent.get(i).is_some_and(Option::is_some);
         for &s in &cfg.succs[i] {
             let next = match &input[s] {
                 None => Some(out.clone()),
@@ -235,7 +236,7 @@ fn fixpoint(
 /// whose loads all sit at convergent sites (a divergent-site load can
 /// observe different memory at different partial issues, so the same
 /// expression does not pin the same value).
-fn per_lane_identical(a: &AbsVal, b: &AbsVal, divergent: &[bool]) -> bool {
+fn per_lane_identical(a: &AbsVal, b: &AbsVal, divergent: &[Option<usize>]) -> bool {
     if let (Some(ca), Some(cb)) = (a.rng.as_singleton(), b.rng.as_singleton()) {
         return ca == cb;
     }
@@ -246,10 +247,10 @@ fn per_lane_identical(a: &AbsVal, b: &AbsVal, divergent: &[bool]) -> bool {
 }
 
 /// `true` when every `Load` node in `e` sits at a lane-convergent site.
-fn loads_convergent(e: &Expr, divergent: &[bool]) -> bool {
+fn loads_convergent(e: &Expr, divergent: &[Option<usize>]) -> bool {
     match &e.kind {
         ExprKind::Load(site, a) => {
-            !divergent.get(*site).copied().unwrap_or(true) && loads_convergent(a, divergent)
+            divergent.get(*site).is_some_and(Option::is_none) && loads_convergent(a, divergent)
         }
         ExprKind::Op(_, x, y) => loads_convergent(x, divergent) && loads_convergent(y, divergent),
         ExprKind::OpImm(_, x, _) => loads_convergent(x, divergent),
@@ -283,7 +284,7 @@ fn transfer(
     inst: &Inst,
     mut st: Box<[AbsVal]>,
     ctx: &AnalysisCtx,
-    divergent: &[bool],
+    divergent: &[Option<usize>],
 ) -> Box<[AbsVal]> {
     match *inst {
         Inst::Alu { op, rd, rs1, rs2 } => {
@@ -354,8 +355,8 @@ fn transfer(
 /// `Load` node (the race check's determined-by-address argument needs
 /// it; local memory is the racy resource itself, so its loads stay
 /// opaque).
-fn load_result(i: usize, addr: &AbsVal, global: bool, divergent: &[bool]) -> AbsVal {
-    let convergent = !divergent[i];
+fn load_result(i: usize, addr: &AbsVal, global: bool, divergent: &[Option<usize>]) -> AbsVal {
+    let convergent = divergent[i].is_none();
     let lane = if convergent && addr.lane.is_uniform() {
         Lane::UNIFORM
     } else {

@@ -106,8 +106,8 @@ pub enum Code {
     /// emits it; the slot stays reserved.
     N009,
     /// Flow supervision: the supervised flow fell back from a
-    /// configured engine to a degraded one (SoA backend → scalar,
-    /// cached STA → uncached STA). Degradations
+    /// configured engine to a degraded one (the verify stage's SoA
+    /// backend → scalar reference engine). Degradations
     /// are legitimate — that is the point of the ladder — but must
     /// never be silent: each one surfaces here and in the datasheet,
     /// and CI's `--deny warn` turns a degraded run into a failure.

@@ -161,7 +161,7 @@ pub fn check_pipeline(
 /// the linter gates on the facts).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationStep {
-    /// Flow stage that degraded (`"plan"`, `"implement"`, …).
+    /// Flow stage that degraded (`"verify"`).
     pub stage: String,
     /// The configured engine that failed (`"SoA backend"`).
     pub from: String,

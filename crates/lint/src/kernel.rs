@@ -16,10 +16,13 @@
 //!   clean).
 //! * **K006** divergence-depth estimate above
 //!   [`DIVERGENCE_DEPTH_LIMIT`] (longest forward-edge path counting
-//!   lane-varying branches).
-//! * **K008** barrier inside lane-divergent control flow: a `bar`
-//!   reachable from a lane-varying branch that it does not
-//!   post-dominate (the simulator faults with `DivergentBarrier`).
+//!   the branches the abstract interpreter cannot prove lane-uniform).
+//! * **K008** barrier inside lane-divergent control flow: a `bar` the
+//!   abstract interpreter marks divergent, i.e. reachable from a
+//!   lane-varying branch that it does not post-dominate (the
+//!   simulator faults with `DivergentBarrier`). Lane variance is
+//!   flow-sensitive: a value that differs only because lanes took
+//!   different paths to a merge is varying too.
 //! * **K010/K011/K012** abstract-interpretation checks — proven or
 //!   possible out-of-bounds access, misaligned word access, and the
 //!   flow-sensitive LRAM race that replaced K007's syntactic check
@@ -30,11 +33,11 @@
 //! because every reachable instruction's successors stay inside the
 //! program or end at `ret`.
 
-use crate::absint::AnalysisCtx;
+use crate::absint::{solve, AnalysisCtx, Solution};
 use crate::cfg::{BitSet, Cfg};
 use crate::diag::{Code, LintConfig, Report};
 use ggpu_isa::asm::{assemble, AssembleError};
-use ggpu_isa::inst::{IdSource, Inst, Reg};
+use ggpu_isa::inst::{Inst, Reg};
 
 /// K006 threshold: estimated nesting depth of lane-varying branches
 /// above which a kernel is reported as divergence-heavy. The shipped
@@ -53,38 +56,6 @@ fn is_pure_def(inst: &Inst) -> bool {
             | Inst::ReadId { .. }
             | Inst::Param { .. }
     )
-}
-
-/// Fixpoint of the lane-variance taint: bit `r` set iff register `r`
-/// may hold a value that differs across the work-items of one
-/// wavefront. Seeds: `gid`/`lid` reads. Loads are conservatively
-/// varying (memory contents are unknown).
-fn lane_varying(program: &[Inst]) -> u32 {
-    let mut varying: u32 = 0;
-    loop {
-        let before = varying;
-        for inst in program {
-            let tainted = |r: Reg| varying & (1 << r.index()) != 0;
-            let out = match *inst {
-                Inst::ReadId { src, .. } => {
-                    matches!(src, IdSource::GlobalId | IdSource::LocalId)
-                }
-                Inst::Alu { rs1, rs2, .. } => tainted(rs1) || tainted(rs2),
-                Inst::AluImm { rs1, .. } => tainted(rs1),
-                Inst::Lw { .. } | Inst::Lwl { .. } => true,
-                Inst::Lui { .. } | Inst::Param { .. } => false,
-                _ => false,
-            };
-            if out {
-                if let Some(rd) = inst.def() {
-                    varying |= 1 << rd.index();
-                }
-            }
-        }
-        if varying == before {
-            return varying;
-        }
-    }
 }
 
 /// Verifies one assembled program under `config` with the default
@@ -165,8 +136,9 @@ pub fn verify_program_with_ctx(
 
     check_uninitialized_reads(program, &cfg, &reachable, config, &mut report);
     check_dead_stores(program, &cfg, &reachable, config, &mut report);
-    check_divergence(program, &cfg, &reachable, config, &mut report);
-    crate::absint::check_kernel(program, &cfg, &reachable, ctx, config, &mut report);
+    let sol = solve(program, &cfg, &reachable, ctx);
+    check_divergence(program, &cfg, &reachable, &sol, config, &mut report);
+    crate::absint::check_kernel(program, &reachable, &sol, ctx, config, &mut report);
     report.sort_canonical();
     report
 }
@@ -304,33 +276,27 @@ fn check_dead_stores(
     }
 }
 
-/// K006/K008: lane-variance-driven divergence checks.
+/// K006/K008: divergence checks over the abstract interpreter's lane
+/// shapes and divergent sites.
 fn check_divergence(
     program: &[Inst],
     cfg: &Cfg,
     reachable: &BitSet,
+    sol: &Solution,
     config: &LintConfig,
     report: &mut Report,
 ) {
-    let varying = lane_varying(program);
-    let is_varying = |r: Reg| varying & (1 << r.index()) != 0;
-    let varying_branches: Vec<usize> = program
-        .iter()
-        .enumerate()
-        .filter(|(i, inst)| {
-            reachable.contains(*i)
-                && matches!(inst, Inst::Branch { rs1, rs2, .. }
-                    if is_varying(*rs1) || is_varying(*rs2))
-        })
-        .map(|(i, _)| i)
-        .collect();
-
-    // K006: longest forward-edge path counting lane-varying branches —
-    // a nesting-depth estimate that ignores loop back-edges.
+    // K006: longest forward-edge path counting the reachable branches
+    // not proven lane-uniform — a nesting-depth estimate that ignores
+    // loop back-edges.
     let n = cfg.len;
     let mut depth = vec![0u32; n + 1];
     for i in (0..n).rev() {
-        let own = u32::from(varying_branches.contains(&i));
+        let own = u32::from(
+            reachable.contains(i)
+                && matches!(program[i], Inst::Branch { .. })
+                && !sol.uniform_branches.contains(&i),
+        );
         let best = cfg.succs[i]
             .iter()
             .filter(|&&s| s > i)
@@ -352,57 +318,21 @@ fn check_divergence(
         );
     }
 
-    // The old K007 syntactic race check (uniform-address `swl` of a
-    // varying value over the taint bit) lived here; it is retired in
-    // favor of the flow-sensitive K012 in `crate::absint`, which also
-    // clears the tid-affine false positives the taint bit produced.
-
-    // K008: a barrier reachable from a lane-varying branch that it
-    // does not post-dominate sits in a divergent region.
-    let bars: Vec<usize> = program
-        .iter()
-        .enumerate()
-        .filter(|(i, inst)| reachable.contains(*i) && matches!(inst, Inst::Bar))
-        .map(|(i, _)| i)
-        .collect();
-    if !bars.is_empty() && !varying_branches.is_empty() {
-        let pdom = cfg.post_dominators();
-        for &b in &bars {
-            for &v in &varying_branches {
-                if reaches(cfg, v, b) && !pdom[v].contains(b) {
-                    report.push(
-                        config,
-                        Code::K008,
-                        format!(
-                            "barrier is control-dependent on the lane-varying branch at {v}: \
-                             lanes can arrive split"
-                        ),
-                        Some(b),
-                        None,
-                    );
-                    break;
-                }
-            }
+    // K008: a barrier at a divergent site (only reachable sites are).
+    for (b, inst) in program.iter().enumerate() {
+        if let (Inst::Bar, Some(v)) = (inst, sol.divergent[b]) {
+            report.push(
+                config,
+                Code::K008,
+                format!(
+                    "barrier is control-dependent on the lane-varying branch at {v}: \
+                     lanes can arrive split"
+                ),
+                Some(b),
+                None,
+            );
         }
     }
-}
-
-/// `true` if `to` is reachable from `from` (excluding the trivial
-/// zero-length path).
-fn reaches(cfg: &Cfg, from: usize, to: usize) -> bool {
-    let mut seen = BitSet::new(cfg.len + 1);
-    let mut stack: Vec<usize> = cfg.succs[from].clone();
-    while let Some(i) = stack.pop() {
-        if i == to {
-            return true;
-        }
-        if seen.contains(i) {
-            continue;
-        }
-        seen.insert(i);
-        stack.extend(cfg.succs[i].iter().copied());
-    }
-    false
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use ggpu_lint::{verify_asm, verify_shipped, Code, LintConfig, Severity};
 /// every corpus kernel. The last field is explicit because the absint
 /// codes are deny-by-default yet emit *possible*-tier findings capped
 /// at warn — the code alone no longer implies the gate.
-const CORPUS: [(&str, &str, Code, bool); 18] = [
+const CORPUS: [(&str, &str, Code, bool); 19] = [
     (
         "uninit_read.s",
         include_str!("corpus/uninit_read.s"),
@@ -75,6 +75,12 @@ const CORPUS: [(&str, &str, Code, bool); 18] = [
     (
         "divergent_barrier.s",
         include_str!("corpus/divergent_barrier.s"),
+        Code::K008,
+        true,
+    ),
+    (
+        "divergent_barrier_path_value.s",
+        include_str!("corpus/divergent_barrier_path_value.s"),
         Code::K008,
         true,
     ),

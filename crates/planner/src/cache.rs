@@ -14,7 +14,10 @@
 //!
 //! Both result tables are sharded 16 ways behind `RwLock`s, so the
 //! `GGPU_THREADS` sweep workers sharing one cache take read locks on
-//! distinct shards instead of serializing on a global mutex.
+//! distinct shards instead of serializing on a global mutex. A shard's
+//! only update is one insert of a finished result, so a lock poisoned
+//! by a panicking holder still guards a valid table, and the cache
+//! keeps answering through it.
 
 use ggpu_netlist::Design;
 use ggpu_sta::{analyze, max_frequency, StaError, TimingReport};
@@ -25,7 +28,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of independent lock domains per result table; a power of two
 /// so the shard index is a mask of the key's low bits.
@@ -53,15 +56,14 @@ pub fn fingerprint(design: &Design, tech: &Tech) -> u64 {
     h.finish()
 }
 
-/// How a [`StaCache`] answers queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Design-level memoization of the full analyzer.
-    Memo,
-    /// Reference mode: every query recomputes from scratch through
-    /// [`ggpu_sta::analyze`] / [`ggpu_sta::max_frequency`], with no
-    /// fingerprinting at all. Used by the equivalence property tests.
-    Passthrough,
+/// A read guard on `shard`, poisoned or not.
+fn read<T>(shard: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A write guard on `shard`, poisoned or not.
+fn write<T>(shard: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A thread-safe memo table for STA results.
@@ -69,24 +71,17 @@ enum Mode {
 /// Cloning a [`crate::GpuPlanner`] shares its cache (it is held behind
 /// an `Arc`), so parallel workers spawned from one planner all hit the
 /// same table.
+#[derive(Default)]
 pub struct StaCache {
-    mode: Mode,
     fmax: [RwLock<HashMap<u64, Option<Mhz>>>; SHARDS],
     reports: [RwLock<HashMap<(u64, u64), TimingReport>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for StaCache {
-    fn default() -> Self {
-        Self::with_mode(Mode::Memo)
-    }
-}
-
 impl fmt::Debug for StaCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StaCache")
-            .field("mode", &self.mode)
             .field("entries", &self.entries())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
@@ -95,27 +90,9 @@ impl fmt::Debug for StaCache {
 }
 
 impl StaCache {
-    fn with_mode(mode: Mode) -> Self {
-        Self {
-            mode,
-            fmax: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            reports: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache that never caches: every query recomputes through the
-    /// full analyzer with no fingerprinting. The reference for the
-    /// property tests asserting the memoized path is bit-identical,
-    /// and the supervisor's uncached-STA rung.
-    pub fn passthrough() -> Self {
-        Self::with_mode(Mode::Passthrough)
     }
 
     /// Memoized [`ggpu_sta::max_frequency`].
@@ -125,19 +102,15 @@ impl StaCache {
     /// Propagates [`StaError`] from the underlying analysis (errors
     /// are not cached).
     pub fn max_frequency(&self, design: &Design, tech: &Tech) -> Result<Option<Mhz>, StaError> {
-        if self.mode == Mode::Passthrough {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return max_frequency(design, tech);
-        }
         let key = fingerprint(design, tech);
         let shard = &self.fmax[(key as usize) & (SHARDS - 1)];
-        if let Some(v) = shard.read().expect("sta cache poisoned").get(&key) {
+        if let Some(v) = read(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*v);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = max_frequency(design, tech)?;
-        shard.write().expect("sta cache poisoned").insert(key, v);
+        write(shard).insert(key, v);
         Ok(v)
     }
 
@@ -153,38 +126,23 @@ impl StaCache {
         tech: &Tech,
         clock: Mhz,
     ) -> Result<TimingReport, StaError> {
-        if self.mode == Mode::Passthrough {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return analyze(design, tech, clock);
-        }
         let fp = fingerprint(design, tech);
         let key = (fp, clock.value().to_bits());
         let shard = &self.reports[(fp as usize) & (SHARDS - 1)];
-        if let Some(r) = shard.read().expect("sta cache poisoned").get(&key) {
+        if let Some(r) = read(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(r.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let r = analyze(design, tech, clock)?;
-        shard
-            .write()
-            .expect("sta cache poisoned")
-            .insert(key, r.clone());
+        write(shard).insert(key, r.clone());
         Ok(r)
     }
 
     /// Number of memoized results (both tables, all shards).
     pub fn entries(&self) -> usize {
-        let fmax: usize = self
-            .fmax
-            .iter()
-            .map(|s| s.read().expect("sta cache poisoned").len())
-            .sum();
-        let reports: usize = self
-            .reports
-            .iter()
-            .map(|s| s.read().expect("sta cache poisoned").len())
-            .sum();
+        let fmax: usize = self.fmax.iter().map(|s| read(s).len()).sum();
+        let reports: usize = self.reports.iter().map(|s| read(s).len()).sum();
         fmax + reports
     }
 
@@ -193,7 +151,7 @@ impl StaCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Analyses actually computed (in passthrough mode, every query).
+    /// Analyses actually computed.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -267,22 +225,43 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_never_caches_but_matches() {
+    fn poisoned_shards_still_answer() {
         let tech = Tech::l65();
-        let design = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
-        let reference = StaCache::passthrough();
-        let f1 = reference.max_frequency(&design, &tech).unwrap();
-        let f2 = reference.max_frequency(&design, &tech).unwrap();
-        assert_eq!(f1, f2);
-        assert_eq!(reference.hits(), 0);
-        assert_eq!(reference.misses(), 2);
-        assert_eq!(reference.entries(), 0);
-        let cached = StaCache::new();
-        assert_eq!(cached.max_frequency(&design, &tech).unwrap(), f1);
+        let clock = Mhz::new(590.0);
+        let warm = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
+        let cold = generate(&GgpuConfig::with_cus(2).unwrap()).unwrap();
+        let cache = StaCache::new();
+        let fmax = cache.max_frequency(&warm, &tech).unwrap();
+        let report = cache.analyze(&warm, &tech, clock).unwrap();
+        // A thread panics while it holds every write guard of both
+        // tables, poisoning all 32 shards.
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _fmax: Vec<_> = cache.fmax.iter().map(|s| s.write().unwrap()).collect();
+                let _reports: Vec<_> = cache.reports.iter().map(|s| s.write().unwrap()).collect();
+                panic!("worker died holding the cache");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked);
+        assert!(cache.fmax.iter().all(RwLock::is_poisoned));
+        assert!(cache.reports.iter().all(RwLock::is_poisoned));
+        // Hits still answer...
+        assert_eq!(cache.max_frequency(&warm, &tech).unwrap(), fmax);
+        assert_eq!(cache.analyze(&warm, &tech, clock).unwrap(), report);
+        assert_eq!(cache.hits(), 2);
+        // ...and misses still compute and are memoized.
         assert_eq!(
-            cached.analyze(&design, &tech, Mhz::new(590.0)).unwrap(),
-            reference.analyze(&design, &tech, Mhz::new(590.0)).unwrap()
+            cache.max_frequency(&cold, &tech).unwrap(),
+            max_frequency(&cold, &tech).unwrap()
         );
+        assert_eq!(
+            cache.analyze(&cold, &tech, clock).unwrap(),
+            analyze(&cold, &tech, clock).unwrap()
+        );
+        assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.entries(), 4);
     }
 
     #[test]

@@ -207,15 +207,6 @@ impl GpuPlanner {
         &self.sta_cache
     }
 
-    /// Replaces the planner's STA memo table — e.g. with
-    /// [`StaCache::passthrough`] to reproduce the uncached reference
-    /// flow for benchmarking, or with a table shared with other
-    /// planners.
-    pub fn with_sta_cache(mut self, cache: Arc<StaCache>) -> Self {
-        self.sta_cache = cache;
-        self
-    }
-
     /// Sets a per-role ECC policy that overrides the uniform scheme of
     /// [`Specification::with_resilience`] — e.g. SEC-DED on register
     /// files but bare parity on FIFOs. Setting a policy activates the

@@ -1,6 +1,6 @@
 //! Flow supervision: panic isolation, per-stage deadlines, seeded
-//! retries and graceful-degradation ladders around the end-to-end
-//! pipeline (verify → plan → implement → fault campaign).
+//! retries and a graceful-degradation ladder around the end-to-end
+//! pipeline (verify → plan → implement).
 //!
 //! The push-button promise of the paper's Fig. 2 flow is only as good
 //! as its worst failure mode: a panicking worker, a livelocked stage
@@ -11,10 +11,11 @@
 //! * each stage executes under [`std::panic::catch_unwind`] (and, when
 //!   a deadline is configured, on its own watchdog thread), so one
 //!   poisoned spec cannot abort its siblings;
-//! * transient failures retry with a deterministic, seeded, capped
-//!   backoff; persistent ones step down a **degradation ladder**
-//!   (cached STA → uncached STA, SoA backend → scalar reference
-//!   engine). Every step is recorded in a structured
+//! * transient failures retry on the same rung with a deterministic,
+//!   seeded, capped backoff. Plan and implement have one rung each;
+//!   the verify stage's **degradation ladder** steps from the SoA
+//!   backend down to the scalar reference engine, the one fallback
+//!   that runs other code. Every step is recorded in a structured
 //!   [`DegradationReport`] — degraded results are never
 //!   silent; the design linter surfaces them as `N010` findings
 //!   ([`ggpu_lint::check_supervision`]);
@@ -22,9 +23,9 @@
 //!   stage, the spec fingerprint, the attempt count and a
 //!   retryable/fatal classification.
 //!
-//! A seeded chaos harness ([`FailurePlan`]) injects panics, delays and
-//! I/O errors at stage boundaries to property-test exactly this
-//! machinery; see `tests/chaos.rs`.
+//! A seeded chaos harness ([`FailurePlan`]) injects panics and I/O
+//! errors at stage boundaries to property-test exactly this machinery;
+//! see `tests/chaos.rs`.
 //!
 //! There is no stage deadline by default: stages run inline with zero
 //! thread overhead unless [`SupervisorConfig::stage_timeout`] is set.
@@ -38,9 +39,7 @@
 
 use crate::flow::{parallel_map, GpuPlanner, ImplementedVersion, PlanError};
 use crate::spec::Specification;
-use ggpu_fault::{
-    run_campaign, CampaignConfig, CampaignError, CampaignReport, MacroMap, Rng, Workload,
-};
+use ggpu_fault::{Rng, Workload};
 use ggpu_kernels::suite_threads;
 use ggpu_lint::DegradationStep;
 use ggpu_simt::{AccelBackend, SimtConfig};
@@ -63,8 +62,6 @@ pub enum FlowStage {
     Plan,
     /// Physical synthesis.
     Implement,
-    /// Statistical fault-injection campaign (resilient specs only).
-    Campaign,
 }
 
 impl FlowStage {
@@ -74,7 +71,6 @@ impl FlowStage {
             FlowStage::Verify => "verify",
             FlowStage::Plan => "plan",
             FlowStage::Implement => "implement",
-            FlowStage::Campaign => "campaign",
         }
     }
 
@@ -83,7 +79,6 @@ impl FlowStage {
             FlowStage::Verify => 0,
             FlowStage::Plan => 1,
             FlowStage::Implement => 2,
-            FlowStage::Campaign => 3,
         }
     }
 }
@@ -100,8 +95,6 @@ pub enum FlowErrorKind {
     /// The planning flow failed (wraps configuration, DSE, synthesis,
     /// PnR and lint errors).
     Plan(PlanError),
-    /// The fault campaign failed (wraps workload and set-up errors).
-    Campaign(CampaignError),
     /// Kernel verification or the backend smoke run failed.
     Verify(String),
     /// The stage panicked; carries the rendered panic payload.
@@ -118,7 +111,7 @@ pub enum FlowErrorKind {
 impl FlowErrorKind {
     /// `true` if a retry of the same stage could plausibly succeed:
     /// panics, deadline overruns and injected faults are transient;
-    /// planner and campaign errors are deterministic and fatal.
+    /// planner and verification errors are deterministic and fatal.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
@@ -131,7 +124,6 @@ impl fmt::Display for FlowErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlowErrorKind::Plan(e) => write!(f, "{e}"),
-            FlowErrorKind::Campaign(e) => write!(f, "fault campaign: {e}"),
             FlowErrorKind::Verify(m) => write!(f, "verification: {m}"),
             FlowErrorKind::Panic(m) => write!(f, "panicked: {m}"),
             FlowErrorKind::Timeout { budget_ms } => {
@@ -181,7 +173,6 @@ impl Error for FlowError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match &self.kind {
             FlowErrorKind::Plan(e) => Some(e),
-            FlowErrorKind::Campaign(e) => Some(e),
             _ => None,
         }
     }
@@ -221,9 +212,6 @@ impl DegradationReport {
 pub enum Injection {
     /// Panic at stage entry.
     Panic,
-    /// Sleep this many milliseconds before the stage body (trips the
-    /// deadline when it is configured tighter).
-    Delay(u64),
     /// Fail the stage with [`FlowErrorKind::Injected`].
     Io,
 }
@@ -238,12 +226,8 @@ pub struct FailurePlan {
     pub seed: u64,
     /// Panic probability per attempt, in permille.
     pub panic_permille: u32,
-    /// Delay probability per attempt, in permille.
-    pub delay_permille: u32,
     /// I/O-error probability per attempt, in permille.
     pub io_permille: u32,
-    /// Upper bound of an injected delay.
-    pub max_delay_ms: u64,
 }
 
 impl FailurePlan {
@@ -252,32 +236,28 @@ impl FailurePlan {
         Self {
             seed: 0,
             panic_permille: 0,
-            delay_permille: 0,
             io_permille: 0,
-            max_delay_ms: 0,
         }
     }
 
-    /// The default chaos mix: ~12 % panics, ~6 % delays, ~12 % I/O
-    /// errors per stage attempt.
+    /// The default chaos mix: ~12 % panics and ~12 % I/O errors per
+    /// stage attempt.
     pub fn seeded(seed: u64) -> Self {
         Self {
             seed,
             panic_permille: 120,
-            delay_permille: 60,
             io_permille: 120,
-            max_delay_ms: 2,
         }
     }
 
     /// `true` if this plan can never fire.
     pub fn is_none(&self) -> bool {
-        self.panic_permille == 0 && self.delay_permille == 0 && self.io_permille == 0
+        self.panic_permille == 0 && self.io_permille == 0
     }
 
     /// The (deterministic) injection for one stage attempt, if any.
     /// Every field may take its full range: the permille thresholds
-    /// saturate, and a delay is drawn from `0..=max_delay_ms`.
+    /// saturate.
     pub fn roll(&self, fingerprint: u64, stage: FlowStage, attempt: u32) -> Option<Injection> {
         if self.is_none() {
             return None;
@@ -287,16 +267,9 @@ impl FailurePlan {
             (stage.index() << 32) | u64::from(attempt),
         );
         let draw = (rng.next_u64() % 1000) as u32;
-        let delay_end = self.panic_permille.saturating_add(self.delay_permille);
         if draw < self.panic_permille {
             Some(Injection::Panic)
-        } else if draw < delay_end {
-            let ms = match self.max_delay_ms.checked_add(1) {
-                Some(span) => rng.next_u64() % span,
-                None => rng.next_u64(),
-            };
-            Some(Injection::Delay(ms))
-        } else if draw < delay_end.saturating_add(self.io_permille) {
+        } else if draw < self.panic_permille.saturating_add(self.io_permille) {
             Some(Injection::Io)
         } else {
             None
@@ -318,15 +291,8 @@ pub struct SupervisorConfig {
     pub backoff_base_ms: u64,
     /// Backoff cap, milliseconds.
     pub backoff_cap_ms: u64,
-    /// Seed of the backoff jitter (and of any chaos plan keyed off
-    /// this supervisor).
+    /// Seed of the backoff jitter, mixed with the spec fingerprint.
     pub seed: u64,
-    /// First-choice execution backend of the verify smoke run (the
-    /// SoA → scalar rung).
-    pub backend: AccelBackend,
-    /// Trials of the per-spec fault campaign; `0` (the default) skips
-    /// the campaign stage. Only specs with a resilience policy run it.
-    pub campaign_trials: u32,
     /// Chaos harness (tests only; [`FailurePlan::none`] in
     /// production).
     pub chaos: FailurePlan,
@@ -340,8 +306,6 @@ impl Default for SupervisorConfig {
             backoff_base_ms: 0,
             backoff_cap_ms: 1_000,
             seed: 0,
-            backend: AccelBackend::Soa,
-            campaign_trials: 0,
             chaos: FailurePlan::none(),
         }
     }
@@ -371,16 +335,14 @@ pub struct SupervisedVersion {
     /// flow's whenever no ladder rung changed an engine with
     /// result-visible behavior.
     pub version: ImplementedVersion,
-    /// Fault-campaign report, when the campaign stage ran.
-    pub campaign: Option<CampaignReport>,
     /// Every fallback and retry the supervisor took. Empty on a clean
     /// run.
     pub degradations: DegradationReport,
 }
 
 /// Stable fingerprint of a specification (version name + ceilings +
-/// resilience target). Keys chaos injection, backoff jitter and
-/// campaign seeds; independent of pointer identity and build.
+/// resilience target). Keys chaos injection and backoff jitter;
+/// independent of pointer identity and build.
 pub fn spec_fingerprint(spec: &Specification) -> u64 {
     let mut h = DefaultHasher::new();
     spec.version_name().hash(&mut h);
@@ -395,13 +357,10 @@ pub fn spec_fingerprint(spec: &Specification) -> u64 {
 enum Rung {
     /// Verify smoke on this backend.
     Backend(AccelBackend),
-    /// Plan with the greedy search over cached (`true`) or uncached
-    /// STA.
-    Search { cached_sta: bool },
+    /// Plan (single-rung ladder; retry only).
+    Search,
     /// Implement (single-rung ladder; retry only).
     Implement,
-    /// Campaign (single-rung ladder; retry only).
-    Campaign,
 }
 
 impl Rung {
@@ -409,13 +368,18 @@ impl Rung {
         match self {
             Rung::Backend(AccelBackend::Scalar) => "scalar backend",
             Rung::Backend(_) => "SoA backend",
-            Rung::Search { cached_sta: true } => "greedy search + cached STA",
-            Rung::Search { cached_sta: false } => "greedy search + uncached STA",
+            Rung::Search => "greedy search",
             Rung::Implement => "shelf placer",
-            Rung::Campaign => "fault campaign",
         }
     }
 }
+
+/// The verify stage's ladder: the SoA backend, then the scalar
+/// reference engine.
+const VERIFY_RUNGS: [Rung; 2] = [
+    Rung::Backend(AccelBackend::Soa),
+    Rung::Backend(AccelBackend::Scalar),
+];
 
 /// The supervised end-to-end flow. Clones share the planner's STA
 /// cache and the session's record of verified backends.
@@ -459,7 +423,7 @@ impl Supervisor {
         })
     }
 
-    /// Runs one spec through verify → plan → implement → campaign.
+    /// Runs one spec through verify → plan → implement.
     /// The verify stage's body is a no-op for a backend that already
     /// passed it in this session; chaos rolls and retries still apply.
     ///
@@ -472,15 +436,11 @@ impl Supervisor {
         let mut degradations = DegradationReport::default();
 
         // Stage 1: verify (SoA → scalar ladder), once per backend.
-        let verify_rungs: Vec<Rung> = match self.config.backend {
-            AccelBackend::Scalar => vec![Rung::Backend(AccelBackend::Scalar)],
-            b => vec![Rung::Backend(b), Rung::Backend(AccelBackend::Scalar)],
-        };
         self.ladder(
             spec,
             fp,
             FlowStage::Verify,
-            &verify_rungs,
+            &VERIFY_RUNGS,
             &mut degradations,
             {
                 let verified = Arc::clone(&self.verified);
@@ -493,30 +453,20 @@ impl Supervisor {
             },
         )?;
 
-        // Stage 2: plan (cached STA → uncached STA).
-        let plan_rungs = [
-            Rung::Search { cached_sta: true },
-            Rung::Search { cached_sta: false },
-        ];
-        let planned = self.ladder(spec, fp, FlowStage::Plan, &plan_rungs, &mut degradations, {
-            let planner = self.planner.clone();
-            let spec = *spec;
-            move |rung| {
-                let Rung::Search { cached_sta } = rung else {
-                    unreachable!("plan ladder holds search rungs")
-                };
-                let planner = if cached_sta {
-                    planner.clone()
-                } else {
-                    // Uncached STA: a fresh passthrough table,
-                    // bit-identical results by the cache contract.
-                    planner
-                        .clone()
-                        .with_sta_cache(Arc::new(crate::cache::StaCache::passthrough()))
-                };
-                planner.plan(&spec).map_err(FlowErrorKind::Plan)
-            }
-        })?;
+        // Stage 2: plan (single rung: the greedy search over the
+        // planner's STA cache).
+        let planned = self.ladder(
+            spec,
+            fp,
+            FlowStage::Plan,
+            &[Rung::Search],
+            &mut degradations,
+            {
+                let planner = self.planner.clone();
+                let spec = *spec;
+                move |_| planner.plan(&spec).map_err(FlowErrorKind::Plan)
+            },
+        )?;
 
         // Stage 3: implement (single rung: there is one placer).
         let version = self.ladder(
@@ -527,34 +477,12 @@ impl Supervisor {
             &mut degradations,
             {
                 let planner = self.planner.clone();
-                let planned = planned.clone();
                 move |_| planner.implement(&planned).map_err(FlowErrorKind::Plan)
             },
         )?;
 
-        // Stage 4: campaign (resilient specs only, opt-in).
-        let campaign = match (
-            self.config.campaign_trials,
-            self.planner.resilience_policy(spec),
-        ) {
-            (0, _) | (_, None) => None,
-            (trials, Some(policy)) => Some(self.ladder(
-                spec,
-                fp,
-                FlowStage::Campaign,
-                &[Rung::Campaign],
-                &mut degradations,
-                {
-                    let design = planned.design.clone();
-                    let seed = self.config.seed ^ fp;
-                    move |_| run_fault_campaign(&design, &policy, seed, trials)
-                },
-            )?),
-        };
-
         Ok(SupervisedVersion {
             version,
-            campaign,
             degradations,
         })
     }
@@ -645,7 +573,6 @@ impl Supervisor {
         let attempt = move || -> Result<T, FlowErrorKind> {
             match injection {
                 Some(Injection::Panic) => panic!("chaos: injected panic at stage `{stage}`"),
-                Some(Injection::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
                 Some(Injection::Io) => {
                     return Err(FlowErrorKind::Injected(format!(
                         "chaos: injected I/O failure at stage `{stage}`"
@@ -757,23 +684,6 @@ fn verify_once(
     Ok(())
 }
 
-/// The campaign stage body: a seeded single-fault campaign over the
-/// optimized netlist's macro map.
-fn run_fault_campaign(
-    design: &ggpu_netlist::Design,
-    policy: &ggpu_netlist::EccPolicy,
-    seed: u64,
-    trials: u32,
-) -> Result<CampaignReport, FlowErrorKind> {
-    let map = MacroMap::from_design(design, policy)
-        .map_err(|e| FlowErrorKind::Verify(format!("macro map: {e}")))?;
-    let copy = ggpu_kernels::bench::all()[1];
-    let workload = Workload::from_bench(&copy, 256)
-        .map_err(|e| FlowErrorKind::Campaign(CampaignError::Workload(e)))?;
-    let cfg = CampaignConfig::new(seed, trials);
-    run_campaign(&workload, &map, &cfg).map_err(FlowErrorKind::Campaign)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,7 +705,6 @@ mod tests {
         let plain = planner.implement(&planner.plan(&spec).unwrap()).unwrap();
         let supervised = supervisor().run_spec(&spec).unwrap();
         assert!(supervised.degradations.is_clean());
-        assert!(supervised.campaign.is_none());
         assert_eq!(supervised.version, plain);
     }
 
@@ -834,9 +743,7 @@ mod tests {
             chaos: FailurePlan {
                 seed: 7,
                 panic_permille: 0,
-                delay_permille: 0,
                 io_permille: 1000,
-                max_delay_ms: 0,
             },
             ..SupervisorConfig::default()
         };
@@ -879,9 +786,7 @@ mod tests {
             chaos: FailurePlan {
                 seed: 7,
                 panic_permille: 0,
-                delay_permille: 0,
                 io_permille: 1000,
-                max_delay_ms: 0,
             },
             ..SupervisorConfig::default()
         };
@@ -944,12 +849,7 @@ mod tests {
     #[test]
     fn chaos_rolls_are_deterministic() {
         let plan = FailurePlan::seeded(42);
-        for stage in [
-            FlowStage::Verify,
-            FlowStage::Plan,
-            FlowStage::Implement,
-            FlowStage::Campaign,
-        ] {
+        for stage in [FlowStage::Verify, FlowStage::Plan, FlowStage::Implement] {
             for attempt in 0..8 {
                 assert_eq!(
                     plan.roll(0xABCD, stage, attempt),
@@ -1021,36 +921,19 @@ mod tests {
                 .copied()
                 .unwrap_or_else(|| rng.next_u64() as u32)
         };
-        let stages = [
-            FlowStage::Verify,
-            FlowStage::Plan,
-            FlowStage::Implement,
-            FlowStage::Campaign,
-        ];
-        let delays = [0, 1, u64::MAX - 1, u64::MAX];
+        let stages = [FlowStage::Verify, FlowStage::Plan, FlowStage::Implement];
         for case in 0..512 {
             let plan = FailurePlan {
                 seed: rng.next_u64(),
                 panic_permille: permille(&mut rng),
-                delay_permille: permille(&mut rng),
                 io_permille: permille(&mut rng),
-                max_delay_ms: delays
-                    .get(rng.usize_in(delays.len() + 1))
-                    .copied()
-                    .unwrap_or_else(|| rng.next_u64()),
             };
-            let roll = plan.roll(rng.next_u64(), stages[case % 4], rng.next_u64() as u32);
-            if let Some(Injection::Delay(ms)) = roll {
-                assert!(ms <= plan.max_delay_ms, "{plan:?} drew {ms} ms");
-            }
+            let roll = plan.roll(rng.next_u64(), stages[case % 3], rng.next_u64() as u32);
             // A threshold of 1000 permille or more always fires.
             if plan.panic_permille >= 1000 {
                 assert_eq!(roll, Some(Injection::Panic), "{plan:?}");
             }
-            let total = [plan.delay_permille, plan.io_permille]
-                .into_iter()
-                .fold(plan.panic_permille, u32::saturating_add);
-            if total >= 1000 {
+            if plan.panic_permille.saturating_add(plan.io_permille) >= 1000 {
                 assert!(roll.is_some(), "{plan:?}");
             }
         }
@@ -1058,15 +941,12 @@ mod tests {
 
     #[test]
     fn degradation_report_lints_as_n010() {
-        let (from, to) = (
-            Rung::Search { cached_sta: true }.name(),
-            Rung::Search { cached_sta: false }.name(),
-        );
-        assert_eq!(from, "greedy search + cached STA");
-        assert_eq!(to, "greedy search + uncached STA");
+        let [from, to] = VERIFY_RUNGS.map(Rung::name);
+        assert_eq!(from, "SoA backend");
+        assert_eq!(to, "scalar backend");
         let mut report = DegradationReport::default();
         report.steps.push(DegradationStep {
-            stage: "plan".into(),
+            stage: "verify".into(),
             from: from.into(),
             to: to.into(),
             reason: "panicked: boom".into(),

@@ -25,10 +25,10 @@ fn chaos_config(seed: u64) -> SupervisorConfig {
     }
 }
 
-/// Every rung of the default ladder (greedy search, uncached STA,
-/// scalar backend) is bit-identical to the first choice, so *any*
-/// surviving outcome must equal the unsupervised flow's — chaos can
-/// slow the flow down or kill it, never change its silicon.
+/// The verify stage's fallback (the scalar backend) checks the same
+/// kernels and the plan and implement stages have one rung each, so
+/// *any* surviving outcome must equal the unsupervised flow's — chaos
+/// can slow the flow down or kill it, never change its silicon.
 #[test]
 fn chaos_campaigns_never_lose_or_corrupt_results() {
     let planner = GpuPlanner::new(Tech::l65());
@@ -88,9 +88,8 @@ fn chaos_campaigns_never_lose_or_corrupt_results() {
                 );
                 let rungs = match err.stage {
                     gpuplanner::FlowStage::Verify => 2,
-                    gpuplanner::FlowStage::Plan => 2,
+                    gpuplanner::FlowStage::Plan => 1,
                     gpuplanner::FlowStage::Implement => 1,
-                    gpuplanner::FlowStage::Campaign => 1,
                 };
                 assert_eq!(err.attempts, rungs * 3, "seed {seed}: {err}");
                 assert!(err.to_string().contains(&spec.version_name()));
@@ -99,7 +98,7 @@ fn chaos_campaigns_never_lose_or_corrupt_results() {
     }
     // Accounting: every campaign resolved one way or the other.
     assert_eq!(survived + killed, CAMPAIGNS);
-    // The chaos mix (~30 % per attempt) must actually exercise the
+    // The chaos mix (~24 % per attempt) must actually exercise the
     // machinery: plenty of retried runs, some ladder degradations,
     // and most campaigns surviving.
     assert!(survived > CAMPAIGNS / 2, "only {survived} survived");
@@ -156,36 +155,4 @@ fn supervised_flow_is_byte_identical_when_no_fault_fires() {
             "{spec}"
         );
     }
-}
-
-/// Resilient specs opt into the supervised fault campaign; the report
-/// is seeded off the spec fingerprint and fully deterministic.
-#[test]
-fn resilient_specs_run_a_deterministic_fault_campaign() {
-    use ggpu_tech::sram::EccScheme;
-    let planner = GpuPlanner::new(Tech::l65());
-    let spec = Specification::new(1, Mhz::new(500.0)).with_resilience(EccScheme::Parity);
-    let cfg = SupervisorConfig {
-        stage_timeout: None,
-        campaign_trials: 24,
-        ..SupervisorConfig::default()
-    };
-    let sup = Supervisor::new(planner.clone()).with_config(cfg.clone());
-    let a = sup.run_spec(&spec).unwrap();
-    let campaign = a.campaign.as_ref().expect("resilient spec runs a campaign");
-    assert_eq!(campaign.counts.total(), 24);
-    let b = Supervisor::new(planner.clone())
-        .with_config(cfg.clone())
-        .run_spec(&spec)
-        .unwrap();
-    assert_eq!(
-        campaign.to_json(),
-        b.campaign.as_ref().expect("campaign").to_json()
-    );
-    // A spec without a resilience target skips the stage entirely.
-    let plain = Supervisor::new(planner)
-        .with_config(cfg)
-        .run_spec(&Specification::new(1, Mhz::new(500.0)))
-        .unwrap();
-    assert!(plain.campaign.is_none());
 }

@@ -1,8 +1,8 @@
 //! Equivalence and accounting properties of the memoized STA path.
 //!
 //! The design-level memo (`StaCache::new()`) must be observationally
-//! *bit-identical* to the full recompute (`StaCache::passthrough()` /
-//! `ggpu_sta::analyze`): same `TimingReport`s down to slack bit
+//! *bit-identical* to the full recompute (`ggpu_sta::analyze` /
+//! `ggpu_sta::max_frequency`): same `TimingReport`s down to slack bit
 //! patterns, same `OptimizationPlan`s out of the DSE, same fmax. The
 //! design fingerprint is the memo's only reuse rule, so these
 //! properties drive randomized transform sequences through both paths
@@ -22,7 +22,8 @@ use ggpu_tech::stdcell::CellClass;
 use ggpu_tech::units::{Mhz, Ns};
 use ggpu_tech::Tech;
 use gpuplanner::{
-    advise, apply_plan, optimize_for, optimize_for_with, DseError, OptimizationPlan, StaCache,
+    advise, apply_plan, optimize_for, optimize_for_with, Advice, DseError, OptimizationPlan,
+    StaCache,
 };
 
 /// A random plan valid against [`random_design`]'s shape.
@@ -88,25 +89,54 @@ fn random_transform_sequences_are_bit_identical_memo_vs_full() {
     });
 }
 
+/// The macro a division part (`<name>_d<n>`) was cut from; plans key
+/// the original macro.
+fn undivided(name: &str) -> &str {
+    match name.rsplit_once("_d") {
+        Some((stem, n)) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => stem,
+        _ => name,
+    }
+}
+
+/// The DSE over one shared cache, replayed step by step with no memo
+/// across designs: each step's design is rebuilt from the base through
+/// `apply_plan`, and `advise` times it through a fresh table per call.
+/// Every piece of advice, the plan, the fmax bits and the design must
+/// match the cached run's.
 #[test]
-fn dse_plans_identical_memo_vs_passthrough() {
+fn dse_plans_identical_memo_vs_replayed_advice() {
     let tech = Tech::l65();
     let base = generate(&GgpuConfig::with_cus(1).unwrap()).unwrap();
+    let cache = StaCache::new();
     for target in [590.0, 667.0] {
         let target = Mhz::new(target);
-        let cached = optimize_for_with(&base, &tech, target, &StaCache::new()).unwrap();
-        let reference = optimize_for_with(&base, &tech, target, &StaCache::passthrough()).unwrap();
-        assert_eq!(cached.plan, reference.plan, "plans diverge at {target}");
-        assert_eq!(
-            cached.fmax.value().to_bits(),
-            reference.fmax.value().to_bits(),
-            "fmax diverges at {target}"
-        );
-        assert_eq!(
-            cached.design, reference.design,
-            "designs diverge at {target}"
-        );
-        assert_eq!(cached.trace, reference.trace, "traces diverge at {target}");
+        let cached = optimize_for_with(&base, &tech, target, &cache).unwrap();
+        let mut plan = OptimizationPlan::default();
+        for (step, logged) in cached.trace.iter().enumerate() {
+            let design = apply_plan(&base, &plan).unwrap();
+            let advice = advise(&design, &tech, target).unwrap();
+            assert_eq!(advice.to_string(), *logged, "step {step} at {target}");
+            match advice {
+                Advice::Met { fmax } => {
+                    assert_eq!(step + 1, cached.trace.len(), "met early at {target}");
+                    assert_eq!(plan, cached.plan, "plans diverge at {target}");
+                    assert_eq!(
+                        fmax.value().to_bits(),
+                        cached.fmax.value().to_bits(),
+                        "fmax diverges at {target}"
+                    );
+                    assert_eq!(design, cached.design, "designs diverge at {target}");
+                }
+                Advice::DivideMemory {
+                    module, macro_name, ..
+                } => {
+                    let key = (module, undivided(&macro_name).to_string());
+                    *plan.divisions.entry(key).or_insert(1) *= 2;
+                }
+                Advice::InsertPipeline { module, path, .. } => plan.pipelines.push((module, path)),
+                Advice::Stuck { .. } => panic!("stuck at {target}"),
+            }
+        }
     }
 }
 
@@ -189,10 +219,6 @@ fn critical_paths_without_a_positive_period_are_typed_errors() {
         for (engine, fmax) in [
             ("ggpu_sta", ggpu_sta::max_frequency(&d, &tech)),
             ("StaCache::new", StaCache::new().max_frequency(&d, &tech)),
-            (
-                "StaCache::passthrough",
-                StaCache::passthrough().max_frequency(&d, &tech),
-            ),
         ] {
             match fmax {
                 Err(e) if names_corrupt(&e) => {}

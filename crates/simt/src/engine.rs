@@ -1145,7 +1145,7 @@ impl<'a, W: Wave> Sched<'a, W> {
         let wf = &mut cu.wavefronts[idx];
         let (inst, lane_count, mem_ready, local_beats) =
             match wf.step(env, memory, &mut cu.local_mem, cache, now, scratch)? {
-                StepOut::Retired => return Ok(Issued::Retired),
+                StepOut::Retired => return Ok(Self::retire(cu, idx, now)),
                 StepOut::Issued {
                     inst,
                     lane_count,
@@ -1191,23 +1191,25 @@ impl<'a, W: Wave> Sched<'a, W> {
         let wf = &mut cu.wavefronts[idx];
         wf.set_ready_at(new_ready);
         cu.busy_until = now + beats;
-        let became_done = matches!(inst, Inst::Ret) && cu.wavefronts[idx].done();
-
-        // Workgroup barrier release: once every live wavefront of the
-        // group has arrived (or exited), advance the waiters. Checked
-        // when a barrier is reached and when a wavefront retires —
-        // both events can complete a group.
-        if matches!(inst, Inst::Bar) || became_done {
-            let group = cu.wavefronts[idx].group_id();
-            Self::release_barrier_group(cu, group, now);
-        }
-        Ok(if became_done {
-            Issued::Retired
-        } else if matches!(inst, Inst::Bar) {
-            Issued::Barrier
-        } else {
-            Issued::Alone
+        Ok(match inst {
+            Inst::Ret if wf.done() => Self::retire(cu, idx, now),
+            Inst::Bar => {
+                let group = wf.group_id();
+                Self::release_barrier_group(cu, group, now);
+                Issued::Barrier
+            }
+            _ => Issued::Alone,
         })
+    }
+
+    /// The one retirement step, whatever emptied wavefront `idx` (a
+    /// `ret`, or an exec-mask upset that cleared its last lane): the
+    /// group-mates already waiting at a barrier may now be the whole
+    /// live group, so the release check runs.
+    fn retire(cu: &mut ComputeUnit<W>, idx: usize, now: u64) -> Issued {
+        let group = cu.wavefronts[idx].group_id();
+        Self::release_barrier_group(cu, group, now);
+        Issued::Retired
     }
 
     /// Advances every waiting wavefront of `group` past its barrier if

@@ -258,24 +258,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-impl WatchdogConfig {
-    /// A watchdog sized for a per-stage cycle budget: a livelocked
-    /// kernel is flagged within roughly `budget` simulated cycles
-    /// (`(patience + 1) * interval <= budget` with the default
-    /// patience), instead of the default fixed cadence. Used by the
-    /// flow supervisor's campaign stage so its cycle budgets reuse the
-    /// retirement-progress watchdog rather than growing a second hang
-    /// detector.
-    ///
-    /// Budgets below the default interval clamp to a 64-cycle
-    /// heartbeat so the watchdog can still arm.
-    pub fn for_budget(budget: u64) -> Self {
-        let patience = Self::default().patience;
-        let interval = (budget / (u64::from(patience) + 1)).max(64);
-        Self { interval, patience }
-    }
-}
-
 /// Options for [`crate::Gpu::launch_hardened`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HardenedOptions {
@@ -438,21 +420,5 @@ mod tests {
         });
         assert_eq!(log.count(InjectionOutcome::Applied), 1);
         assert_eq!(log.count(InjectionOutcome::Corrected), 0);
-    }
-
-    #[test]
-    fn watchdog_for_budget_bounds_detection_latency() {
-        // Detection within (patience + 1) * interval <= budget.
-        for budget in [1_000u64, 10_000, 1_000_000] {
-            let w = WatchdogConfig::for_budget(budget);
-            assert!(
-                (u64::from(w.patience) + 1) * w.interval <= budget,
-                "budget {budget}: interval {} patience {}",
-                w.interval,
-                w.patience
-            );
-        }
-        // Tiny budgets clamp to a heartbeat the watchdog can arm at.
-        assert_eq!(WatchdogConfig::for_budget(1).interval, 64);
     }
 }

@@ -203,9 +203,11 @@ pub enum SimError {
     /// corruption.
     UncorrectableFault(FaultReport),
     /// A live compute unit had no schedulable event: every resident
-    /// wavefront was parked at a barrier that can never release. This
-    /// indicates a scheduler invariant violation (barrier release is
-    /// immediate once a group has fully arrived) and is reported
+    /// wavefront was parked at a barrier that can never release. The
+    /// release check runs whenever a group member arrives at a barrier
+    /// or retires, whatever retired it (a `ret` or an exec-mask upset
+    /// that cleared its last lane), so no kernel or fault plan reaches
+    /// this state: a stall means a simulator bug. It is reported
     /// instead of silently re-polling every cycle.
     SchedulerStall {
         /// Cycle at which the scheduler found no event.
@@ -1717,6 +1719,60 @@ mod barrier_tests {
         let mut gpu = Gpu::new(SimtConfig::with_cus(1), 1 << 12);
         let stats = gpu.launch(&kernel, &Launch::new(128, 128, vec![])).unwrap();
         assert!(stats.cycles > 0);
+    }
+
+    #[test]
+    fn exec_mask_retirement_releases_the_barrier() {
+        // 65 items in one group: slot 1 holds one lane. An upset that
+        // clears it retires the wavefront without a `ret`, and slot 0,
+        // possibly already waiting at the barrier, must be released
+        // whatever the upset's cycle, on both engines and when forked.
+        use crate::fault::{FaultPlan, FaultSite, HardenedOptions, Injection, Protection};
+        let src = "
+            addi r1, r0, 1
+            addi r2, r0, 2
+            addi r3, r0, 3
+            addi r4, r0, 4
+            bar
+            ret
+        ";
+        let kernel = Kernel::from_asm("lone_lane", src).unwrap();
+        let launch = Launch::new(65, 65, vec![]);
+        let site = FaultSite::ExecMask {
+            cu: 0,
+            slot: 1,
+            lane: 0,
+        };
+        for backend in [AccelBackend::Soa, AccelBackend::Scalar] {
+            let mut gpu = Gpu::new(SimtConfig::with_cus(1).with_backend(backend), 1 << 12);
+            let clean = gpu.launch(&kernel, &launch).unwrap();
+            let upsets: Vec<Injection> = (0..=clean.cycles)
+                .map(|cycle| Injection::single(cycle, site, 0, Protection::None))
+                .collect();
+            let mut hardened = Vec::new();
+            for upset in &upsets {
+                let opts = HardenedOptions {
+                    plan: FaultPlan::new(vec![upset.clone()]),
+                    watchdog: None,
+                };
+                let run = gpu.launch_hardened(&kernel, &launch, &opts);
+                let stats = run
+                    .unwrap_or_else(|e| panic!("{backend:?}, upset at cycle {}: {e}", upset.cycle));
+                hardened.push(stats.stats);
+            }
+            let mut forked = vec![None; upsets.len()];
+            gpu.launch_forked(&kernel, &launch, None, &upsets, |i, run, _| {
+                forked[i] = Some(run.map(|r| r.stats));
+            })
+            .unwrap();
+            for ((upset, fork), fresh) in upsets.iter().zip(forked).zip(hardened) {
+                let fork = fork.expect("every injection is visited");
+                let fork = fork.unwrap_or_else(|e| {
+                    panic!("{backend:?}, forked upset at cycle {}: {e}", upset.cycle)
+                });
+                assert_eq!(fork, fresh, "{backend:?}, upset at cycle {}", upset.cycle);
+            }
+        }
     }
 }
 

@@ -1,19 +1,30 @@
-//! Soundness of the static verifier's control-flow claims against the
-//! simulator: a random program that the verifier does not flag with
-//! K004 (reachable fallthrough off the end), K005 (target out of
-//! bounds) or K009 (empty program) must never raise
-//! `SimError::PcOutOfRange` when executed.
+//! Soundness of the static verifier's claims against the simulator,
+//! and liveness of the scheduler under upsets:
 //!
-//! The generator emits only register/control instructions — no memory
-//! accesses, no barriers — so the only simulator faults possible at
-//! all are `PcOutOfRange` (what we claim never happens) and
-//! `CycleLimit` (random loops may genuinely not terminate; that is
-//! outside the verifier's claims and accepted).
+//! * a random program that the verifier does not flag with K004
+//!   (reachable fallthrough off the end), K005 (target out of bounds)
+//!   or K009 (empty program) must never raise
+//!   `SimError::PcOutOfRange` when executed. That generator emits only
+//!   register/control instructions — no memory accesses, no barriers —
+//!   so the only simulator faults possible at all are `PcOutOfRange`
+//!   (what we claim never happens) and `CycleLimit` (random loops may
+//!   genuinely not terminate; that is outside the verifier's claims
+//!   and accepted);
+//! * a random program with barriers that has no K004, K005, K008 or
+//!   K009 finding never raises `SimError::DivergentBarrier`, on either
+//!   backend, at several launch shapes;
+//! * a verifier-clean barrier program with a partial last wavefront
+//!   never ends in `SimError::SchedulerStall` under one exec-mask, PC
+//!   or register upset, whatever the cycle it lands at.
 
+use ggpu_isa::asm::assemble;
 use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use ggpu_lint::{verify_program, Code, LintConfig};
 use ggpu_prop::Rng;
-use ggpu_simt::{Gpu, Kernel, Launch, SimError, SimtConfig};
+use ggpu_simt::{
+    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch,
+    Protection, SimError, SimtConfig, WatchdogConfig,
+};
 
 const ALU_OPS: [AluOp; 13] = [
     AluOp::Add,
@@ -180,4 +191,197 @@ fn verifier_flags_exactly_the_programs_that_fault() {
             Err(e) => panic!("unexpected fault: {e}"),
         }
     });
+}
+
+const BACKENDS: [AccelBackend; 2] = [AccelBackend::Soa, AccelBackend::Scalar];
+
+/// A register among `r0`–`r5`: few enough that defined values reach
+/// the branches and barriers.
+fn small_reg(rng: &mut Rng) -> Reg {
+    Reg::new(rng.usize_in(0, 5) as u8)
+}
+
+/// A random program with barriers, forward and backward branches, and
+/// lane-varying (`lid`, `gid`), group-uniform (group id) and
+/// launch-uniform (`param`) operands. Every target stays inside the
+/// program and the last instruction is `ret`, so most draws pass K004
+/// and K005 and reach the simulator.
+fn barrier_program(rng: &mut Rng) -> Vec<Inst> {
+    const IDS: [IdSource; 3] = [IdSource::LocalId, IdSource::GlobalId, IdSource::GroupId];
+    const OPS: [AluOp; 7] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Xor,
+        AluOp::Srl,
+        AluOp::Slt,
+        AluOp::Sltu,
+    ];
+    let len = rng.usize_in(3, 12);
+    let mut program: Vec<Inst> = (1..len)
+        .map(|_| match rng.usize_in(0, 9) {
+            0 | 1 => Inst::Bar,
+            2 => Inst::ReadId {
+                rd: small_reg(rng),
+                src: rng.pick_copy(&IDS),
+            },
+            3 => Inst::Param {
+                rd: small_reg(rng),
+                idx: rng.usize_in(0, 2) as u8,
+            },
+            4 => Inst::AluImm {
+                op: rng.pick_copy(&OPS),
+                rd: small_reg(rng),
+                rs1: small_reg(rng),
+                imm: rng.i32_in(-2, 3) as i16,
+            },
+            5 => Inst::Alu {
+                op: rng.pick_copy(&OPS),
+                rd: small_reg(rng),
+                rs1: small_reg(rng),
+                rs2: small_reg(rng),
+            },
+            6..=8 => Inst::Branch {
+                cond: rng.pick_copy(&CONDS),
+                rs1: small_reg(rng),
+                rs2: small_reg(rng),
+                target: rng.usize_in(0, len - 1) as u32,
+            },
+            _ => Inst::Ret,
+        })
+        .collect();
+    program.push(Inst::Ret);
+    program
+}
+
+/// `true` if the verifier makes no claim the barrier properties test:
+/// control-flow findings (K004, K005, K009) or a divergent barrier
+/// (K008).
+fn barrier_clean(program: &[Inst]) -> bool {
+    let report = verify_program("prop", program, &LintConfig::new());
+    ![Code::K004, Code::K005, Code::K008, Code::K009]
+        .into_iter()
+        .any(|c| report.has(c))
+}
+
+fn machine(backend: AccelBackend) -> Gpu {
+    let mut config = SimtConfig::with_cus(2).with_backend(backend);
+    // Random loops are common and often endless; only the abort
+    // reason matters here.
+    config.max_cycles = 5_000;
+    Gpu::new(config, 1 << 12)
+}
+
+/// Runs a verifier-clean barrier program on both backends at one
+/// group, a partial last wavefront (3 lanes) and two groups of a full
+/// and a partial wavefront: none may split at a barrier.
+fn assert_never_splits_at_a_barrier(program: &[Inst], params: &[u32]) {
+    let kernel = Kernel {
+        name: "prop".into(),
+        program: program.to_vec(),
+    };
+    for backend in BACKENDS {
+        for (global, group) in [(64, 64), (67, 67), (160, 80)] {
+            let launch = Launch::new(global, group, params.to_vec());
+            match machine(backend).launch(&kernel, &launch) {
+                Ok(_) | Err(SimError::CycleLimit { .. }) => {}
+                Err(e) => panic!(
+                    "verifier-clean program failed on {backend:?} at {global}/{group}: \
+                     {e}\n{program:#?}"
+                ),
+            }
+        }
+    }
+}
+
+#[test]
+fn barrier_clean_programs_never_split_at_a_barrier() {
+    // The corpus kernel whose r4 differs across lanes only because they
+    // took different paths: a flow-insensitive taint calls it clean,
+    // yet it splits at its barrier when param 0 is 1.
+    let pinned = assemble(include_str!(
+        "../../lint/tests/corpus/divergent_barrier_path_value.s"
+    ))
+    .unwrap();
+    if barrier_clean(&pinned) {
+        assert_never_splits_at_a_barrier(&pinned, &[1]);
+    }
+    let mut executed = 0u32;
+    ggpu_prop::cases(256, |rng| {
+        let program = barrier_program(rng);
+        let params: Vec<u32> = (0..3).map(|_| rng.u32_in(0, 3)).collect();
+        if barrier_clean(&program) {
+            executed += 1;
+            assert_never_splits_at_a_barrier(&program, &params);
+        }
+    });
+    assert!(
+        executed >= 64,
+        "generator too dirty: only {executed} verifier-clean samples ran"
+    );
+}
+
+/// One upset of an exec-mask bit, a PC bit or a register bit of a lane
+/// of CU 0, biased toward the partial last wavefront (slot 1).
+fn any_upset(rng: &mut Rng, cycle: u64, partial_lanes: u32) -> Injection {
+    let slot = if rng.chance(0.75) { 1 } else { 0 };
+    let lane = rng.u32_in(0, if slot == 1 { partial_lanes - 1 } else { 63 });
+    let (site, bit) = match rng.usize_in(0, 2) {
+        0 => (FaultSite::ExecMask { cu: 0, slot, lane }, 0),
+        1 => (FaultSite::Pc { cu: 0, slot, lane }, rng.u32_in(0, 3) as u8),
+        _ => (
+            FaultSite::Register {
+                cu: 0,
+                slot,
+                lane,
+                reg: rng.u32_in(1, 5) as u8,
+            },
+            rng.u32_in(0, 31) as u8,
+        ),
+    };
+    Injection::single(cycle, site, bit, Protection::None)
+}
+
+#[test]
+fn single_upsets_never_stall_the_scheduler() {
+    let mut upset_runs = 0u32;
+    ggpu_prop::cases(128, |rng| {
+        let program = barrier_program(rng);
+        if !barrier_clean(&program) {
+            return;
+        }
+        let kernel = Kernel {
+            name: "prop".into(),
+            program: program.clone(),
+        };
+        // One group whose last wavefront holds 1–3 lanes.
+        let partial_lanes = rng.u32_in(1, 3);
+        let params: Vec<u32> = (0..3).map(|_| rng.u32_in(0, 3)).collect();
+        let launch = Launch::new(64 + partial_lanes, 64 + partial_lanes, params);
+        for backend in BACKENDS {
+            let Ok(clean) = machine(backend).launch(&kernel, &launch) else {
+                return; // endless: no run to spread upsets over
+            };
+            for k in 0..12 {
+                let cycle = clean.cycles * k / 11;
+                let upset = any_upset(rng, cycle, partial_lanes);
+                let opts = HardenedOptions {
+                    plan: FaultPlan::new(vec![upset.clone()]),
+                    watchdog: Some(WatchdogConfig::default()),
+                };
+                upset_runs += 1;
+                let run = machine(backend).launch_hardened(&kernel, &launch, &opts);
+                if let Err(e @ SimError::SchedulerStall { .. }) = run {
+                    panic!(
+                        "{backend:?}: {} at cycle {cycle} stalled the launch: {e}\n{program:#?}",
+                        upset.site
+                    );
+                }
+            }
+        }
+    });
+    assert!(
+        upset_runs >= 1_000,
+        "generator too dirty: only {upset_runs} upset runs"
+    );
 }

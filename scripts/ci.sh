@@ -115,6 +115,14 @@ echo "== absint soundness suite (release, raised case count) =="
 # to varying) first show up past the default 128 cases.
 GGPU_PROP_CASES=20000 cargo test --release -q -p ggpu-simt --test prop_absint_soundness
 
+echo "== barrier soundness and liveness suite (release, raised case count) =="
+# Random barrier programs on both backends: one with no K004, K005,
+# K008 or K009 finding never splits at a barrier (a pinned kernel whose
+# lanes differ only by the path they took runs first), and no single
+# exec-mask, PC or register upset ends a launch in SchedulerStall
+# (~5 s of test time).
+GGPU_PROP_CASES=20000 cargo test --release -q -p ggpu-simt --test prop_lint_soundness
+
 echo "== fault campaign suite (release, raised case count) =="
 # The campaign-level fork equivalence (every forked trial against a
 # fresh launch), the thread-count determinism of the reports and the
