@@ -7,12 +7,9 @@
 //! statistics — everything except the host-side performance fields
 //! (`sim_wall`, `sched_iterations`), which are expected to differ:
 //! that difference *is* the optimization.
-//!
-//! The same suite pins each kernel's LRAM bank-conflict profile under
-//! the ideal, 4-bank and 8-bank local-memory models.
 
 use ggpu_kernels::bench::{all, mat_mul_local, Bench};
-use ggpu_simt::{LramModel, RunStats, SimtConfig};
+use ggpu_simt::RunStats;
 
 fn both(bench: &Bench, n: u32, cus: u32) -> (RunStats, RunStats) {
     let event = bench
@@ -82,40 +79,6 @@ fn event_core_never_does_more_scheduler_work() {
                 event.sched_iterations,
                 reference.sched_iterations
             );
-        }
-    }
-}
-
-#[test]
-fn lram_banking_only_adds_conflict_cycles() {
-    // Banking is a timing model: run_gpu_with golden-checks every
-    // output, the ideal LRAM never charges a conflict, and more banks
-    // never conflict more. mat_mul_local, the one kernel with LRAM
-    // traffic, conflicts on 4 banks and runs clean on 8.
-    let run = |bench: &Bench, lram: LramModel| {
-        let config = SimtConfig {
-            lram,
-            ..SimtConfig::default()
-        };
-        bench
-            .run_gpu_with(256, config)
-            .unwrap_or_else(|e| panic!("{} under {lram:?}: {e}", bench.name))
-    };
-    for bench in all().into_iter().chain([mat_mul_local()]) {
-        let ideal = run(&bench, LramModel::Ideal);
-        let b4 = run(&bench, LramModel::Banked { banks: 4 });
-        let b8 = run(&bench, LramModel::Banked { banks: 8 });
-        assert_eq!(ideal.lram_conflict_cycles, 0, "{}", bench.name);
-        assert!(b4.cycles >= ideal.cycles, "{}", bench.name);
-        assert!(b8.cycles >= ideal.cycles, "{}", bench.name);
-        assert!(
-            b8.lram_conflict_cycles <= b4.lram_conflict_cycles,
-            "{}: more banks must not conflict more",
-            bench.name
-        );
-        if bench.name == "mat_mul_local" {
-            assert!(b4.lram_conflict_cycles > 0, "4 banks must conflict");
-            assert_eq!(b8.lram_conflict_cycles, 0, "8 banks must not conflict");
         }
     }
 }

@@ -235,11 +235,6 @@ impl Module {
         let idx = self.macros.iter().position(|m| m.name == name)?;
         Some(self.macros.remove(idx))
     }
-
-    /// Total number of child instances.
-    pub fn child_count(&self) -> usize {
-        self.children.len()
-    }
 }
 
 #[cfg(test)]

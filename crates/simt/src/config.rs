@@ -21,38 +21,6 @@ pub enum AccelBackend {
     Soa,
 }
 
-/// How the local scratchpad (LRAM) serves a wavefront beat's lanes.
-///
-/// `Banked { banks }` models a word-interleaved scratchpad (word `w`
-/// lives in bank `w % banks`); lanes of one beat that touch *distinct
-/// words* of the same bank serialize, costing extra beats, while
-/// lanes reading the same word broadcast for free. No generated
-/// netlist is banked this way: the model is a simulator-side study.
-/// `Ideal` is the infinite-port model — zero conflict cost, and the
-/// timing every datasheet and Table III cell uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LramModel {
-    /// Every lane is served in its scheduled beat (legacy timing).
-    #[default]
-    Ideal,
-    /// Word-interleaved banks with per-beat conflict serialization.
-    Banked {
-        /// Number of banks (≥ 1).
-        banks: u32,
-    },
-}
-
-impl LramModel {
-    /// The bank count the conflict model arbitrates over (`None` for
-    /// the ideal model).
-    pub fn banks(&self) -> Option<u32> {
-        match self {
-            LramModel::Ideal => None,
-            LramModel::Banked { banks } => Some(*banks),
-        }
-    }
-}
-
 /// Shared data-cache parameters (direct-mapped, write-back,
 /// write-allocate, banked — the FGPU's central multi-port cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,10 +100,10 @@ pub struct SimtConfig {
     /// serialize lane by lane (this is why the paper's div_int kernel
     /// only reaches a 1.2x speed-up over the RISC-V).
     pub div_serial: u32,
-    /// Local scratch (LRAM) access latency.
+    /// Local scratch (LRAM) access latency. The LRAM serves every lane
+    /// in its scheduled beat, so an `lwl`/`swl` costs its issue beats
+    /// plus this latency.
     pub local_latency: u32,
-    /// Local scratch arbitration model (bank-conflict timing).
-    pub lram: LramModel,
     /// Hard cycle ceiling; exceeded means a runaway kernel.
     pub max_cycles: u64,
     /// Execution backend (host-side engine choice; architecturally
@@ -160,12 +128,6 @@ impl SimtConfig {
     /// The same machine with an explicit execution backend.
     pub fn with_backend(mut self, backend: AccelBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// The same machine with an explicit LRAM arbitration model.
-    pub fn with_lram(mut self, lram: LramModel) -> Self {
-        self.lram = lram;
         self
     }
 
@@ -231,9 +193,6 @@ impl SimtConfig {
         if self.dram.bytes_per_cycle == 0 {
             return Err("zero DRAM bytes per cycle".into());
         }
-        if self.lram.banks() == Some(0) {
-            return Err("zero LRAM banks".into());
-        }
         Ok(())
     }
 }
@@ -252,7 +211,6 @@ impl Default for SimtConfig {
             div_latency: 18,
             div_serial: 36,
             local_latency: 3,
-            lram: LramModel::default(),
             max_cycles: 400_000_000,
             backend: AccelBackend::default(),
         }
@@ -313,7 +271,6 @@ mod tests {
             (|c| c.cache.banks = 0, "cache banks"),
             (|c| c.dram.interfaces = 0, "DRAM interfaces"),
             (|c| c.dram.bytes_per_cycle = 0, "bytes per cycle"),
-            (|c| c.lram = LramModel::Banked { banks: 0 }, "LRAM banks"),
             (
                 |c| {
                     c.wavefront_size = 1 << 16;

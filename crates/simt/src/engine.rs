@@ -59,12 +59,6 @@ pub(crate) enum StepOut {
         lane_count: u32,
         /// Earliest cycle the memory system can deliver the results.
         mem_ready: u64,
-        /// Extra LRAM beats serializing bank conflicts (local
-        /// accesses under [`crate::LramModel::Banked`]; zero
-        /// otherwise). Computed inside the lane loop because the
-        /// accessed words are lost once the step commits (`lwl` may
-        /// overwrite its own address register).
-        local_beats: u64,
     },
 }
 
@@ -1143,15 +1137,14 @@ impl<'a, W: Wave> Sched<'a, W> {
             cu.wavefronts[idx].observe(env, memory.len(), cu.local_mem.len(), trace);
         }
         let wf = &mut cu.wavefronts[idx];
-        let (inst, lane_count, mem_ready, local_beats) =
+        let (inst, lane_count, mem_ready) =
             match wf.step(env, memory, &mut cu.local_mem, cache, now, scratch)? {
                 StepOut::Retired => return Ok(Self::retire(cu, idx, now)),
                 StepOut::Issued {
                     inst,
                     lane_count,
                     mem_ready,
-                    local_beats,
-                } => (inst, lane_count, mem_ready, local_beats),
+                } => (inst, lane_count, mem_ready),
             };
         stats.vector_instructions += 1;
         stats.lane_ops += u64::from(lane_count);
@@ -1177,16 +1170,11 @@ impl<'a, W: Wave> Sched<'a, W> {
             },
             // Memory latency is folded into `mem_ready`.
             Inst::Lw { .. } | Inst::Sw { .. } => (base_beats, 0),
-            // Bank conflicts occupy the issue stage for extra beats:
-            // the LRAM crossbar replays the beat until every bank has
-            // delivered its distinct words.
-            Inst::Lwl { .. } | Inst::Swl { .. } => (
-                base_beats + local_beats,
-                u64::from(env.config.local_latency),
-            ),
+            Inst::Lwl { .. } | Inst::Swl { .. } => {
+                (base_beats, u64::from(env.config.local_latency))
+            }
             _ => (base_beats, u64::from(env.config.alu_latency)),
         };
-        stats.lram_conflict_cycles += local_beats;
         let new_ready = (now + beats + latency).max(mem_ready);
         let wf = &mut cu.wavefronts[idx];
         wf.set_ready_at(new_ready);
@@ -1372,8 +1360,6 @@ pub(crate) struct ScalarScratch {
     lanes: Vec<usize>,
     /// Cache lines already arbitrated for this instruction.
     touched_lines: Vec<u64>,
-    /// LRAM word indices of this issue, in lane order (banked model).
-    local_words: Vec<u32>,
 }
 
 impl ScalarWave {
@@ -1477,7 +1463,6 @@ impl Wave for ScalarWave {
         let lanes = &scratch.lanes;
         let lane_count = lanes.len() as u32;
         let mut mem_ready: u64 = now;
-        let mut local_beats: u64 = 0;
 
         match inst {
             Inst::Alu { op, rd, rs1, rs2 } => {
@@ -1556,8 +1541,6 @@ impl Wave for ScalarWave {
             }
             Inst::Lwl { rd, rs1, imm } | Inst::Swl { rs1, rs2: rd, imm } => {
                 let is_store = matches!(inst, Inst::Swl { .. });
-                let banked = env.config.lram.banks();
-                scratch.local_words.clear();
                 for &l in lanes {
                     let addr = self.reg(l, rs1).wrapping_add(imm as i32 as u32);
                     if !addr.is_multiple_of(4) {
@@ -1567,25 +1550,12 @@ impl Wave for ScalarWave {
                     if widx >= local_mem.len() {
                         return Err(SimError::LocalOutOfBounds { addr });
                     }
-                    // Collected before the access commits: a `lwl`
-                    // whose destination is its own address register
-                    // destroys the address.
-                    if banked.is_some() {
-                        scratch.local_words.push(widx as u32);
-                    }
                     if is_store {
                         local_mem[widx] = self.reg(l, rd);
                     } else {
                         self.regs[l * 32 + rd.index()] = local_mem[widx];
                     }
                     self.pcs[l] = pc + 1;
-                }
-                if let Some(banks) = banked {
-                    local_beats = crate::memsys::lram_conflict_beats(
-                        &scratch.local_words,
-                        banks,
-                        env.config.pes_per_cu as usize,
-                    );
                 }
             }
             Inst::Branch {
@@ -1627,7 +1597,6 @@ impl Wave for ScalarWave {
             inst,
             lane_count,
             mem_ready,
-            local_beats,
         })
     }
 

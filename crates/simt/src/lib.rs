@@ -40,7 +40,7 @@ pub mod memsys;
 mod soa;
 pub mod trace;
 
-pub use config::{AccelBackend, CacheConfig, DramConfig, LramModel, SimtConfig};
+pub use config::{AccelBackend, CacheConfig, DramConfig, SimtConfig};
 pub use fault::{
     FaultEvent, FaultLog, FaultPlan, FaultReport, FaultSite, HardenedOptions, HardenedRun,
     Injection, InjectionOutcome, Protection, WatchdogConfig,

@@ -82,37 +82,6 @@ impl Dram {
     }
 }
 
-/// Extra serialization beats a banked LRAM needs to serve one issue.
-///
-/// `words` holds the word index of every committed lane's access, in
-/// ascending lane order (the architectural arbitration order). Lanes
-/// are served in beats of `pes`; within a beat, each bank (word index
-/// modulo `banks`) delivers its *distinct* words one cycle at a time
-/// while same-word lanes broadcast for free, so a beat costs its worst
-/// bank's degree. The conflict-free cost is one cycle per beat; the
-/// returned extra is `degree - 1` summed over beats.
-pub(crate) fn lram_conflict_beats(words: &[u32], banks: u32, pes: usize) -> u64 {
-    let banks = banks.max(1);
-    let mut extra = 0u64;
-    let mut per_bank: Vec<(u32, u32)> = Vec::new();
-    for beat in words.chunks(pes.max(1)) {
-        per_bank.clear();
-        for &w in beat {
-            let b = w % banks;
-            if !per_bank.contains(&(b, w)) {
-                per_bank.push((b, w));
-            }
-        }
-        let mut worst = 1u32;
-        for &(b, _) in &per_bank {
-            let degree = per_bank.iter().filter(|&&(pb, _)| pb == b).count() as u32;
-            worst = worst.max(degree);
-        }
-        extra += u64::from(worst - 1);
-    }
-    extra
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
@@ -330,25 +299,6 @@ mod tests {
         let ha = c.access(t, a, false);
         let hb = c.access(t, b, false);
         assert_eq!(hb, ha + 1, "same-bank accesses serialize");
-    }
-
-    #[test]
-    fn lram_conflict_beats_count_distinct_words_per_bank_per_beat() {
-        // Broadcast: every lane reads one word — zero extra beats.
-        assert_eq!(lram_conflict_beats(&[5; 8], 4, 8), 0);
-        // Unit stride over 8 banks, 8 lanes per beat: conflict-free.
-        let unit: Vec<u32> = (0..16).collect();
-        assert_eq!(lram_conflict_beats(&unit, 8, 8), 0);
-        // Stride 8 over 8 banks: all 8 lanes of a beat hit bank 0 —
-        // 7 extra beats per beat, 2 beats.
-        let strided: Vec<u32> = (0..16).map(|i| i * 8).collect();
-        assert_eq!(lram_conflict_beats(&strided, 8, 8), 14);
-        // 4 banks, stride 1, 8 lanes per beat: each bank serves 2
-        // distinct words — 1 extra beat per beat.
-        assert_eq!(lram_conflict_beats(&unit, 4, 8), 2);
-        // Fewer banks than beat width but same-word lanes broadcast.
-        assert_eq!(lram_conflict_beats(&[0, 0, 1, 1], 2, 4), 0);
-        assert_eq!(lram_conflict_beats(&[], 8, 8), 0);
     }
 
     #[test]

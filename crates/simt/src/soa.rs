@@ -106,8 +106,6 @@ pub(crate) struct SoaScratch {
     b: [u32; MAX_WF as usize],
     addr: [u32; MAX_WF as usize],
     lines: Vec<u64>,
-    /// LRAM word indices of this issue, in lane order (banked model).
-    local_words: Vec<u32>,
 }
 
 // `[u32; 64]` has no derived `Default` (std stops at 32); zeroed is
@@ -119,7 +117,6 @@ impl Default for SoaScratch {
             b: [0; MAX_WF as usize],
             addr: [0; MAX_WF as usize],
             lines: Vec::new(),
-            local_words: Vec::new(),
         }
     }
 }
@@ -504,7 +501,6 @@ impl Wave for SoaWave {
         let wf = self.wf as usize;
         let next_pc = pc + 1;
         let mut mem_ready: u64 = now;
-        let mut local_beats: u64 = 0;
         // Lane-uniform registers as they stand before this issue writes
         // its destination, which may be one of its operands.
         let uni = self.uni;
@@ -819,8 +815,6 @@ impl Wave for SoaWave {
                 let is_store = matches!(inst, Inst::Swl { .. });
                 let (base, vro) = (rs1.index() * wf, rd.index() * wf);
                 let off = imm as i32 as u32;
-                let banked = env.config.lram.banks();
-                scratch.local_words.clear();
                 let handled = if dense_n > 0 {
                     // Dense issue: one pass computes the address row
                     // and the shape reductions; the stride-4 and
@@ -854,13 +848,6 @@ impl Wave for SoaWave {
                         } else {
                             self.regs[vro..vro + n].copy_from_slice(&local_mem[widx..widx + n]);
                         }
-                        if banked.is_some() {
-                            // Lane `l` at word `widx + l`, the exact
-                            // ascending sequence the reference collects.
-                            scratch
-                                .local_words
-                                .extend((0..n as u32).map(|l| widx as u32 + l));
-                        }
                         self.advance_issued_pcs(issue, dense_n, next_pc);
                         true
                     } else if all_ok && not_same == 0 {
@@ -873,9 +860,6 @@ impl Wave for SoaWave {
                             self.advance_issued_pcs(issue, dense_n, next_pc);
                         } else {
                             self.broadcast(issue, dense_n, rd, local_mem[widx], next_pc);
-                        }
-                        if banked.is_some() {
-                            scratch.local_words.extend((0..n).map(|_| widx as u32));
                         }
                         true
                     } else {
@@ -897,12 +881,6 @@ impl Wave for SoaWave {
                         if widx >= local_mem.len() {
                             return Err(SimError::LocalOutOfBounds { addr });
                         }
-                        // Collected before the access commits: a `lwl`
-                        // whose destination is its own address register
-                        // destroys the address.
-                        if banked.is_some() {
-                            scratch.local_words.push(widx as u32);
-                        }
                         if is_store {
                             local_mem[widx] = self.regs[vro + l];
                         } else {
@@ -910,13 +888,6 @@ impl Wave for SoaWave {
                         }
                     }
                     self.advance_issued_pcs(issue, dense_n, next_pc);
-                }
-                if let Some(banks) = banked {
-                    local_beats = crate::memsys::lram_conflict_beats(
-                        &scratch.local_words,
-                        banks,
-                        env.config.pes_per_cu as usize,
-                    );
                 }
             }
             Inst::Branch {
@@ -1024,7 +995,6 @@ impl Wave for SoaWave {
             inst,
             lane_count,
             mem_ready,
-            local_beats,
         })
     }
 

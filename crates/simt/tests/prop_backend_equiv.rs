@@ -3,12 +3,14 @@
 //! image, same typed errors, and same `launch_hardened` fault
 //! semantics (injection outcomes, ECC verdicts, watchdog trips,
 //! partial memory effects) — across randomized kernels, exec-mask
-//! patterns, divergence/barrier shapes and fault plans.
+//! patterns, divergence/barrier shapes and fault plans. LRAM traffic
+//! comes from the barrier-exchange template and from random
+//! `lwl`/`swl`.
 
 use ggpu_isa::inst::{AluOp, BranchCond, IdSource, Inst, Reg};
 use ggpu_prop::{cases, Rng};
 use ggpu_simt::{
-    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch, LramModel,
+    AccelBackend, FaultPlan, FaultSite, Gpu, HardenedOptions, Injection, Kernel, Launch,
     Protection, SimtConfig, WatchdogConfig,
 };
 
@@ -190,105 +192,6 @@ fn template_kernels_bit_identical() {
         let mem = seed_mem(rng);
         assert_equiv(&kernel, &launch, config, &mem, None);
     });
-}
-
-/// Banked LRAM geometries: the conflict-aware arbitration model must
-/// stay bit-identical between backends — same outputs, same cycle
-/// count, same conflict tally (`RunStats` equality covers
-/// `lram_conflict_cycles`) — across randomized bank counts, including
-/// degenerate single-bank and wider-than-wavefront geometries.
-#[test]
-fn banked_geometries_bit_identical() {
-    cases(120, |rng| {
-        let mut config = small_config(rng);
-        config.lram = LramModel::Banked {
-            banks: rng.pick_copy(&[1, 2, 3, 4, 8, 16]),
-        };
-        let kernel = template_kernel(rng);
-        let launch = template_launch(rng, &config);
-        let mem = seed_mem(rng);
-        assert_equiv(&kernel, &launch, config, &mem, None);
-    });
-}
-
-/// The template kernels with a race-free LRAM exchange. Template 4
-/// indexes the LRAM by local id, but the LRAM is one scratch per CU
-/// that every resident workgroup shares, so co-resident groups race
-/// on it and timing decides who reads whose words. Here each group
-/// exchanges through its own words, indexed by global id (below word
-/// `n + workgroup size`, inside the LRAM for every launch that
-/// `template_launch` draws). Same draws as [`template_kernel`].
-fn race_free_kernel(rng: &mut Rng) -> Kernel {
-    let kernel = template_kernel(rng);
-    if kernel.name != "tmpl4" {
-        return kernel;
-    }
-    Kernel::from_asm(
-        "tmpl4_own_words",
-        "gid  r1
-         lid  r2
-         slli r3, r1, 2
-         swl  r3, r1, 0
-         bar
-         wgsize r4
-         addi r5, r4, -1
-         sub  r5, r5, r2
-         add  r5, r5, r1
-         sub  r5, r5, r2
-         slli r5, r5, 2
-         lwl  r6, r5, 0
-         param r7, 0
-         slli r8, r1, 2
-         add  r8, r8, r7
-         sw   r8, r6, 0
-         ret",
-    )
-    .expect("template assembles")
-}
-
-/// Banking is a timing model, never a functional one: switching from
-/// the ideal LRAM to any banked geometry may slow a run down but must
-/// leave the architectural results — memory image and instruction
-/// tallies — untouched. That holds for race-free programs only, so
-/// the kernels come from [`race_free_kernel`].
-fn banking_shifts_cycles_never_bits_on(rng: &mut Rng) {
-    let ideal_config = small_config(rng);
-    let mut banked_config = ideal_config;
-    banked_config.lram = LramModel::Banked {
-        banks: rng.pick_copy(&[2, 4, 8]),
-    };
-    let kernel = race_free_kernel(rng);
-    let launch = template_launch(rng, &ideal_config);
-    let mem = seed_mem(rng);
-
-    let mut ideal_gpu = Gpu::new(ideal_config.with_backend(AccelBackend::Scalar), MEM_WORDS);
-    let mut banked_gpu = Gpu::new(banked_config.with_backend(AccelBackend::Scalar), MEM_WORDS);
-    ideal_gpu.write_words(0, &mem).expect("seed ideal");
-    banked_gpu.write_words(0, &mem).expect("seed banked");
-    let ideal = ideal_gpu
-        .launch(&kernel, &launch)
-        .expect("template kernels complete");
-    let banked = banked_gpu
-        .launch(&kernel, &launch)
-        .expect("template kernels complete");
-
-    assert_eq!(ideal.lram_conflict_cycles, 0, "ideal model never stalls");
-    assert!(banked.cycles >= ideal.cycles, "conflicts only add beats");
-    assert_eq!(ideal.vector_instructions, banked.vector_instructions);
-    assert_eq!(ideal.lane_ops, banked.lane_ops);
-    assert_eq!(ideal.wavefronts, banked.wavefronts);
-    assert_eq!(ideal.workgroups, banked.workgroups);
-    let ma = ideal_gpu.read_words(0, MEM_WORDS).expect("read ideal");
-    let mb = banked_gpu.read_words(0, MEM_WORDS).expect("read banked");
-    assert_eq!(ma, mb, "banking altered results on {}", kernel.name);
-}
-
-#[test]
-fn banking_shifts_cycles_never_bits() {
-    // Co-resident workgroups of the local-id exchange raced on their
-    // CU's LRAM at this seed (case 159 of 2,000).
-    banking_shifts_cycles_never_bits_on(&mut Rng::seeded(0x4102_9310_38fc_3b22));
-    cases(80, banking_shifts_cycles_never_bits_on);
 }
 
 fn random_reg(rng: &mut Rng) -> Reg {

@@ -27,7 +27,7 @@ fi
 echo "== every declared dependency is used =="
 # A package's [dependencies] entry on a workspace crate that no file
 # under its src/ names is an edge nothing uses. Two such edges wait for
-# the next benchmark change (ROADMAP item 6): dropping either rewrites
+# the next benchmark change (ROADMAP item 2): dropping either rewrites
 # perfbench/Cargo.lock, which the perfbench steps below build --locked.
 unused_allowed=" ggpu-pnr->ggpu-synth ggpu-fault->ggpu-wal "
 members=" $(sed -n 's/^name = "\(.*\)"$/\1/p' crates/*/Cargo.toml | tr '\n' ' ') "
