@@ -13,17 +13,16 @@
 //! * [`ecc`] — working parity and extended-Hamming SEC-DED codecs,
 //!   property-tested to the guarantees the behavioural model assumes;
 //! * [`map`] — injection-site derivation from the design's actual SRAM
-//!   macro instances, capacity-weighted, so design-space-exploration
-//!   transforms (memory division, ECC insertion) measurably move each
-//!   macro's exposure;
+//!   macro instances, capacity-weighted, so the design-space
+//!   exploration's memory division measurably moves each macro's
+//!   exposure;
 //! * [`workload`] — the benchmark kernels as repeatable launches with
 //!   golden outputs;
 //! * [`campaign`] — the deterministic, parallel Monte-Carlo runner
 //!   with the standard outcome taxonomy (masked / SDC /
 //!   detected-corrected / detected-uncorrectable / hang / crash);
-//! * [`report`] — per-macro AVF campaign reports and the static
-//!   [`ResilienceReport`] the planner attaches to generated versions,
-//!   both with byte-stable JSON.
+//! * [`report`] — per-macro AVF campaign reports with byte-stable
+//!   JSON.
 //!
 //! # Example
 //!
@@ -53,6 +52,6 @@ pub mod workload;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignError, Outcome};
 pub use map::{Domain, Geometry, MacroMap, MacroSite, MapError};
-pub use report::{CampaignReport, MacroAvf, OutcomeCounts, ResilienceReport, ResilienceRow};
+pub use report::{CampaignReport, MacroAvf, OutcomeCounts};
 pub use rng::Rng;
 pub use workload::{Workload, WorkloadError};

@@ -1,4 +1,4 @@
-//! Campaign and resilience reports with byte-stable JSON rendering.
+//! Campaign reports with byte-stable JSON rendering.
 //!
 //! JSON is hand-rolled (the workspace is dependency-free) with fixed
 //! field order and fixed-precision floats, so identical campaigns
@@ -7,7 +7,6 @@
 //! macro paths are netlist instance names, which may hold any
 //! character.
 
-use crate::map::MacroMap;
 use ggpu_tech::sram::EccScheme;
 use std::fmt::{self, Write as _};
 
@@ -178,145 +177,6 @@ impl CampaignReport {
     }
 }
 
-/// One macro's row in the static resilience report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceRow {
-    /// Hierarchical macro instance path.
-    pub path: String,
-    /// Architectural role name.
-    pub role: String,
-    /// Protection scheme.
-    pub scheme: EccScheme,
-    /// Words stored.
-    pub words: u32,
-    /// Data bits per word.
-    pub data_bits: u32,
-    /// Check bits per word under the scheme.
-    pub check_bits: u32,
-    /// Capacity-weighted exposure.
-    pub exposure: f64,
-}
-
-impl ResilienceRow {
-    /// Storage overhead of the check columns, percent of data bits.
-    pub fn overhead_pct(&self) -> f64 {
-        if self.data_bits == 0 {
-            return 0.0;
-        }
-        100.0 * f64::from(self.check_bits) / f64::from(self.data_bits)
-    }
-}
-
-/// Static (no-simulation) resilience summary of a design under an ECC
-/// policy: what is protected, what each protection costs in stored
-/// bits, and where the soft-error cross-section sits. The planner
-/// attaches one per generated Table-I version.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceReport {
-    /// Human-readable policy description.
-    pub policy: String,
-    /// Per-macro rows in design-traversal order.
-    pub rows: Vec<ResilienceRow>,
-}
-
-impl ResilienceReport {
-    /// Builds the report from a derived macro map.
-    pub fn from_map(map: &MacroMap, policy: impl Into<String>) -> Self {
-        let rows = map
-            .sites()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ResilienceRow {
-                path: s.path.clone(),
-                role: s.role.to_string(),
-                scheme: s.scheme,
-                words: s.words,
-                data_bits: s.data_bits,
-                check_bits: s.check_bits,
-                exposure: map.exposure(i),
-            })
-            .collect();
-        Self {
-            policy: policy.into(),
-            rows,
-        }
-    }
-
-    /// Total data bits across all macros.
-    pub fn data_bits_total(&self) -> u64 {
-        self.rows
-            .iter()
-            .map(|r| u64::from(r.words) * u64::from(r.data_bits))
-            .sum()
-    }
-
-    /// Total stored bits (data + check) across all macros.
-    pub fn stored_bits_total(&self) -> u64 {
-        self.rows
-            .iter()
-            .map(|r| u64::from(r.words) * u64::from(r.data_bits + r.check_bits))
-            .sum()
-    }
-
-    /// Aggregate check-bit storage overhead, percent.
-    pub fn overhead_pct(&self) -> f64 {
-        let data = self.data_bits_total();
-        if data == 0 {
-            return 0.0;
-        }
-        100.0 * (self.stored_bits_total() - data) as f64 / data as f64
-    }
-
-    /// Fraction of stored bits residing in macros with *no* protection
-    /// — the headline number lint code N008 gates on.
-    pub fn unprotected_fraction(&self) -> f64 {
-        let total = self.stored_bits_total();
-        if total == 0 {
-            return 0.0;
-        }
-        let unprot: u64 = self
-            .rows
-            .iter()
-            .filter(|r| r.scheme == EccScheme::None)
-            .map(|r| u64::from(r.words) * u64::from(r.data_bits + r.check_bits))
-            .sum();
-        unprot as f64 / total as f64
-    }
-
-    /// Byte-stable JSON rendering.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"policy\": {},", Json(&self.policy));
-        let _ = writeln!(out, "  \"data_bits\": {},", self.data_bits_total());
-        let _ = writeln!(out, "  \"stored_bits\": {},", self.stored_bits_total());
-        let _ = writeln!(out, "  \"overhead_pct\": {:.4},", self.overhead_pct());
-        let _ = writeln!(
-            out,
-            "  \"unprotected_fraction\": {:.6},",
-            self.unprotected_fraction()
-        );
-        let _ = writeln!(out, "  \"macros\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"path\": {}, \"role\": {}, \"ecc\": {}, \"words\": {}, \"data_bits\": {}, \"check_bits\": {}, \"exposure\": {:.6}}}{}",
-                Json(&r.path),
-                Json(&r.role),
-                Json(r.scheme.as_str()),
-                r.words,
-                r.data_bits,
-                r.check_bits,
-                r.exposure,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,9 +205,10 @@ mod tests {
     }
 
     /// Quotes, backslashes and control characters in macro names and
-    /// labels come out escaped, so both reports stay valid JSON.
+    /// labels come out escaped, so the report stays valid JSON.
     #[test]
     fn reports_escape_their_strings() {
+        use crate::map::MacroMap;
         use ggpu_netlist::module::Module;
         use ggpu_netlist::{CellGroup, Design, EccPolicy, MacroInst, MemoryRole};
         use ggpu_tech::sram::SramConfig;
@@ -366,13 +227,6 @@ mod tests {
         design.set_top(id);
         let map = MacroMap::from_design(&design, &EccPolicy::unprotected()).unwrap();
         let path = r#""path": "rf\"0\\x\u0009""#;
-
-        let resilience = ResilienceReport::from_map(&map, "uniform \"parity\"").to_json();
-        assert!(resilience.contains(path), "{resilience}");
-        assert!(
-            resilience.contains(r#""policy": "uniform \"parity\"","#),
-            "{resilience}"
-        );
 
         let site = &map.sites()[0];
         let campaign = CampaignReport {

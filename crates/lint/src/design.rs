@@ -20,8 +20,7 @@
 
 use crate::diag::{Code, LintConfig, Report};
 use ggpu_netlist::timing::PathEndpoint;
-use ggpu_netlist::{Design, EccPolicy};
-use ggpu_tech::sram::EccScheme;
+use ggpu_netlist::Design;
 use std::collections::HashSet;
 
 /// Lints `design` under `config`.
@@ -167,35 +166,6 @@ pub fn lint_design(design: &Design, config: &LintConfig) -> Report {
     report
 }
 
-/// The resilience-coverage lint (**N008**): flags every SRAM macro
-/// instance whose architectural role the ECC `policy` resolves to
-/// [`EccScheme::None`].
-///
-/// Only call this when a resilience target is configured (a planner
-/// spec with `resilience`, or the CLI's `--resilience`); an
-/// unprotected design with no target is not a finding. Macro sites are
-/// hierarchical instance paths, so an 8-CU design reports each exposed
-/// bank instance, mirroring the fault-injection exposure map.
-pub fn lint_resilience(design: &Design, policy: &EccPolicy, config: &LintConfig) -> Report {
-    let mut report = Report::new(format!("{} (resilience)", design.name()));
-    for (path, mac) in design.all_macros() {
-        let scheme = policy.scheme_for(mac.role);
-        if scheme == EccScheme::None {
-            report.push(
-                config,
-                Code::N008,
-                format!(
-                    "macro `{}` ({}, {}x{}b) has no ECC/parity under policy `{policy}`",
-                    mac.name, mac.role, mac.config.words, mac.config.bits
-                ),
-                None,
-                Some(path),
-            );
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,66 +277,6 @@ mod tests {
             2,
             "{r}"
         );
-    }
-
-    #[test]
-    fn unprotected_policy_flags_every_macro_site_as_n008() {
-        let d = small_design();
-        let r = lint_resilience(&d, &EccPolicy::unprotected(), &config());
-        assert!(r.has(Code::N008), "{r}");
-        // One SRAM macro instantiated once → one exposed site, reported
-        // at its hierarchical instance path.
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].site.as_deref(), Some("u0/ram"));
-        // N008 defaults to warn: visible, but not a denial…
-        assert_eq!(r.denial_count(), 0);
-        // …unless the CI gate promotes warnings.
-        let mut strict = config();
-        strict.warnings_are_denials = true;
-        let r = lint_resilience(&d, &EccPolicy::unprotected(), &strict);
-        assert_eq!(r.denial_count(), 1);
-    }
-
-    #[test]
-    fn protected_policy_is_clean() {
-        let d = small_design();
-        let r = lint_resilience(&d, &EccPolicy::uniform(EccScheme::SecDed), &config());
-        assert!(r.is_clean(), "{r}");
-        let r = lint_resilience(&d, &EccPolicy::uniform(EccScheme::Parity), &config());
-        assert!(r.is_clean(), "{r}");
-    }
-
-    #[test]
-    fn per_role_none_override_exposes_only_that_role() {
-        let mut d = small_design();
-        let leaf = d.module_by_name("leaf").unwrap();
-        d.module_mut(leaf).macros.push(MacroInst::new(
-            "rf",
-            SramConfig::dual(64, 32),
-            MemoryRole::RegisterFile,
-            0.5,
-        ));
-        let covered = EccPolicy::uniform(EccScheme::SecDed);
-        assert!(lint_resilience(&d, &covered, &config()).is_clean());
-        let holey = covered.with_role(MemoryRole::Other, EccScheme::None);
-        let r = lint_resilience(&d, &holey, &config());
-        assert_eq!(r.diagnostics.len(), 1, "{r}");
-        assert_eq!(r.diagnostics[0].site.as_deref(), Some("u0/ram"));
-    }
-
-    #[test]
-    fn n008_counts_each_exposed_instance() {
-        // Instantiate the leaf twice: the same macro is exposed at two
-        // hierarchical sites, mirroring the fault-injection map.
-        let mut d = small_design();
-        let leaf = d.module_by_name("leaf").unwrap();
-        let top = d.module_by_name("top").unwrap();
-        d.module_mut(top).children.push(Instance {
-            name: "u1".into(),
-            module: leaf,
-        });
-        let r = lint_resilience(&d, &EccPolicy::unprotected(), &config());
-        assert_eq!(r.diagnostics.len(), 2, "{r}");
     }
 
     #[test]

@@ -95,10 +95,10 @@ pub enum Code {
     N006,
     /// Design has no top module or the instantiation graph is cyclic.
     N007,
-    /// Resilience coverage: an SRAM macro is left without ECC/parity
-    /// while a resilience target is configured (the ECC policy
-    /// resolves its role to `none`). Only emitted by the resilience
-    /// lint, which callers invoke when a target exists.
+    /// Retired: resilience coverage (an SRAM macro left without
+    /// ECC/parity under a resilience target). The planner's resilience
+    /// target it checked is gone, so no pass emits it; the slot stays
+    /// reserved.
     N008,
     /// Retired: the memory-banking flow invariant (total macro bits
     /// preserved, port budget grown by exactly the added banks'
@@ -209,9 +209,9 @@ impl Code {
     /// but corpus-coverage tests skip them.
     pub fn retired(self) -> bool {
         // K007's syntactic race check is subsumed by the
-        // flow-sensitive K012; N009 gated the removed banking
-        // transform.
-        matches!(self, Code::K007 | Code::N009)
+        // flow-sensitive K012; N008 checked the removed resilience
+        // target; N009 gated the removed banking transform.
+        matches!(self, Code::K007 | Code::N008 | Code::N009)
     }
 
     /// One-line description for `--help`/docs.
@@ -236,7 +236,7 @@ impl Code {
             Code::N005 => "memory division changed total macro bits",
             Code::N006 => "pipeline insertion broke timing endpoints",
             Code::N007 => "missing top module or instantiation cycle",
-            Code::N008 => "SRAM macro without ECC/parity under a resilience target",
+            Code::N008 => "retired: resilience coverage, its ECC target was removed",
             Code::N009 => "retired: memory-banking invariant, its transform was removed",
             Code::N010 => "flow supervision degraded a stage to a fallback engine",
         }
@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn retired_codes_still_parse_and_say_so() {
         let retired: Vec<Code> = Code::ALL.into_iter().filter(|c| c.retired()).collect();
-        assert_eq!(retired, [Code::K007, Code::N009]);
+        assert_eq!(retired, [Code::K007, Code::N008, Code::N009]);
         for code in retired {
             assert_eq!(Code::parse(code.as_str()), Some(code));
             assert!(code.description().starts_with("retired: "), "{code}");

@@ -13,8 +13,7 @@
 //!   uniformity those checks stand on;
 //! * the **design linter** ([`design`]) checks netlist structure and
 //!   numerics — duplicate names, dangling references, SRAM compiler
-//!   range, activity sanity (`N001`–`N004`, `N007`), resilience
-//!   coverage under an ECC policy (`N008`) — and [`flow`] asserts
+//!   range, activity sanity (`N001`–`N004`, `N007`) — and [`flow`] asserts
 //!   post-transform invariants after every GPUPlanner step
 //!   (`N005`–`N006`).
 //!
@@ -42,7 +41,7 @@ pub mod shipped;
 
 pub use absint::{analyze, AnalysisCtx, KernelAnalysis, MemAccessSummary};
 pub use cfg::Cfg;
-pub use design::{lint_design, lint_resilience};
+pub use design::lint_design;
 pub use diag::{Code, Diagnostic, LintConfig, Report, Severity};
 pub use flow::{check_division, check_pipeline, check_supervision, DegradationStep, FlowSnapshot};
 pub use kernel::{verify_asm, verify_program, verify_program_with_ctx, DIVERGENCE_DEPTH_LIMIT};

@@ -4,9 +4,6 @@
 //! ggpu-lint --all-kernels              lint the 8 shipped paper kernels
 //! ggpu-lint --asm FILE ...             lint assembler source files
 //! ggpu-lint --design [CUS]             lint generated baseline netlists
-//! ggpu-lint --resilience POLICY        also run the N008 coverage lint
-//!                                      (POLICY: `secded`, or
-//!                                      `default=parity,cache-data=none`)
 //! ggpu-lint --deny warn                treat warnings as denials (CI)
 //! ggpu-lint --allow K001 --deny-code K006   per-code severity overrides
 //! ggpu-lint --json                     machine-readable output
@@ -17,23 +14,19 @@
 //! otherwise, `2` on usage errors. The last line is always a summary
 //! (`N programs, M denials`) so CI logs show the gate at a glance.
 
-use ggpu_lint::{
-    lint_design, lint_resilience, verify_asm, Code, LintConfig, Report, Severity, SHIPPED_KERNELS,
-};
-use ggpu_netlist::EccPolicy;
+use ggpu_lint::{lint_design, verify_asm, Code, LintConfig, Report, Severity, SHIPPED_KERNELS};
 use std::process::ExitCode;
 
 struct Options {
     all_kernels: bool,
     asm_files: Vec<String>,
     design_cus: Vec<u32>,
-    resilience: Option<EccPolicy>,
     config: LintConfig,
     json: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: ggpu-lint [--all-kernels] [--asm FILE ...] [--design [CUS]] [--resilience POLICY]\n\
+    "usage: ggpu-lint [--all-kernels] [--asm FILE ...] [--design [CUS]]\n\
      \x20                [--deny warn] [--deny-code CODE] [--warn-code CODE] [--allow CODE]\n\
      \x20                [--json] [--list-codes]"
 }
@@ -47,7 +40,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         all_kernels: false,
         asm_files: Vec::new(),
         design_cus: Vec::new(),
-        resilience: None,
         config: LintConfig::new(),
         json: false,
     };
@@ -74,11 +66,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 } else {
                     opts.design_cus.push(1);
                 }
-            }
-            "--resilience" => {
-                let policy = value("--resilience")?;
-                opts.resilience =
-                    Some(EccPolicy::parse(&policy).map_err(|e| format!("--resilience: {e}"))?);
             }
             "--deny" => {
                 let level = value("--deny")?;
@@ -153,11 +140,6 @@ fn collect_reports(opts: &Options) -> Result<Vec<Report>, String> {
         let mut report = lint_design(&design, &opts.config);
         report.sort_canonical();
         reports.push(report);
-        if let Some(policy) = &opts.resilience {
-            let mut report = lint_resilience(&design, policy, &opts.config);
-            report.sort_canonical();
-            reports.push(report);
-        }
     }
     Ok(reports)
 }

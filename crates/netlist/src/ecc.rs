@@ -4,17 +4,11 @@
 //! ([`MacroInst`](crate::MacroInst)); an [`EccPolicy`] records *how*
 //! each architectural role is protected against soft errors. The two
 //! are kept separate on purpose: the macro's structural hash
-//! participates in the STA memo's fingerprints, so protection (a
-//! planner-level concern that only widens words at compile time) must
-//! not perturb netlist identity.
+//! participates in the STA memo's fingerprints, so protection must not
+//! perturb netlist identity.
 //!
-//! The policy is consumed by
-//!
-//! * `ggpu-lint`'s N008 coverage check (macros left at
-//!   [`EccScheme::None`] under a resilience target),
-//! * `ggpu-fault`'s injection engine (which ECC model guards each
-//!   injection site), and
-//! * `gpuplanner`'s datasheet / frequency-map resilience columns.
+//! The policy is consumed by `ggpu-fault`'s injection engine, which
+//! reads the ECC model guarding each injection site.
 
 use crate::module::MemoryRole;
 use ggpu_tech::sram::EccScheme;
@@ -60,50 +54,6 @@ impl EccPolicy {
             .copied()
             .unwrap_or(self.default)
     }
-
-    /// `true` if no role resolves to a protecting scheme — i.e. the
-    /// whole design is exposed.
-    pub fn is_unprotected(&self) -> bool {
-        self.default == EccScheme::None && self.per_role.values().all(|s| *s == EccScheme::None)
-    }
-
-    /// Parses the [`fmt::Display`] form back into a policy.
-    ///
-    /// Accepted inputs: a bare scheme name (`"secded"` — shorthand for
-    /// a uniform policy) or a comma-separated assignment list with an
-    /// optional `default=` entry and role names as rendered by
-    /// [`MemoryRole`]'s `Display` (`"default=parity,cache-data=none"`).
-    /// Round-trips with `Display` exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first unparseable token. Role
-    /// names are not validated against the `MemoryRole` enum (it is
-    /// `#[non_exhaustive]`); unknown roles simply never match a macro.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        if let Some(scheme) = EccScheme::parse(s) {
-            return Ok(Self::uniform(scheme));
-        }
-        let mut policy = Self::unprotected();
-        for tok in s.split(',') {
-            let tok = tok.trim();
-            if tok.is_empty() {
-                continue;
-            }
-            let (key, val) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("expected `role=scheme`, got `{tok}`"))?;
-            let scheme = EccScheme::parse(val.trim())
-                .ok_or_else(|| format!("unknown ECC scheme `{}` in `{tok}`", val.trim()))?;
-            if key.trim() == "default" {
-                policy.default = scheme;
-            } else {
-                policy.per_role.insert(key.trim().to_string(), scheme);
-            }
-        }
-        Ok(policy)
-    }
 }
 
 impl fmt::Display for EccPolicy {
@@ -125,7 +75,6 @@ mod tests {
         let p = EccPolicy::uniform(EccScheme::SecDed);
         assert_eq!(p.scheme_for(MemoryRole::RegisterFile), EccScheme::SecDed);
         assert_eq!(p.scheme_for(MemoryRole::Other), EccScheme::SecDed);
-        assert!(!p.is_unprotected());
     }
 
     #[test]
@@ -136,35 +85,6 @@ mod tests {
         assert_eq!(p.scheme_for(MemoryRole::RegisterFile), EccScheme::SecDed);
         assert_eq!(p.scheme_for(MemoryRole::CacheTag), EccScheme::None);
         assert_eq!(p.scheme_for(MemoryRole::ScratchRam), EccScheme::Parity);
-    }
-
-    #[test]
-    fn unprotected_detection() {
-        assert!(EccPolicy::unprotected().is_unprotected());
-        assert!(EccPolicy::default().is_unprotected());
-        let p = EccPolicy::unprotected().with_role(MemoryRole::ScratchRam, EccScheme::Parity);
-        assert!(!p.is_unprotected());
-        let all_none =
-            EccPolicy::uniform(EccScheme::None).with_role(MemoryRole::Fifo, EccScheme::None);
-        assert!(all_none.is_unprotected());
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        let p = EccPolicy::uniform(EccScheme::Parity)
-            .with_role(MemoryRole::ScratchRam, EccScheme::SecDed)
-            .with_role(MemoryRole::CacheData, EccScheme::None);
-        assert_eq!(EccPolicy::parse(&p.to_string()), Ok(p));
-        assert_eq!(
-            EccPolicy::parse("secded"),
-            Ok(EccPolicy::uniform(EccScheme::SecDed))
-        );
-        assert_eq!(
-            EccPolicy::parse("register-file=parity"),
-            Ok(EccPolicy::unprotected().with_role(MemoryRole::RegisterFile, EccScheme::Parity))
-        );
-        assert!(EccPolicy::parse("default=bogus").is_err());
-        assert!(EccPolicy::parse("nonsense").is_err());
     }
 
     #[test]

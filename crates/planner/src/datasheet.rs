@@ -54,23 +54,6 @@ pub fn datasheet(version: &ImplementedVersion) -> String {
             .map(|f| format!("{f:.0}"))
             .unwrap_or_else(|| "n/a".into())
     );
-    if let Some(res) = &planned.resilience {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "resilience:");
-        let _ = writeln!(out, "  ecc policy    : {}", res.policy);
-        let _ = writeln!(
-            out,
-            "  stored bits   : {:>9} ({} data + check)",
-            res.stored_bits_total(),
-            res.data_bits_total()
-        );
-        let _ = writeln!(out, "  ecc overhead  : {:>8.2} %", res.overhead_pct());
-        let _ = writeln!(
-            out,
-            "  unprotected   : {:>8.2} % of stored bits",
-            res.unprotected_fraction() * 100.0
-        );
-    }
     let _ = writeln!(out);
     let _ = writeln!(out, "physical synthesis:");
     let _ = writeln!(
@@ -158,31 +141,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
-    }
-
-    #[test]
-    fn resilient_spec_gets_a_resilience_section() {
-        use ggpu_tech::sram::EccScheme;
-        let planner = GpuPlanner::new(Tech::l65());
-        let spec = Specification::new(1, Mhz::new(500.0)).with_resilience(EccScheme::SecDed);
-        let implemented = planner.implement(&planner.plan(&spec).unwrap()).unwrap();
-        let text = datasheet(&implemented);
-        for needle in [
-            "resilience:",
-            "ecc policy    : default=secded",
-            "ecc overhead",
-        ] {
-            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
-        }
-        // An unconstrained spec has no such section.
-        let plain = planner
-            .implement(
-                &planner
-                    .plan(&Specification::new(1, Mhz::new(500.0)))
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(!datasheet(&plain).contains("resilience:"));
     }
 
     #[test]

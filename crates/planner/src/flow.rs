@@ -5,9 +5,8 @@
 use crate::cache::StaCache;
 use crate::dse::{apply_plan, optimize_for_with, DseError, OptimizationPlan};
 use crate::spec::Specification;
-use ggpu_fault::ResilienceReport;
 use ggpu_kernels::suite_threads;
-use ggpu_netlist::{Design, EccPolicy};
+use ggpu_netlist::Design;
 use ggpu_pnr::{place_and_route, Layout, PnrError};
 use ggpu_rtl::{generate, ConfigError, GgpuConfig};
 use ggpu_sta::max_frequency;
@@ -150,11 +149,6 @@ pub struct PlannedVersion {
     pub synthesis: SynthesisReport,
     /// The map's advice trace.
     pub trace: Vec<String>,
-    /// Resilience accounting for the optimized netlist under the
-    /// effective ECC policy — `Some` exactly when the specification
-    /// (or the planner's policy override) configured a resilience
-    /// target.
-    pub resilience: Option<ResilienceReport>,
 }
 
 /// A version after physical synthesis.
@@ -181,7 +175,6 @@ impl ImplementedVersion {
 pub struct GpuPlanner {
     tech: Tech,
     sta_cache: Arc<StaCache>,
-    ecc_policy: Option<EccPolicy>,
 }
 
 impl GpuPlanner {
@@ -190,7 +183,6 @@ impl GpuPlanner {
         Self {
             tech,
             sta_cache: Arc::new(StaCache::new()),
-            ecc_policy: None,
         }
     }
 
@@ -205,26 +197,6 @@ impl GpuPlanner {
     /// effectiveness.
     pub fn sta_cache(&self) -> &StaCache {
         &self.sta_cache
-    }
-
-    /// Sets a per-role ECC policy that overrides the uniform scheme of
-    /// [`Specification::with_resilience`] — e.g. SEC-DED on register
-    /// files but bare parity on FIFOs. Setting a policy activates the
-    /// resilience flow (N008 coverage lint + [`ResilienceReport`]) for
-    /// every spec this planner plans, whether or not the spec carries
-    /// its own `resilience` field.
-    pub fn with_ecc_policy(mut self, policy: EccPolicy) -> Self {
-        self.ecc_policy = Some(policy);
-        self
-    }
-
-    /// The effective ECC policy for `spec`: the planner-level override
-    /// if one was installed, else the spec's uniform scheme, else
-    /// `None` (resilience not configured).
-    pub fn resilience_policy(&self, spec: &Specification) -> Option<EccPolicy> {
-        self.ecc_policy
-            .clone()
-            .or_else(|| spec.resilience.map(EccPolicy::uniform))
     }
 
     /// Pre-flight static gate: rejects a netlist with deny-level
@@ -302,30 +274,6 @@ impl GpuPlanner {
             spec.frequency.value()
         ));
         Self::lint_gate(&design)?;
-        let mut trace = optimized.trace;
-        let resilience = match self.resilience_policy(spec) {
-            Some(policy) => {
-                // N008 coverage lint over the optimized netlist. The
-                // code defaults to warn, so uncovered macros surface in
-                // the trace; a strict config (overrides/`--deny warn`)
-                // at the CLI level still denies.
-                let coverage =
-                    ggpu_lint::lint_resilience(&design, &policy, &ggpu_lint::LintConfig::new());
-                if coverage.denial_count() > 0 {
-                    return Err(PlanError::Lint(coverage));
-                }
-                if !coverage.is_clean() {
-                    trace.push(format!(
-                        "resilience: {} macro site(s) unprotected under `{policy}`",
-                        coverage.diagnostics.len()
-                    ));
-                }
-                ggpu_fault::MacroMap::from_design(&design, &policy)
-                    .ok()
-                    .map(|map| ResilienceReport::from_map(&map, policy.to_string()))
-            }
-            None => None,
-        };
         let synthesis = synthesize(&design, &self.tech, spec.frequency)?;
         Ok(PlannedVersion {
             spec: *spec,
@@ -333,8 +281,7 @@ impl GpuPlanner {
             design,
             plan: optimized.plan,
             synthesis,
-            trace,
-            resilience,
+            trace: optimized.trace,
         })
     }
 
@@ -613,40 +560,6 @@ mod tests {
         // The untouched baseline passes the same gate.
         let clean = generate(&GgpuConfig::default()).unwrap();
         assert!(GpuPlanner::lint_gate(&clean).is_ok());
-    }
-
-    #[test]
-    fn resilience_target_yields_a_report() {
-        use ggpu_tech::sram::EccScheme;
-        let p = planner();
-        let spec = Specification::new(1, Mhz::new(500.0)).with_resilience(EccScheme::SecDed);
-        let v = p.plan(&spec).unwrap();
-        let res = v.resilience.expect("resilience target configured");
-        assert!(res.overhead_pct() > 0.0, "SEC-DED widens every word");
-        assert_eq!(res.unprotected_fraction(), 0.0, "uniform policy covers all");
-        // No target: no report, no resilience trace lines.
-        let plain = p.plan(&Specification::new(1, Mhz::new(500.0))).unwrap();
-        assert!(plain.resilience.is_none());
-        assert!(!plain.trace.iter().any(|t| t.contains("resilience")));
-    }
-
-    #[test]
-    fn planner_policy_overrides_spec_scheme_and_traces_holes() {
-        use ggpu_netlist::module::MemoryRole;
-        use ggpu_tech::sram::EccScheme;
-        let policy =
-            EccPolicy::uniform(EccScheme::Parity).with_role(MemoryRole::Fifo, EccScheme::None);
-        let p = planner().with_ecc_policy(policy.clone());
-        let spec = Specification::new(1, Mhz::new(500.0)).with_resilience(EccScheme::SecDed);
-        assert_eq!(p.resilience_policy(&spec), Some(policy));
-        let v = p.plan(&spec).unwrap();
-        let res = v.resilience.expect("policy activates the flow");
-        assert!(res.unprotected_fraction() > 0.0, "FIFOs left exposed");
-        assert!(
-            v.trace.iter().any(|t| t.contains("unprotected")),
-            "{:?}",
-            v.trace
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use flow::{GpuPlanner, ImplementedVersion, PlanError, PlannedVersion, PpaEst
 pub use journal::TransformJournal;
 pub use map::{advise, advise_with, Advice};
 pub use spec::Specification;
-pub use spreadsheet::{frequency_map, frequency_map_with_policy, map_to_csv, render_map, MapRow};
+pub use spreadsheet::{frequency_map, map_to_csv, render_map, MapRow};
 pub use supervise::{
     spec_fingerprint, verify_kernels, DegradationReport, FailurePlan, FlowError, FlowErrorKind,
     FlowStage, Injection, SupervisedVersion, Supervisor, SupervisorConfig,

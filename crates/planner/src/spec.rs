@@ -1,6 +1,5 @@
 //! User-facing design specifications.
 
-use ggpu_tech::sram::EccScheme;
 use ggpu_tech::units::Mhz;
 use std::fmt;
 
@@ -21,12 +20,6 @@ pub struct Specification {
     /// General-memory-controller replicas (1 or 2; replication is the
     /// paper's future-work remedy for the 8-CU routing wall).
     pub memory_controllers: u32,
-    /// Optional resilience target: the ECC scheme every SRAM role must
-    /// carry. `None` means resilience is not part of this spec (no
-    /// N008 coverage lint, no resilience report). A planner-level
-    /// [`EccPolicy`](ggpu_netlist::EccPolicy) override can refine the
-    /// uniform scheme per role.
-    pub resilience: Option<EccScheme>,
 }
 
 impl Specification {
@@ -38,16 +31,7 @@ impl Specification {
             max_area_mm2: None,
             max_power_w: None,
             memory_controllers: 1,
-            resilience: None,
         }
-    }
-
-    /// Asks for soft-error protection: every SRAM role must resolve to
-    /// `scheme` (the planner's ECC policy can still override per
-    /// role).
-    pub fn with_resilience(mut self, scheme: EccScheme) -> Self {
-        self.resilience = Some(scheme);
-        self
     }
 
     /// Replicates the general memory controller (the paper's proposed
@@ -94,9 +78,6 @@ impl fmt::Display for Specification {
         if let Some(p) = self.max_power_w {
             write!(f, " power<={p}W")?;
         }
-        if let Some(scheme) = self.resilience {
-            write!(f, " ecc={scheme}")?;
-        }
         Ok(())
     }
 }
@@ -120,13 +101,5 @@ mod tests {
         assert_eq!(s.max_power_w, Some(2.5));
         let text = s.to_string();
         assert!(text.contains("area<=5mm2") && text.contains("power<=2.5W"));
-    }
-
-    #[test]
-    fn resilience_target_shows_in_display_not_name() {
-        let s = Specification::new(1, Mhz::new(590.0)).with_resilience(EccScheme::SecDed);
-        assert_eq!(s.resilience, Some(EccScheme::SecDed));
-        assert_eq!(s.version_name(), "1cu@590MHz");
-        assert!(s.to_string().contains("ecc=secded"));
     }
 }

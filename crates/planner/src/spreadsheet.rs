@@ -9,9 +9,9 @@
 use crate::dse::apply_plan;
 use crate::map::advise;
 use ggpu_netlist::timing::PathEndpoint;
-use ggpu_netlist::{Design, EccPolicy};
+use ggpu_netlist::Design;
 use ggpu_sta::{analyze, StaError};
-use ggpu_tech::sram::{EccScheme, SramConfig};
+use ggpu_tech::sram::SramConfig;
 use ggpu_tech::units::{Mhz, Ns};
 use ggpu_tech::Tech;
 use std::fmt::Write as _;
@@ -34,10 +34,6 @@ pub struct MapRow {
     /// paths to non-negative slack at the target (1 = no division
     /// needed, `None` = no factor up to 16 suffices).
     pub division_to_close: Option<u32>,
-    /// The ECC scheme protecting this memory's role under the map's
-    /// policy (`None` when the map was built without a resilience
-    /// target — rendered as `-` in the CSV).
-    pub ecc: Option<EccScheme>,
 }
 
 /// Builds the frequency map for `design` at `target`.
@@ -49,21 +45,6 @@ pub struct MapRow {
 ///
 /// Returns [`StaError`] if timing analysis fails.
 pub fn frequency_map(design: &Design, tech: &Tech, target: Mhz) -> Result<Vec<MapRow>, StaError> {
-    frequency_map_with_policy(design, tech, target, None)
-}
-
-/// [`frequency_map`] with a resilience column: each row also reports
-/// the ECC scheme its memory's role resolves to under `policy`.
-///
-/// # Errors
-///
-/// Returns [`StaError`] if timing analysis fails.
-pub fn frequency_map_with_policy(
-    design: &Design,
-    tech: &Tech,
-    target: Mhz,
-    policy: Option<&EccPolicy>,
-) -> Result<Vec<MapRow>, StaError> {
     let report = analyze(design, tech, target)?;
     let mut rows = Vec::new();
     for timing in report.paths() {
@@ -80,12 +61,11 @@ pub fn frequency_map_with_policy(
         let module_id = design
             .module_by_name(&timing.module)
             .expect("report names an existing module");
-        let mac = design
+        let config = design
             .module(module_id)
             .find_macro(macro_name)
-            .expect("report names an existing macro");
-        let config = mac.config;
-        let ecc = policy.map(|p| p.scheme_for(mac.role));
+            .expect("report names an existing macro")
+            .config;
         let access_time = tech
             .memory_compiler
             .compile(config)
@@ -130,7 +110,6 @@ pub fn frequency_map_with_policy(
             access_time,
             slack: timing.slack,
             division_to_close,
-            ecc,
         });
     }
     Ok(rows)
@@ -141,13 +120,11 @@ pub fn frequency_map_with_policy(
 pub fn map_to_csv(rows: &[MapRow]) -> String {
     let mut sorted: Vec<&MapRow> = rows.iter().collect();
     sorted.sort_by(|a, b| a.slack.value().total_cmp(&b.slack.value()));
-    let mut out = String::from(
-        "module,macro,words,bits,ports,access_ns,slack_ns,divide_by,ecc,ecc_overhead_pct\n",
-    );
+    let mut out = String::from("module,macro,words,bits,ports,access_ns,slack_ns,divide_by\n");
     for r in sorted {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{:.3},{:.3},{},{},{}",
+            "{},{},{},{},{},{:.3},{:.3},{}",
             r.module,
             r.macro_name,
             r.config.words,
@@ -158,16 +135,6 @@ pub fn map_to_csv(rows: &[MapRow]) -> String {
             r.division_to_close
                 .map(|f| f.to_string())
                 .unwrap_or_else(|| "unreachable".into()),
-            r.ecc.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
-            r.ecc
-                .map(|s| {
-                    // Check bits stored next to every word, as a
-                    // fraction of the data bits — per bank, so the
-                    // figure is invariant under division.
-                    let check = s.check_bits(r.config.bits);
-                    format!("{:.2}", 100.0 * f64::from(check) / f64::from(r.config.bits))
-                })
-                .unwrap_or_else(|| "-".into()),
         );
     }
     out
@@ -235,7 +202,7 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
             lines[0],
-            "module,macro,words,bits,ports,access_ns,slack_ns,divide_by,ecc,ecc_overhead_pct"
+            "module,macro,words,bits,ports,access_ns,slack_ns,divide_by"
         );
         assert_eq!(lines.len(), rows.len() + 1);
         // Worst slack first.
@@ -250,42 +217,6 @@ mod tests {
         let text = render_map(&base(), &Tech::l65(), Mhz::new(590.0)).unwrap();
         assert!(text.contains("# next step: divide"));
         assert!(text.contains("rf_bank"));
-    }
-
-    #[test]
-    fn policy_fills_the_ecc_column() {
-        let policy = EccPolicy::uniform(EccScheme::Parity).with_role(
-            ggpu_netlist::module::MemoryRole::RegisterFile,
-            EccScheme::SecDed,
-        );
-        let rows = frequency_map_with_policy(&base(), &Tech::l65(), Mhz::new(590.0), Some(&policy))
-            .unwrap();
-        let rf = rows.iter().find(|r| r.macro_name == "rf_bank").unwrap();
-        assert_eq!(rf.ecc, Some(EccScheme::SecDed));
-        let fifo = rows.iter().find(|r| r.macro_name == "axi_fifo0").unwrap();
-        assert_eq!(fifo.ecc, Some(EccScheme::Parity));
-        let csv = map_to_csv(&rows);
-        assert!(
-            csv.contains(",secded,") && csv.contains(",parity,"),
-            "{csv}"
-        );
-        // Overhead column: SEC-DED on the 48-bit rf_bank words is
-        // 7/48 = 14.58 %; parity on a 36-bit fifo word is 1/36 = 2.78 %.
-        let row_for = |name: &str| -> String {
-            csv.lines()
-                .find(|l| l.contains(&format!(",{name},")))
-                .unwrap()
-                .to_string()
-        };
-        assert!(row_for("rf_bank").ends_with(",secded,14.58"), "{csv}");
-        assert!(row_for("axi_fifo0").ends_with(",parity,2.78"), "{csv}");
-        // Without a policy both ECC columns render `-`.
-        let plain = frequency_map(&base(), &Tech::l65(), Mhz::new(590.0)).unwrap();
-        assert!(plain.iter().all(|r| r.ecc.is_none()));
-        assert!(map_to_csv(&plain)
-            .lines()
-            .skip(1)
-            .all(|l| l.ends_with(",-,-")));
     }
 
     #[test]
@@ -322,10 +253,10 @@ mod tests {
         assert_eq!(corrupt.division_to_close, None, "a NaN slack never closes");
         let csv = map_to_csv(&rows);
         let line = csv.lines().find(|l| l.starts_with("m,corrupt,")).unwrap();
-        assert!(line.contains(",NaN,unreachable,"), "{csv}");
+        assert!(line.ends_with(",NaN,unreachable"), "{csv}");
         assert!(render_map(&d, &tech, target)
             .unwrap()
-            .contains(",unreachable,"));
+            .contains(",unreachable\n"));
     }
 
     #[test]

@@ -340,15 +340,14 @@ pub struct SupervisedVersion {
     pub degradations: DegradationReport,
 }
 
-/// Stable fingerprint of a specification (version name + ceilings +
-/// resilience target). Keys chaos injection and backoff jitter;
-/// independent of pointer identity and build.
+/// Stable fingerprint of a specification (version name + ceilings).
+/// Keys chaos injection and backoff jitter; independent of pointer
+/// identity and build.
 pub fn spec_fingerprint(spec: &Specification) -> u64 {
     let mut h = DefaultHasher::new();
     spec.version_name().hash(&mut h);
     spec.max_area_mm2.map(f64::to_bits).hash(&mut h);
     spec.max_power_w.map(f64::to_bits).hash(&mut h);
-    format!("{:?}", spec.resilience).hash(&mut h);
     h.finish()
 }
 

@@ -8,9 +8,8 @@
 //! machinery behind the fault crate's resumable campaigns):
 //!
 //! * the header fingerprints the campaign — both ceilings, the grid
-//!   size, the technology and the planner's ECC override — so a
-//!   journal written under any other campaign is refused, never
-//!   answered from;
+//!   size and the technology — so a journal written under any other
+//!   campaign is refused, never answered from;
 //! * every finished grid point appends **one journal line** carrying
 //!   its status and — for planned points — the full optimization
 //!   recipe and advice trace, fsynced, in completion order;
@@ -32,7 +31,6 @@ use crate::dse::OptimizationPlan;
 use crate::flow::{parallel_map, GpuPlanner, PlanError, PlannedVersion};
 use crate::spec::Specification;
 use ggpu_kernels::suite_threads;
-use ggpu_netlist::EccPolicy;
 use ggpu_synth::synthesize;
 use ggpu_tech::units::Mhz;
 use ggpu_wal::{Journal, WalError, WalOp};
@@ -82,18 +80,16 @@ impl SweepConfig {
     }
 
     /// The journal header: everything a recorded point depends on.
-    /// `tech` is [`ggpu_tech::Tech::structural_fingerprint`] and `ecc`
-    /// the planner's ECC override, if any. That fingerprint is stable
-    /// only within one Rust toolchain, so a journal written by a binary
-    /// from another toolchain may carry another `tech` value and is
-    /// then refused as foreign ([`SweepError::Checkpoint`]), never
-    /// answered from.
-    fn header(&self, points: usize, tech: u64, ecc: Option<EccPolicy>) -> String {
+    /// `tech` is [`ggpu_tech::Tech::structural_fingerprint`]. That
+    /// fingerprint is stable only within one Rust toolchain, so a
+    /// journal written by a binary from another toolchain may carry
+    /// another `tech` value and is then refused as foreign
+    /// ([`SweepError::Checkpoint`]), never answered from.
+    fn header(&self, points: usize, tech: u64) -> String {
         format!(
-            "ggpu-sweep v3 area={:016x} power={:016x} points={points} tech={tech:016x} ecc={}",
+            "ggpu-sweep v4 area={:016x} power={:016x} points={points} tech={tech:016x}",
             self.max_area_mm2.to_bits(),
             self.max_power_w.to_bits(),
-            ecc.map_or_else(|| "none".into(), |p| p.to_string()),
         )
     }
 }
@@ -226,13 +222,7 @@ impl GpuPlanner {
         let mut done: BTreeMap<usize, PointOutcome> = BTreeMap::new();
         let journal = match &config.checkpoint {
             Some(path) => {
-                // Sweep specs carry no resilience of their own, so the
-                // policy is the planner's override.
-                let header = config.header(
-                    points.len(),
-                    self.tech().structural_fingerprint(),
-                    self.resilience_policy(&spec_for(0)),
-                );
+                let header = config.header(points.len(), self.tech().structural_fingerprint());
                 let (journal, lines) = Journal::open(path, &header)?;
                 for (no, line) in lines.iter().enumerate() {
                     let (i, outcome) = parse_record(line)?;
@@ -368,14 +358,6 @@ impl GpuPlanner {
             spec.compute_units,
             spec.frequency.value()
         ));
-        // The original run passed the lint and resilience gates
-        // (deterministic on the same netlist), so only the resilience
-        // *report* needs recomputing.
-        let resilience = self.resilience_policy(spec).and_then(|policy| {
-            ggpu_fault::MacroMap::from_design(&design, &policy)
-                .ok()
-                .map(|map| ggpu_fault::ResilienceReport::from_map(&map, policy.to_string()))
-        });
         let synthesis =
             synthesize(&design, self.tech(), spec.frequency).map_err(PlanError::Synthesis)?;
         Ok(PlannedVersion {
@@ -385,7 +367,6 @@ impl GpuPlanner {
             plan,
             synthesis,
             trace,
-            resilience,
         })
     }
 }

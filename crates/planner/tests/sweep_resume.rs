@@ -4,11 +4,10 @@
 //! winner byte for byte and never double-runs a recorded point. The
 //! journal as written (one record per point, in completion order) is
 //! the record: a resume that plans nothing leaves the file untouched,
-//! and a journal from another campaign — other ceilings, technology or
-//! ECC override — or with a point recorded twice is refused.
+//! and a journal from another campaign — other ceilings or technology —
+//! or with a point recorded twice is refused.
 
 use ggpu_fault::Rng;
-use ggpu_netlist::EccPolicy;
 use ggpu_tech::sram::{MemoryCompiler, SramParams};
 use ggpu_tech::Tech;
 use gpuplanner::{GpuPlanner, SweepConfig, SweepError};
@@ -129,44 +128,39 @@ fn sweep_resumes_byte_identically_from_any_truncation_offset() {
 }
 
 #[test]
-fn resumes_under_another_technology_or_ecc_policy_are_refused() {
+fn resumes_under_another_technology_are_refused() {
     // Slower SRAM needs deeper recipes: the l65 recipes replayed under
-    // it would miss their own targets. The ECC override decides the
-    // recorded trace and the rebuilt resilience report.
+    // it would miss their own targets.
     let mut slow = Tech::l65();
     let p = *slow.memory_compiler.params();
     slow.memory_compiler = MemoryCompiler::new(SramParams {
         t_fixed: p.t_fixed + 0.25,
         ..p
     });
-    let policy = EccPolicy::parse("default=none,register-file=secded").expect("policy");
-    let l65 = || GpuPlanner::new(Tech::l65());
-    for (tag, journaled, resumed) in [
-        ("tech", l65(), GpuPlanner::new(slow)),
-        ("ecc", l65().with_ecc_policy(policy), l65()),
-    ] {
-        let path = scratch(tag);
-        let _ = std::fs::remove_file(&path);
-        let cfg = SweepConfig::budgets(30.0, 100.0)
-            .with_threads(2)
-            .with_checkpoint(&path);
-        assert_eq!(
-            journaled.sweep(&cfg).expect("journaled sweep").evaluated,
-            24
-        );
-        let journal = std::fs::read(&path).expect("journal bytes");
-        match resumed.sweep(&cfg) {
-            Err(SweepError::Checkpoint(msg)) => assert!(msg.contains("header"), "{tag}: {msg}"),
-            Err(e) => panic!("{tag}: expected a checkpoint mismatch, got {e}"),
-            Ok(report) => panic!("{tag}: the resume was answered:\n{}", report.render()),
-        }
-        assert_eq!(
-            std::fs::read(&path).expect("journal bytes"),
-            journal,
-            "{tag}: a refused resume must leave the journal as it was"
-        );
-        let _ = std::fs::remove_file(&path);
+    let path = scratch("tech");
+    let _ = std::fs::remove_file(&path);
+    let cfg = SweepConfig::budgets(30.0, 100.0)
+        .with_threads(2)
+        .with_checkpoint(&path);
+    assert_eq!(
+        GpuPlanner::new(Tech::l65())
+            .sweep(&cfg)
+            .expect("journaled sweep")
+            .evaluated,
+        24
+    );
+    let journal = std::fs::read(&path).expect("journal bytes");
+    match GpuPlanner::new(slow).sweep(&cfg) {
+        Err(SweepError::Checkpoint(msg)) => assert!(msg.contains("header"), "{msg}"),
+        Err(e) => panic!("expected a checkpoint mismatch, got {e}"),
+        Ok(report) => panic!("the resume was answered:\n{}", report.render()),
     }
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        journal,
+        "a refused resume must leave the journal as it was"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -243,18 +237,23 @@ fn foreign_headers_and_corrupt_records_are_refused() {
     }
 
     // So is the same campaign's header in a retired format: v1, whose
-    // journals could hold wall-clock budget records, and v2, which did
-    // not fingerprint the technology or the ECC override.
-    let (v3_prefix, _) = header_a
+    // journals could hold wall-clock budget records; v2, which did not
+    // fingerprint the technology; and v3, which also recorded the
+    // planner's ECC override.
+    let (v4_prefix, _) = header_a
         .split_once(" tech=")
-        .expect("a v3 header names the technology");
-    let v2 = v3_prefix.replace("ggpu-sweep v3", "ggpu-sweep v2");
+        .expect("a v4 header names the technology");
     let v1 = format!(
         "{} budget=none",
-        v3_prefix.replace("ggpu-sweep v3", "ggpu-sweep v1")
+        v4_prefix.replace("ggpu-sweep v4", "ggpu-sweep v1")
+    );
+    let v2 = v4_prefix.replace("ggpu-sweep v4", "ggpu-sweep v2");
+    let v3 = format!(
+        "{} ecc=none",
+        header_a.replace("ggpu-sweep v4", "ggpu-sweep v3")
     );
     let same = cfg_a.with_checkpoint(&path);
-    for retired in [v1, v2] {
+    for retired in [v1, v2, v3] {
         std::fs::write(&path, format!("{retired}\n")).expect("write retired journal");
         assert!(
             matches!(planner.sweep(&same), Err(SweepError::Checkpoint(_))),

@@ -134,8 +134,8 @@ impl fmt::Display for FaultSite {
 }
 
 /// Per-word protection of the SRAM macro a fault lands in — the
-/// behavioural model of the ECC columns `ggpu-tech`'s
-/// `SramConfig::with_ecc` pays area for.
+/// behavioural model of the check columns `ggpu-tech`'s
+/// `EccScheme::check_bits` counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Protection {
     /// Unprotected: every flip lands silently.

@@ -160,10 +160,9 @@ impl fmt::Display for SramConfig {
 /// Per-word error-protection scheme stored alongside the data bits of
 /// a macro.
 ///
-/// The memory compiler itself is protection-agnostic — ECC is "just
-/// more columns" — so a protected macro is compiled by widening its
-/// word via [`SramConfig::with_ecc`] and the scheme only determines
-/// *how many* extra columns are paid for:
+/// ECC is "just more columns": the scheme determines *how many*
+/// check bits each word stores next to its data bits
+/// ([`EccScheme::check_bits`]):
 ///
 /// * [`EccScheme::Parity`]: 1 bit per word; detects any odd number of
 ///   flipped bits, corrects nothing.
@@ -199,16 +198,6 @@ impl EccScheme {
             EccScheme::SecDed => "secded",
         }
     }
-
-    /// Parses the output of [`EccScheme::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "none" => Some(EccScheme::None),
-            "parity" => Some(EccScheme::Parity),
-            "secded" => Some(EccScheme::SecDed),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for EccScheme {
@@ -227,25 +216,6 @@ pub fn secded_check_bits(data_bits: u32) -> u32 {
         r += 1;
     }
     r
-}
-
-impl SramConfig {
-    /// The same geometry widened to store `scheme`'s check bits next to
-    /// every data word — how GPUPlanner compiles a protected macro.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileSramError::BitsOutOfRange`] if the widened word
-    /// exceeds the compiler's 144-bit limit (the caller must divide the
-    /// macro in the bit direction first).
-    pub fn with_ecc(self, scheme: EccScheme) -> Result<SramConfig, CompileSramError> {
-        let widened = SramConfig {
-            bits: self.bits + scheme.check_bits(self.bits),
-            ..self
-        };
-        widened.validate()?;
-        Ok(widened)
-    }
 }
 
 /// Error returned when a requested geometry cannot be compiled.
@@ -642,39 +612,15 @@ mod tests {
     }
 
     #[test]
-    fn ecc_widening_costs_and_limits() {
-        let cfg = SramConfig::dual(2048, 32);
-        assert_eq!(cfg.with_ecc(EccScheme::None).unwrap(), cfg);
-        assert_eq!(cfg.with_ecc(EccScheme::Parity).unwrap().bits, 33);
+    fn ecc_check_bits_and_names() {
+        assert_eq!(EccScheme::None.check_bits(32), 0);
         // 32 data bits need r=6 plus the overall parity bit.
-        assert_eq!(cfg.with_ecc(EccScheme::SecDed).unwrap().bits, 39);
         assert_eq!(EccScheme::SecDed.check_bits(32), 7);
+        assert_eq!(EccScheme::Parity.check_bits(32), 1);
         assert_eq!(EccScheme::Parity.check_bits(144), 1);
-        // Widening past the 144-bit compiler limit is a typed error.
-        assert_eq!(
-            SramConfig::dual(1024, 144)
-                .with_ecc(EccScheme::Parity)
-                .unwrap_err(),
-            CompileSramError::BitsOutOfRange(145)
-        );
-        assert!(SramConfig::dual(1024, 140)
-            .with_ecc(EccScheme::SecDed)
-            .is_err());
-        // Widened macros cost area/energy — protection is not free.
-        let c = compiler();
-        let plain = c.compile(cfg).unwrap();
-        let prot = c.compile(cfg.with_ecc(EccScheme::SecDed).unwrap()).unwrap();
-        assert!(prot.area > plain.area);
-        assert!(prot.read_energy > plain.read_energy);
-    }
-
-    #[test]
-    fn ecc_scheme_round_trips_names() {
         for s in [EccScheme::None, EccScheme::Parity, EccScheme::SecDed] {
-            assert_eq!(EccScheme::parse(s.as_str()), Some(s));
             assert_eq!(s.to_string(), s.as_str());
         }
-        assert_eq!(EccScheme::parse("hamming"), None);
     }
 
     #[test]
